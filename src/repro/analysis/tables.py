@@ -58,15 +58,8 @@ class SuiteResult:
 
 
 def run_one(cfg: SystemConfig, workload: str, ops_per_core: Optional[int] = None,
-            seed: int = 1, kernel: Optional[str] = None) -> SimResult:
-    """Simulate one pair, memoized in-process and on disk.
-
-    ``kernel`` selects the dispatch loop for an uncached run. It is *not*
-    part of either cache key: every kernel produces a bit-identical
-    result, so a hit recorded under any kernel is the correct answer for
-    all of them (clear the caches first to force a specific loop to
-    actually execute).
-    """
+            seed: int = 1) -> SimResult:
+    """Simulate one pair, memoized in-process and on disk."""
     key = _key(cfg, workload, ops_per_core, seed)
     if key in _cache:
         return _cache[key]
@@ -76,8 +69,7 @@ def run_one(cfg: SystemConfig, workload: str, ops_per_core: Optional[int] = None
         from repro.system.sim import simulate
         from repro.workloads.catalog import get_workload
 
-        result = simulate(cfg, get_workload(workload), ops_per_core, seed=seed,
-                          kernel=kernel)
+        result = simulate(cfg, get_workload(workload), ops_per_core, seed=seed)
         disk.put(cfg, workload, ops_per_core, seed, result)
     _cache[key] = result
     return result
@@ -85,7 +77,7 @@ def run_one(cfg: SystemConfig, workload: str, ops_per_core: Optional[int] = None
 
 def run_suite(cfg: SystemConfig, workloads: Sequence[str],
               ops_per_core: Optional[int] = None, seed: int = 1,
-              workers: int = 1, kernel: Optional[str] = None) -> SuiteResult:
+              workers: int = 1) -> SuiteResult:
     """Simulate ``cfg`` across ``workloads`` (memoized).
 
     ``workers > 1`` fans uncached runs across a process pool via
@@ -99,14 +91,13 @@ def run_suite(cfg: SystemConfig, workloads: Sequence[str],
         todo = [w for w in workloads
                 if _key(cfg, w, ops_per_core, seed) not in _cache]
         runner = SweepRunner(workers=workers, cache=_disk_cache())
-        jobs = [SweepJob(cfg, w, ops_per_core, seed, kernel=kernel)
-                for w in todo]
+        jobs = [SweepJob(cfg, w, ops_per_core, seed) for w in todo]
         for jr in runner.run(jobs):
             if jr.result is None:
                 raise RuntimeError(f"sweep job failed: {jr.job.label()}: {jr.error}")
             _cache[_key(cfg, jr.job.workload, ops_per_core, seed)] = jr.result
     for w in workloads:
-        out.results[w] = run_one(cfg, w, ops_per_core, seed, kernel=kernel)
+        out.results[w] = run_one(cfg, w, ops_per_core, seed)
     return out
 
 

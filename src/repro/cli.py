@@ -116,9 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         tracing = tracing or "on"
     r = simulate(cfg, wl, ops_per_core=args.ops, seed=args.seed,
-                 validate=args.validate, kernel=args.kernel,
-                 obs=collector if collector is not None else None,
-                 tracing=tracing)
+                 validate=args.validate, obs=collector, tracing=tracing)
     print(r.summary())
     print(f"  miss latency     : p50 {r.p50_miss_latency:.1f} / "
           f"p90 {r.p90_miss_latency:.1f} / p99 {r.p99_miss_latency:.1f} / "
@@ -322,7 +320,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         jobs = expand_grid(configs, workloads, ops=args.ops, seeds=seeds,
                            validate=args.validate, obs=args.obs,
-                           kernel=args.kernel, tracing=args.tracing,
+                           tracing=args.tracing,
                            overrides=_device_overrides(args))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -434,8 +432,7 @@ def cmd_fleet_sweep(args: argparse.Namespace) -> int:
     try:
         specs = expand_specs(configs, workloads, ops=args.ops, seeds=seeds,
                              validate=args.validate, obs=args.obs,
-                             kernel=args.kernel, tracing=args.tracing,
-                             trace_id=trace_id)
+                             tracing=args.tracing, trace_id=trace_id)
     except KeyError as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
@@ -582,8 +579,7 @@ def cmd_parity_run(args: argparse.Namespace) -> int:
     registry, _ = _parity_registry(args)
     suite = _parity_suite(args)
     measured = evaluate(suite, workers=args.jobs, registry=registry,
-                        progress=None if args.quiet else _parity_progress,
-                        kernel=getattr(args, "kernel", None))
+                        progress=None if args.quiet else _parity_progress)
     rows = []
     out_of_band = []
     for m in registry:
@@ -707,17 +703,10 @@ def cmd_bench_bless(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    """Measure dispatch-loop throughput per kernel; optional ratio gate."""
-    from repro.engine.kernel import KERNEL_MODES
+    """Measure dispatch-loop throughput; optional ratio gate."""
     from repro.exec.perf import kernel_bench_record, write_bench
     from repro.parity import GoldenError, load_bench_baseline, record_events_per_s
 
-    kernels = _parse_list(args.kernels)
-    for k in kernels:
-        if k not in KERNEL_MODES:
-            print(f"unknown kernel {k!r}; choose from {KERNEL_MODES}",
-                  file=sys.stderr)
-            return 2
     baseline_eps = None
     if args.golden:
         try:
@@ -732,33 +721,23 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     progress = (None if args.quiet
                 else (lambda msg: print(f"  {msg}", file=sys.stderr)))
     record = kernel_bench_record(
-        kernels, ops=args.ops, seed=args.seed, repeats=args.repeats,
+        ops=args.ops, seed=args.seed, repeats=args.repeats,
         baseline_eps=baseline_eps, progress=progress)
-    rows = []
-    for k in kernels:
-        ent = record["kernels"][k]
-        ratio = ent.get("ratio_vs_baseline")
-        rows.append([k, f"{ent['events']:,}", f"{ent['wall_s']:.2f}",
-                     f"{ent['events_per_s']:,.0f}",
-                     "-" if ratio is None else f"{ratio:.2f}x"])
+    ratio = record["ratio_vs_baseline"]
     print(format_table(
-        ["kernel", "events", "wall s", "events/s", "vs baseline"], rows))
+        ["events", "wall s", "events/s", "vs baseline"],
+        [[f"{record['events']:,}", f"{record['wall_s']:.2f}",
+          f"{record['events_per_s']:,.0f}",
+          "-" if ratio is None else f"{ratio:.2f}x"]]))
     out = write_bench(record, args.out, force=args.force)
     print(f"kernel benchmark written to {out}")
     if args.min_ratio is not None:
-        gated = args.gate_kernel
-        if gated not in record["kernels"]:
-            print(f"error: gate kernel {gated!r} was not measured "
-                  f"(kernels: {', '.join(kernels)})", file=sys.stderr)
-            return 2
-        ratio = record["kernels"][gated].get("ratio_vs_baseline")
         if ratio is None or ratio < args.min_ratio:
-            print(f"PERF GATE FAILED: {gated} kernel at "
-                  f"{ratio if ratio is not None else 'n/a'}x vs blessed "
-                  f"baseline; need >= {args.min_ratio}x", file=sys.stderr)
+            print(f"PERF GATE FAILED: {ratio if ratio is not None else 'n/a'}x "
+                  f"vs blessed baseline; need >= {args.min_ratio}x",
+                  file=sys.stderr)
             return 1
-        print(f"perf gate passed: {gated} kernel {ratio:.2f}x >= "
-              f"{args.min_ratio}x baseline")
+        print(f"perf gate passed: {ratio:.2f}x >= {args.min_ratio}x baseline")
     return 0
 
 
@@ -954,10 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["on", "profile"],
                     help="what --obs collects: metrics+series ('on') or "
                          "additionally the kernel profile (default)")
-    pr.add_argument("--kernel", default=None,
-                    choices=["fast", "reference", "batch"],
-                    help="dispatch-loop mode (default: fast); all modes "
-                         "produce bit-identical results")
     pr.add_argument("--tracing", default=None, choices=["on", "kernel"],
                     help="per-request causal span tracing (zero-perturbation; "
                          "'kernel' also counts fired events per callback)")
@@ -1047,10 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--obs", default=None, choices=["off", "on", "profile"],
                     help="per-job observability; enables the fleet metric "
                          "rollup in the benchmark record (cache hits skip it)")
-    ps.add_argument("--kernel", default=None,
-                    choices=["fast", "reference", "batch"],
-                    help="dispatch-loop mode for uncached jobs; combine "
-                         "with --no-cache to actually exercise the loop")
     ps.add_argument("--tracing", default=None,
                     choices=["off", "on", "kernel"],
                     help="per-job causal span tracing (cache hits carry "
@@ -1162,9 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
     pfls.add_argument("--obs", default=None, choices=["off", "on", "profile"],
                       help="per-job observability; enables exact fleet "
                            "quantile merging in the benchmark record")
-    pfls.add_argument("--kernel", default=None,
-                      choices=["fast", "reference", "batch"],
-                      help="dispatch-loop mode for uncached jobs")
     pfls.set_defaults(fn=cmd_fleet_sweep)
 
     pca = sub.add_parser(
@@ -1234,10 +1202,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parity_suite_args(ppr)
     ppr.add_argument("--json", default=None,
                      help="also dump measured values as JSON to this path")
-    ppr.add_argument("--kernel", default=None,
-                     choices=["fast", "reference", "batch"],
-                     help="dispatch-loop mode for uncached runs (results "
-                          "are bit-identical across kernels)")
     ppr.set_defaults(fn=cmd_parity_run)
 
     ppc = psub.add_parser(
@@ -1265,11 +1229,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = pb.add_subparsers(dest="bench_command", required=True)
 
     pbr = bsub.add_parser(
-        "run", help="measure per-kernel dispatch-loop throughput "
-                    "(cache-free, in-process)")
-    pbr.add_argument("--kernels", default="fast,batch",
-                     help="comma list of dispatch loops to measure "
-                          "(fast/reference/batch)")
+        "run", help="measure dispatch-loop throughput (cache-free, in-process)")
     pbr.add_argument("--ops", type=int, default=800,
                      help="memory ops per core per job (default 800)")
     pbr.add_argument("--seed", type=int, default=1)
@@ -1279,14 +1239,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="blessed baseline for the vs-baseline ratio "
                           "('' to skip)")
     pbr.add_argument("--out", default="BENCH_kernel.json",
-                     help="where to write the per-kernel record")
+                     help="where to write the throughput record")
     pbr.add_argument("--force", action="store_true",
                      help="allow overwriting a committed perf baseline")
     pbr.add_argument("--min-ratio", type=float, default=None,
-                     help="fail unless the gated kernel reaches this "
-                          "multiple of the blessed baseline events/s")
-    pbr.add_argument("--gate-kernel", default="batch",
-                     help="kernel the --min-ratio gate applies to")
+                     help="fail unless events/s reaches this multiple of "
+                          "the blessed baseline")
     pbr.add_argument("--quiet", action="store_true",
                      help="suppress per-repeat progress on stderr")
     pbr.set_defaults(fn=cmd_bench_run)

@@ -16,8 +16,8 @@ This module owns *all* of the interface-latency math:
 * :class:`LatencySampler` — a counter-based splitmix64 stream mapping a
   (seed, draw-index) pair through the profile's inverse CDF. Sampling is
   a pure function of the draw index, so any component that consumes
-  draws in a kernel-independent order (request arrival order is, by the
-  bit-identity contract) stays bit-identical across dispatch kernels.
+  draws in a loop-independent order (request arrival order is, by the
+  bit-identity contract) stays bit-identical across both dispatch loops.
 * :class:`DeviceLatencyModel` — the one place that computes port/link
   crossing times. ``CxlChannel`` routes both directions through it; the
   fixed premium is no longer scattered across submit/response paths.
@@ -171,8 +171,8 @@ class LatencySampler:
     """Deterministic per-channel draw stream through a profile's inverse CDF.
 
     Draws are consumed in request-arrival order, which the kernel
-    bit-identity contract guarantees is the same under the reference,
-    fast, and batch dispatch loops.
+    bit-identity contract guarantees is the same under the production
+    and reference dispatch loops.
     """
 
     __slots__ = ("profile", "seed", "_count")

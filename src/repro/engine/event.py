@@ -72,10 +72,10 @@ class Event:
 class EventQueue:
     """Priority queue of scheduled callbacks ordered by (time, seq).
 
-    ``push`` returns a cancellable :class:`Event` handle; ``push_fast``
-    skips handle allocation entirely and is what the simulator's hot
-    scheduling path uses. ``__len__`` is O(1): a live-event counter is
-    maintained incrementally across push/pop/cancel.
+    ``push`` returns a cancellable :class:`Event` handle; the simulator's
+    hot scheduling path (``Simulator.schedule``) pushes handle-free
+    tuples onto ``_heap`` directly. ``__len__`` is O(1): a live-event
+    counter is maintained incrementally across push/pop/cancel.
     """
 
     __slots__ = ("_heap", "_seq", "_cancelled", "_live")
@@ -93,13 +93,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, fn, args))
         self._live += 1
         return Event(time, seq, fn, args, self)
-
-    def push_fast(self, time: float, fn: Callable[..., Any],
-                  args: Tuple[Any, ...]) -> None:
-        """Schedule without allocating a handle (hot path; not cancellable)."""
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
-        self._seq += 1
-        self._live += 1
 
     def _cancel(self, seq: int) -> None:
         """Record a cancellation (called by :meth:`Event.cancel` only)."""

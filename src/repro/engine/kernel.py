@@ -7,8 +7,11 @@ from typing import Any, Callable, Optional
 
 from repro.engine.event import Event, EventQueue
 
-#: Dispatch-loop implementations a :class:`Simulator` can run.
-KERNEL_MODES = ("fast", "reference", "batch")
+#: Dispatch loops a :class:`Simulator` can run: the production heap loop
+#: and the retained reference loop the differential oracle checks it by.
+KERNEL_MODES = ("fast", "reference")
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -23,12 +26,10 @@ class Simulator:
 
     ``kernel`` selects the dispatch loop: ``"fast"`` (default) pops heap
     tuples inline, ``"reference"`` goes through the :class:`EventQueue`
-    ``peek_time``/``pop`` API one event at a time, and ``"batch"`` drains
-    all events sharing the current timestamp in one batch — same-cycle
-    work scheduled *from inside* the batch lands in a flat tail list
-    instead of churning the heap. All loops must produce bit-identical
-    simulations — the fuzzer's differential oracles run every generated
-    config through them and compare the full ``SimResult``.
+    ``peek_time``/``pop`` API one event at a time. Both must produce
+    bit-identical simulations — the fuzzer's ``diff_kernel`` oracle runs
+    every generated config through both and compares the full
+    ``SimResult``.
 
     Examples
     --------
@@ -48,38 +49,22 @@ class Simulator:
         self.queue = EventQueue()
         self.events_fired: int = 0
         self.kernel = kernel
-        #: Batch-kernel landing zone. While :meth:`run_batch` is draining
-        #: the batch at ``_batch_time``, every schedule targeting exactly
-        #: that timestamp appends here (in seq order) instead of paying a
-        #: heap push + pop; ``None`` whenever no batch is being drained.
-        self._batch_tail = None
-        self._batch_time = 0.0
-        #: Optional :class:`repro.obs.KernelProfiler`. When set, the fast
-        #: loop is swapped for :meth:`run_profiled`, which times every
-        #: callback; when ``None`` (the default) the dispatch loops are
-        #: untouched and pay nothing.
-        self.profiler = None
-        #: Optional per-dispatch observer ``hook(fn)`` (repro.tracing's
-        #: kernel mode). Called once per *fired* event, after its callback
-        #: ran — never for cancelled entries — and honored identically by
-        #: all dispatch loops, so hooked runs stay bit-identical. ``None``
-        #: (the default) costs the fast loop nothing: :meth:`run` swaps in
-        #: :meth:`run_hooked` only when a hook is installed.
+        #: Optional per-dispatch observer ``hook(fn)``. Called once per
+        #: *fired* event, after its callback ran — never for cancelled
+        #: entries — by both loops, so hooked runs stay bit-identical. It
+        #: must not schedule. :class:`repro.obs.KernelProfiler` is the one
+        #: in-tree hook, shared by obs ``profile`` mode and the tracer's
+        #: ``kernel`` mode. ``None`` (the default) costs one test per event.
         self.event_hook = None
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now (delay >= 0)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        # Inlined EventQueue.push_fast: this is the hottest call in the
+        # Inlined handle-free push: this is the hottest call in the
         # simulator, worth saving the extra frame.
         q = self.queue
-        time = self.now + delay
-        tail = self._batch_tail
-        if tail is not None and time == self._batch_time:
-            tail.append((time, q._seq, fn, args))
-        else:
-            heapq.heappush(q._heap, (time, q._seq, fn, args))
+        heapq.heappush(q._heap, (self.now + delay, q._seq, fn, args))
         q._seq += 1
         q._live += 1
 
@@ -88,11 +73,7 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         q = self.queue
-        tail = self._batch_tail
-        if tail is not None and time == self._batch_time:
-            tail.append((time, q._seq, fn, args))
-        else:
-            heapq.heappush(q._heap, (time, q._seq, fn, args))
+        heapq.heappush(q._heap, (time, q._seq, fn, args))
         q._seq += 1
         q._live += 1
 
@@ -101,284 +82,69 @@ class Simulator:
         """Like :meth:`schedule`, but returns a cancellable handle."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        time = self.now + delay
-        tail = self._batch_tail
-        if tail is not None and time == self._batch_time:
-            return self._push_tail(tail, time, fn, args)
-        return self.queue.push(time, fn, *args)
+        return self.queue.push(self.now + delay, fn, *args)
 
     def schedule_at_cancellable(self, time: float, fn: Callable[..., Any],
                                 *args: Any) -> Event:
         """Like :meth:`schedule_at`, but returns a cancellable handle."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        tail = self._batch_tail
-        if tail is not None and time == self._batch_time:
-            return self._push_tail(tail, time, fn, args)
         return self.queue.push(time, fn, *args)
 
-    def _push_tail(self, tail: list, time: float, fn: Callable[..., Any],
-                   args: tuple) -> Event:
-        """Append a cancellable entry to the active batch tail.
-
-        Cancellation works exactly as for heap entries: the handle records
-        its seq in the queue's cancelled set, and the batch loop skips (and
-        discards) cancelled seqs when it reaches them.
-        """
-        q = self.queue
-        seq = q._seq
-        q._seq = seq + 1
-        q._live += 1
-        tail.append((time, seq, fn, args))
-        return Event(time, seq, fn, args, q)
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Drain the event queue.
 
         Parameters
         ----------
         until:
-            Stop once the next event lies strictly after this time. The clock
-            is left at ``until`` (or the last event time if earlier).
-        max_events:
-            Safety valve: stop after this many events.
+            Stop before the first live event strictly after this time,
+            leaving the clock at ``until``. Once no live event remains the
+            clock stays at the last fired event: a cancelled entry never
+            moves it, whatever ``until`` is.
 
-        The fast loop pops heap tuples directly instead of going through
-        ``peek_time()`` + ``pop()``, which would scan past cancelled entries
-        twice per event; ``kernel="reference"`` keeps the un-inlined loop
-        as the differential-testing baseline.
+        The production loop pops heap tuples directly instead of going
+        through ``peek_time()`` + ``pop()``, which would scan past
+        cancelled entries twice per event; ``kernel="reference"`` keeps
+        the un-inlined loop as the differential-testing baseline.
         """
         if self.kernel == "reference":
-            self.run_reference(until=until, max_events=max_events)
+            self.run_reference(until)
             return
-        if self.profiler is not None:
-            # Profiling swaps in the per-event instrumented loop for every
-            # non-reference kernel; it is semantically identical, only the
-            # wall-clock observation differs.
-            self.run_profiled(until=until, max_events=max_events)
-            return
-        if self.kernel == "batch":
-            self.run_batch(until=until, max_events=max_events)
-            return
-        if self.event_hook is not None:
-            self.run_hooked(until=until, max_events=max_events)
-            return
-        queue = self.queue
-        heap = queue._heap
-        cancelled = queue._cancelled
-        heappop = heapq.heappop
-        fired = 0
-        if max_events is None:
-            # Common case (every simulate() call): no event cap, so the
-            # loop body carries only the until check.
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self.now = until
-                    break
-                time, seq, fn, args = heappop(heap)
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
-                queue._live -= 1
-                self.now = time
-                fn(*args)
-                fired += 1
-        else:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self.now = until
-                    break
-                time, seq, fn, args = heappop(heap)
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
-                queue._live -= 1
-                self.now = time
-                fn(*args)
-                fired += 1
-                if fired >= max_events:
-                    break
-        self.events_fired += fired
-
-    def run_hooked(self, until: Optional[float] = None,
-                   max_events: Optional[int] = None) -> None:
-        """The fast loop with :attr:`event_hook` called after each dispatch.
-
-        Bit-identical simulation semantics to :meth:`run` — same
-        ``(time, seq)`` ordering, ``until`` clock handling, and
-        cancellation — plus one ``hook(fn)`` call per fired event. The
-        hook is an observer (repro.tracing's deterministic dispatch
-        counter); it must not schedule.
-        """
         queue = self.queue
         heap = queue._heap
         cancelled = queue._cancelled
         heappop = heapq.heappop
         hook = self.event_hook
+        limit = _INF if until is None else until
         fired = 0
         while heap:
-            if until is not None and heap[0][0] > until:
-                self.now = until
-                break
             time, seq, fn, args = heappop(heap)
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
-            queue._live -= 1
-            self.now = time
-            fn(*args)
-            hook(fn)
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-        self.events_fired += fired
-
-    def run_batch(self, until: Optional[float] = None,
-                  max_events: Optional[int] = None) -> None:
-        """Batched dispatch loop: drain all events at one timestamp together.
-
-        Bit-identical to :meth:`run` — identical global ``(time, seq)``
-        firing order, ``until`` clock handling, cancellation, and
-        ``max_events`` semantics — but structured around timestamps:
-
-        - every heap entry at the head timestamp is popped into a flat
-          batch list up front (equal-time heap pops come out in seq order,
-          so the list is already ordered);
-        - while the batch is being fired, any schedule targeting exactly
-          the batch timestamp appends to a tail list instead of the heap.
-          Tail seqs are strictly greater than everything already popped,
-          so firing batch-then-tail (the tail may keep growing) preserves
-          the global order while skipping a heap push + pop per
-          same-cycle event;
-        - cancelled entries are skipped at fire time without advancing the
-          clock, exactly as the per-event loops do, which is what keeps
-          obs on/off bit-identical (a cancelled sampler tick after the
-          last real event must not move ``now``).
-        """
-        queue = self.queue
-        heap = queue._heap
-        cancelled = queue._cancelled
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        hook = self.event_hook
-        fired = 0
-        tail: list = []
-        self._batch_tail = tail
-        try:
-            while heap:
-                t0 = heap[0][0]
-                if until is not None and t0 > until:
-                    self.now = until
-                    break
-                self._batch_time = t0
-                # Phase 1: drain heap entries at t0. They all predate (have
-                # lower seqs than) anything the fired callbacks schedule at
-                # t0, which lands in `tail`, never back on the heap.
-                while True:
-                    time, seq, fn, args = heappop(heap)
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                    else:
-                        queue._live -= 1
-                        self.now = t0
-                        fn(*args)
-                        if hook is not None:
-                            hook(fn)
-                        fired += 1
-                        if max_events is not None and fired >= max_events:
-                            for e in tail:
-                                heappush(heap, e)
-                            self.events_fired += fired
-                            return
-                    if not heap or heap[0][0] != t0:
-                        break
-                # Phase 2: same-cycle follow-on work, in append (= seq)
-                # order; entries fired here may append more.
-                if tail:
-                    idx = 0
-                    while idx < len(tail):
-                        e = tail[idx]
-                        idx += 1
-                        seq = e[1]
-                        if cancelled and seq in cancelled:
-                            cancelled.discard(seq)
-                            continue
-                        queue._live -= 1
-                        self.now = t0
-                        e[2](*e[3])
-                        if hook is not None:
-                            hook(e[2])
-                        fired += 1
-                        if max_events is not None and fired >= max_events:
-                            # Unfired same-time entries go back on the heap
-                            # so a later run() resumes exactly here.
-                            for e in tail[idx:]:
-                                heappush(heap, e)
-                            self.events_fired += fired
-                            return
-                    del tail[:]
-        finally:
-            self._batch_tail = None
-        self.events_fired += fired
-
-    def run_profiled(self, until: Optional[float] = None,
-                     max_events: Optional[int] = None) -> None:
-        """The fast loop with per-event timing around each callback.
-
-        Bit-identical simulation semantics to :meth:`run` — same
-        ``(time, seq)`` ordering, ``until`` clock handling, and
-        cancellation — with each dispatched callback timed via
-        ``perf_counter`` and attributed to its ``__qualname__`` in
-        ``self.profiler``. Only wall-clock observation differs, so a
-        profiled run produces the same :class:`SimResult` as an
-        unprofiled one.
-        """
-        from time import perf_counter
-
-        queue = self.queue
-        heap = queue._heap
-        cancelled = queue._cancelled
-        heappop = heapq.heappop
-        data = self.profiler.data
-        hook = self.event_hook
-        fired = 0
-        while heap:
-            if until is not None and heap[0][0] > until:
+            if time > limit:
+                # Popping first means only a live entry can stop the run;
+                # it goes back on the heap for the next call.
+                heapq.heappush(heap, (time, seq, fn, args))
                 self.now = until
                 break
-            time, seq, fn, args = heappop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
             queue._live -= 1
             self.now = time
-            t0 = perf_counter()
             fn(*args)
-            dt = perf_counter() - t0
-            key = getattr(fn, "__qualname__", None) or repr(fn)
-            ent = data.get(key)
-            if ent is None:
-                data[key] = [1, dt]
-            else:
-                ent[0] += 1
-                ent[1] += dt
             if hook is not None:
                 hook(fn)
             fired += 1
-            if max_events is not None and fired >= max_events:
-                break
         self.events_fired += fired
 
-    def run_reference(self, until: Optional[float] = None,
-                      max_events: Optional[int] = None) -> None:
+    def run_reference(self, until: Optional[float] = None) -> None:
         """Reference dispatch loop: one :class:`EventQueue` call per step.
 
         Semantically identical to :meth:`run` — same (time, seq) ordering,
-        same ``until`` clock semantics, same cancellation handling — but
-        built from the queue's public ``peek_time``/``pop`` API with a
-        per-event :class:`Event` allocation. It is the retained baseline the
-        fuzzer's differential oracle compares the inlined fast path against;
-        do not "optimize" it.
+        same ``until`` clock semantics, same cancellation handling, same
+        :attr:`event_hook` calls — but built from the queue's public
+        ``peek_time``/``pop`` API with a per-event :class:`Event`
+        allocation. It is the retained baseline the fuzzer's differential
+        oracle compares the production loop against; do not "optimize" it.
         """
         queue = self.queue
         hook = self.event_hook
@@ -397,8 +163,6 @@ class Simulator:
             if hook is not None:
                 hook(ev.fn)
             fired += 1
-            if max_events is not None and fired >= max_events:
-                break
         self.events_fired += fired
 
     def pending(self) -> int:

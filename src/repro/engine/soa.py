@@ -1,4 +1,4 @@
-"""Struct-of-arrays helpers behind the batched kernel and fast warmup.
+"""Struct-of-arrays helpers behind the fast trace setup and warmup.
 
 Everything here turns per-element Python attribute/arithmetic churn into
 flat column operations: whole trace columns are lowered to plain Python
@@ -7,8 +7,8 @@ instruction numbers) are computed with array ops instead of per-op
 interpreter work.
 
 numpy is optional. Every helper has a pure-Python fallback producing
-bit-identical values, so the package imports — and every kernel mode
-runs — without numpy; the fallback only costs speed. ``HAVE_NUMPY``
+bit-identical values, so the package imports — and both dispatch loops
+run — without numpy; the fallback only costs speed. ``HAVE_NUMPY``
 reports which path is active (surfaced in docs/performance.md).
 """
 

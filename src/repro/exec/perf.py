@@ -45,10 +45,10 @@ BENCH_SCHEMA_VERSION = 1
 #: Default output file name for sweep benchmarks.
 BENCH_FILENAME = "BENCH_sweep.json"
 
-#: Default output file name for the per-kernel throughput benchmark.
+#: Default output file name for the dispatch-loop throughput benchmark.
 KERNEL_BENCH_FILENAME = "BENCH_kernel.json"
 
-#: Default measurement suite for the per-kernel benchmark: the same
+#: Default measurement suite for the dispatch-loop benchmark: the same
 #: config families and representative workloads the blessed sweep
 #: baseline (``goldens/bench.json``) was recorded over.
 KERNEL_BENCH_CONFIGS = ("ddr-baseline", "coaxial-4x")
@@ -114,7 +114,6 @@ def job_record(jr: JobResult) -> Dict[str, Any]:
         "workload": jr.job.workload,
         "ops": jr.job.ops,
         "seed": jr.job.seed,
-        "kernel": jr.job.kernel,
         "wall_s": round(jr.wall_s, 4),
         "events": jr.events,
         "events_per_s": round(jr.events_per_s, 1),
@@ -208,63 +207,45 @@ def bench_record(results: Sequence[JobResult], total_wall_s: float,
     }
 
 
-def kernel_bench_record(kernels: Sequence[str],
-                        configs: Sequence[str] = KERNEL_BENCH_CONFIGS,
+def kernel_bench_record(configs: Sequence[str] = KERNEL_BENCH_CONFIGS,
                         workloads: Sequence[str] = KERNEL_BENCH_WORKLOADS,
                         ops: int = KERNEL_BENCH_OPS, seed: int = 1,
                         repeats: int = 3,
                         baseline_eps: Optional[float] = None,
                         progress: Optional[Any] = None) -> Dict[str, Any]:
-    """Measure per-kernel dispatch-loop throughput over a fixed suite.
+    """Measure dispatch-loop throughput over a fixed suite.
 
-    Every kernel runs the identical (config, workload) grid inline in this
-    process — no pool, no result cache (a cache hit replays a stored
-    result and never exercises the dispatch loop) — ``repeats`` times,
-    keeping the best aggregate events/s per kernel. The results are
-    bit-identical across kernels by contract, so only throughput differs.
+    Runs the (config, workload) grid inline in this process — no pool, no
+    result cache (a cache hit replays a stored result and never exercises
+    the dispatch loop) — ``repeats`` times, keeping the best aggregate
+    events/s.
 
     ``baseline_eps`` (usually the blessed ``goldens/bench.json`` figure)
-    adds a ``ratio_vs_baseline`` per kernel, which ``repro bench run
-    --min-ratio`` gates on in CI.
+    adds a ``ratio_vs_baseline``, which ``repro bench run --min-ratio``
+    gates on in CI.
     """
     import time as _t
 
-    from repro.engine.kernel import KERNEL_MODES
     from repro.system.config import ALL_CONFIGS
     from repro.system.sim import simulate
     from repro.workloads.catalog import get_workload
 
-    for k in kernels:
-        if k not in KERNEL_MODES:
-            raise ValueError(f"unknown kernel {k!r}; valid: {KERNEL_MODES}")
     grid = [(ALL_CONFIGS[c](), get_workload(w))
             for c in configs for w in workloads]
-    out_kernels: Dict[str, Any] = {}
-    for kernel in kernels:
-        best_eps = 0.0
-        best = (0, 0.0)
-        for rep in range(max(1, repeats)):
-            events = 0
-            t0 = _t.perf_counter()
-            for cfg, wl in grid:
-                r = simulate(cfg, wl, ops_per_core=ops, seed=seed,
-                             kernel=kernel)
-                events += int(r.extras.get("events_fired", 0))
-            wall = _t.perf_counter() - t0
-            eps = events / wall if wall > 0 else 0.0
-            if progress:
-                progress(f"{kernel} rep {rep + 1}/{repeats}: "
-                         f"{eps:,.0f} events/s")
-            if eps > best_eps:
-                best_eps, best = eps, (events, wall)
-        ent: Dict[str, Any] = {
-            "events": best[0],
-            "wall_s": round(best[1], 4),
-            "events_per_s": round(best_eps, 1),
-        }
-        if baseline_eps:
-            ent["ratio_vs_baseline"] = round(best_eps / baseline_eps, 3)
-        out_kernels[kernel] = ent
+    best_eps = 0.0
+    best = (0, 0.0)
+    for rep in range(max(1, repeats)):
+        events = 0
+        t0 = _t.perf_counter()
+        for cfg, wl in grid:
+            r = simulate(cfg, wl, ops_per_core=ops, seed=seed)
+            events += int(r.extras.get("events_fired", 0))
+        wall = _t.perf_counter() - t0
+        eps = events / wall if wall > 0 else 0.0
+        if progress:
+            progress(f"rep {rep + 1}/{repeats}: {eps:,.0f} events/s")
+        if eps > best_eps:
+            best_eps, best = eps, (events, wall)
     return {
         "schema": BENCH_SCHEMA_VERSION,
         "version": __version__,
@@ -274,7 +255,11 @@ def kernel_bench_record(kernels: Sequence[str],
         "seed": seed,
         "repeats": repeats,
         "baseline_events_per_s": baseline_eps,
-        "kernels": out_kernels,
+        "events": best[0],
+        "wall_s": round(best[1], 4),
+        "events_per_s": round(best_eps, 1),
+        "ratio_vs_baseline": (round(best_eps / baseline_eps, 3)
+                              if baseline_eps else None),
     }
 
 

@@ -70,13 +70,6 @@ class SweepJob:
     #: cache hit returns the stored result as-is (without an
     #: ``extras["obs"]`` payload if it was stored without one).
     obs: Optional[str] = None
-    #: Dispatch-loop mode forwarded to ``simulate(kernel=...)``: None
-    #: (simulate's default) or one of
-    #: :data:`repro.engine.kernel.KERNEL_MODES`. Not part of the cache key
-    #: — every kernel produces a bit-identical result — so perf
-    #: measurement of a specific kernel must bypass the cache
-    #: (``--no-cache``), or the "run" may be a replayed stored result.
-    kernel: Optional[str] = None
     #: Span-tracing mode forwarded to ``simulate(tracing=...)``: None (env
     #: default) / "off" / "on" / "kernel". Like ``obs`` it is not part of
     #: the cache key — tracing observes a run without changing it — so a
@@ -90,9 +83,8 @@ class SweepJob:
     trace_id: Optional[str] = None
 
     def label(self) -> str:
-        tag = f"/kernel={self.kernel}" if self.kernel else ""
         return (f"{self.config.name}/{self.workload}/ops={self.ops}"
-                f"/seed={self.seed}{tag}")
+                f"/seed={self.seed}")
 
 
 @dataclass
@@ -120,8 +112,7 @@ def _simulate_job(job: SweepJob) -> Tuple[SimResult, float, int]:
     t0 = _time.perf_counter()
     result = simulate(job.config, get_workload(job.workload),
                       ops_per_core=job.ops, seed=job.seed,
-                      validate=job.validate, obs=job.obs, kernel=job.kernel,
-                      tracing=job.tracing)
+                      validate=job.validate, obs=job.obs, tracing=job.tracing)
     wall = _time.perf_counter() - t0
     if job.trace_id is not None:
         trace = result.extras.get("trace")
@@ -136,7 +127,6 @@ def expand_grid(configs: Sequence[str], workloads: Sequence[str],
                 seeds: Sequence[int] = (1,),
                 validate: Optional[str] = None,
                 obs: Optional[str] = None,
-                kernel: Optional[str] = None,
                 tracing: Optional[str] = None,
                 trace_id: Optional[str] = None,
                 overrides: Optional[Dict[str, Any]] = None) -> List[SweepJob]:
@@ -156,8 +146,7 @@ def expand_grid(configs: Sequence[str], workloads: Sequence[str],
         for w in workloads:
             for s in seeds:
                 jobs.append(SweepJob(cfg, w, ops, s, validate=validate,
-                                     obs=obs, kernel=kernel, tracing=tracing,
-                                     trace_id=trace_id))
+                                     obs=obs, tracing=tracing, trace_id=trace_id))
     return jobs
 
 
@@ -525,12 +514,11 @@ def run_sweep(configs: Sequence[str], workloads: Sequence[str],
               progress: Optional[Callable[[int, int, JobResult], None]] = None,
               validate: Optional[str] = None,
               obs: Optional[str] = None,
-              kernel: Optional[str] = None,
               tracing: Optional[str] = None,
               ) -> List[JobResult]:
     """One-call grid sweep: expand, run, return ordered :class:`JobResult`\\ s."""
     jobs = expand_grid(configs, workloads, ops, seeds, validate=validate,
-                       obs=obs, kernel=kernel, tracing=tracing)
+                       obs=obs, tracing=tracing)
     runner = SweepRunner(workers=workers, cache=cache,
                          job_timeout_s=job_timeout_s, retries=retries,
                          progress=progress)

@@ -47,7 +47,6 @@ class TaskSpec:
     #: the same names (none of them joins the cache key).
     validate: Optional[str] = None
     obs: Optional[str] = None
-    kernel: Optional[str] = None
     tracing: Optional[str] = None
     #: Distributed trace id: minted at ``repro serve`` submit, carried
     #: through broker lease -> worker settle so the worker-side span
@@ -65,7 +64,7 @@ class TaskSpec:
                              "ops": self.ops, "seed": self.seed}
         if self.overrides:
             d["overrides"] = dict(self.overrides)
-        for key in ("validate", "obs", "kernel", "tracing", "trace_id"):
+        for key in ("validate", "obs", "tracing", "trace_id"):
             val = getattr(self, key)
             if val is not None:
                 d[key] = val
@@ -76,7 +75,7 @@ class TaskSpec:
         if not isinstance(d, dict):
             raise ValueError(f"task spec must be an object, got {type(d).__name__}")
         unknown = set(d) - {"base", "overrides", "workload", "ops", "seed",
-                            "validate", "obs", "kernel", "tracing", "trace_id"}
+                            "validate", "obs", "tracing", "trace_id"}
         if unknown:
             raise ValueError(f"unknown task spec field(s): {sorted(unknown)}")
         return cls(base=d.get("base", "ddr-baseline"),
@@ -84,8 +83,7 @@ class TaskSpec:
                    workload=d.get("workload", "mcf"),
                    ops=d.get("ops"), seed=int(d.get("seed", 1)),
                    validate=d.get("validate"), obs=d.get("obs"),
-                   kernel=d.get("kernel"), tracing=d.get("tracing"),
-                   trace_id=d.get("trace_id"))
+                   tracing=d.get("tracing"), trace_id=d.get("trace_id"))
 
     # -- materialization -------------------------------------------------------
     def build_job(self) -> SweepJob:
@@ -93,8 +91,7 @@ class TaskSpec:
         return SweepJob(config=build_spec_config(self.base, self.overrides),
                         workload=self.workload, ops=self.ops, seed=self.seed,
                         validate=self.validate, obs=self.obs,
-                        kernel=self.kernel, tracing=self.tracing,
-                        trace_id=self.trace_id)
+                        tracing=self.tracing, trace_id=self.trace_id)
 
 
 def build_spec_config(base: str, overrides: Dict[str, Any]) -> SystemConfig:
@@ -126,7 +123,7 @@ def build_spec_config(base: str, overrides: Dict[str, Any]) -> SystemConfig:
 def expand_specs(configs: Sequence[str], workloads: Sequence[str],
                  ops: Optional[int] = None, seeds: Sequence[int] = (1,),
                  validate: Optional[str] = None, obs: Optional[str] = None,
-                 kernel: Optional[str] = None, tracing: Optional[str] = None,
+                 tracing: Optional[str] = None,
                  trace_id: Optional[str] = None) -> List[TaskSpec]:
     """The (config x workload x seed) grid as specs (cf. ``expand_grid``)."""
     specs = []
@@ -137,8 +134,7 @@ def expand_specs(configs: Sequence[str], workloads: Sequence[str],
             for s in seeds:
                 specs.append(TaskSpec(base=c, workload=w, ops=ops, seed=s,
                                       validate=validate, obs=obs,
-                                      kernel=kernel, tracing=tracing,
-                                      trace_id=trace_id))
+                                      tracing=tracing, trace_id=trace_id))
     return specs
 
 

@@ -80,27 +80,15 @@ class FuzzCase:
     workload: str = "mcf"
     ops: int = 600
     seed: int = 1
-    #: Dispatch-loop mode the case runs under (``None`` = simulate()'s
-    #: default). Recorded so a corpus reproducer that only failed under a
-    #: particular kernel replays under that same kernel; oracles that pin
-    #: their own kernels (the differential pair) override per run.
-    kernel: Optional[str] = None
 
     def label(self) -> str:
         ov = ",".join(f"{k}={v}" for k, v in sorted(self.overrides.items()))
-        tag = f"/kernel={self.kernel}" if self.kernel else ""
-        return (f"{self.base}[{ov}]/{self.workload}/ops={self.ops}"
-                f"/seed={self.seed}{tag}")
+        return f"{self.base}[{ov}]/{self.workload}/ops={self.ops}/seed={self.seed}"
 
     # -- (de)serialization — one compact line of JSON per case ---------------
     def to_dict(self) -> Dict[str, Any]:
-        d = {"base": self.base, "overrides": dict(self.overrides),
-             "workload": self.workload, "ops": self.ops, "seed": self.seed}
-        if self.kernel is not None:
-            # Emitted only when set: pre-existing corpus entries (and their
-            # content-derived filenames) stay byte-identical.
-            d["kernel"] = self.kernel
-        return d
+        return {"base": self.base, "overrides": dict(self.overrides),
+                "workload": self.workload, "ops": self.ops, "seed": self.seed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -109,7 +97,7 @@ class FuzzCase:
     def from_dict(cls, d: Dict[str, Any]) -> "FuzzCase":
         return cls(base=d["base"], overrides=dict(d.get("overrides", {})),
                    workload=d["workload"], ops=int(d["ops"]),
-                   seed=int(d.get("seed", 1)), kernel=d.get("kernel"))
+                   seed=int(d.get("seed", 1)))
 
     @classmethod
     def from_json(cls, blob: str) -> "FuzzCase":

@@ -4,11 +4,10 @@ Three oracle classes, per the testing plan:
 
 - **Invariant** (``invariant``): run with the request-lifecycle checker on
   (:mod:`repro.validate`); any violation fails the case.
-- **Differential** (``diff_kernel``, ``diff_batch``, ``diff_cache``):
-  two executions that must agree bit-for-bit — the inlined fast dispatch
-  loop vs the retained reference loop, the batched same-timestamp loop vs
-  the same reference, and a cold :func:`repro.analysis.tables.run_one` vs
-  the same job served back through the on-disk result cache.
+- **Differential** (``diff_kernel``, ``diff_cache``): two executions
+  that must agree bit-for-bit — the production dispatch loop vs the
+  retained reference loop, and a cold :func:`repro.analysis.tables.run_one`
+  vs the same job served back through the on-disk result cache.
 - **Metamorphic** (``bw_monotone``, ``calm_r_bound``, ``asym_read_heavy``,
   ``ops_scaling``, ``channel_balance``, ``tiering_bound``,
   ``migration_identity``, ``ssd_hit_path``): a transformed twin of the
@@ -84,7 +83,7 @@ READ_HEAVY_WRITE_FRAC = 0.10
 
 
 def _simulate(case: FuzzCase, *, validate: str = "off",
-              kernel: Optional[str] = None, cfg=None,
+              kernel: str = "fast", cfg=None,
               ops: Optional[int] = None,
               obs: Optional[str] = None,
               tracing: Optional[str] = None) -> SimResult:
@@ -93,8 +92,7 @@ def _simulate(case: FuzzCase, *, validate: str = "off",
     return simulate(cfg if cfg is not None else build_config(case),
                     get_workload(case.workload),
                     ops_per_core=ops if ops is not None else case.ops,
-                    seed=case.seed, validate=validate,
-                    kernel=kernel if kernel is not None else case.kernel,
+                    seed=case.seed, validate=validate, kernel=kernel,
                     obs=obs, tracing=tracing)
 
 
@@ -123,22 +121,13 @@ def check_invariant(case: FuzzCase) -> Optional[str]:
 # -- differential -------------------------------------------------------------
 
 def check_diff_kernel(case: FuzzCase) -> Optional[str]:
+    """The production dispatch loop agrees bit-for-bit with the reference."""
     fast = _simulate(case, kernel="fast")
     ref = _simulate(case, kernel="reference")
     diffs = _result_diff(fast, ref)
     if not diffs:
         return None
     return "fast vs reference kernel diverged: " + "; ".join(diffs[:5])
-
-
-def check_diff_batch(case: FuzzCase) -> Optional[str]:
-    """The batched dispatch loop agrees bit-for-bit with the reference."""
-    batch = _simulate(case, kernel="batch")
-    ref = _simulate(case, kernel="reference")
-    diffs = _result_diff(batch, ref)
-    if not diffs:
-        return None
-    return "batch vs reference kernel diverged: " + "; ".join(diffs[:5])
 
 
 def check_diff_cache(case: FuzzCase) -> Optional[str]:
@@ -423,7 +412,7 @@ def check_obs(case: FuzzCase) -> Optional[str]:
 
 
 def check_tracing(case: FuzzCase) -> Optional[str]:
-    """The span tracer is a *zero-perturbation* observer on every kernel.
+    """The span tracer is a *zero-perturbation* observer on both loops.
 
     Stricter than the obs oracle: tracing schedules no events of its own,
     so a traced run must match the untraced twin in **every** result
@@ -436,7 +425,7 @@ def check_tracing(case: FuzzCase) -> Optional[str]:
 
     from repro.tracing.critpath import ATTRIBUTION_COMPONENTS
 
-    for kern in ("fast", "batch", "reference"):
+    for kern in ("fast", "reference"):
         plain = _simulate(case, kernel=kern, tracing="off")
         traced = _simulate(case, kernel=kern, tracing="on")
         da, db = _dc.asdict(plain), _dc.asdict(traced)
@@ -498,7 +487,6 @@ class Oracle:
 ORACLES: Dict[str, Oracle] = {o.name: o for o in [
     Oracle("invariant", check_invariant),
     Oracle("diff_kernel", check_diff_kernel),
-    Oracle("diff_batch", check_diff_batch),
     Oracle("diff_cache", check_diff_cache),
     Oracle("bw_monotone", check_bw_monotone, applies=_is_cxl),
     Oracle("calm_r_bound", check_calm_r_bound,

@@ -2,7 +2,7 @@
 
 One collector observes one ``simulate()`` run. It owns a
 :class:`MetricRegistry`, a windowed :class:`TimeSeries`, and (in
-``profile`` mode) a :class:`KernelProfiler` attached to the simulator's
+``profile`` mode) a :class:`KernelProfiler` hooked into the simulator's
 dispatch loop.
 
 Observation must not perturb results. The periodic sampler only *reads*
@@ -10,7 +10,7 @@ component state, and its tick events ride the normal event queue: a tick
 that fires between real events samples and reschedules without touching
 any component, and the final pending tick is cancelled the moment the
 last core drains — cancelled events advance neither the clock nor the
-fired-event count in either kernel loop, so ``elapsed_ns`` and every
+fired-event count in either dispatch loop, so ``elapsed_ns`` and every
 other result field are bit-identical with observability on or off.
 """
 
@@ -57,8 +57,8 @@ class ObsCollector:
                 f"ObsCollector mode must be 'on' or 'profile', got {mode!r}")
         self.mode = mode
         self.registry = MetricRegistry()
-        self.profiler: Optional[KernelProfiler] = (
-            KernelProfiler() if mode == "profile" else None)
+        #: Set by :meth:`attach` in ``profile`` mode.
+        self.profiler: Optional[KernelProfiler] = None
         self.series = TimeSeries(sample_interval_ns, max_windows=max_windows)
         self._sim = None
         self._chip = None
@@ -69,11 +69,11 @@ class ObsCollector:
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, sim, chip) -> None:
-        """Bind to a simulator + chip; arms the profiler in profile mode."""
+        """Bind to a simulator + chip; hooks the profiler in profile mode."""
         self._sim = sim
         self._chip = chip
-        if self.profiler is not None:
-            sim.profiler = self.profiler
+        if self.mode == "profile":
+            self.profiler = KernelProfiler.hook(sim)
         # Delta columns accumulate traffic; everything else is a level.
         self.series.sum_cols = set(self._delta_names())
 

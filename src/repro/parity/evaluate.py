@@ -18,13 +18,8 @@ from repro.system.config import ALL_CONFIGS
 
 
 def build_context(suite: ParitySuite, workers: int = 1,
-                  progress: Optional[Callable[[str], None]] = None,
-                  kernel: Optional[str] = None) -> ParityContext:
-    """Simulate (or recall from cache) the full grid for ``suite``.
-
-    ``kernel`` picks the dispatch loop for uncached runs; results are
-    bit-identical across kernels, so it does not enter the cache keys.
-    """
+                  progress: Optional[Callable[[str], None]] = None) -> ParityContext:
+    """Simulate (or recall from cache) the full grid for ``suite``."""
     if BASELINE_CONFIG not in suite.configs:
         raise ValueError(f"suite must include the {BASELINE_CONFIG!r} config")
     suites = {}
@@ -35,16 +30,14 @@ def build_context(suite: ParitySuite, workers: int = 1,
             progress(f"evaluating {name} over {len(suite.workloads)} workloads")
         suites[name] = run_suite(ALL_CONFIGS[name](), suite.workloads,
                                  ops_per_core=suite.ops, seed=suite.seed,
-                                 workers=workers, kernel=kernel)
+                                 workers=workers)
     return ParityContext(suites, suite=suite)
 
 
 def evaluate(suite: Optional[ParitySuite] = None, workers: int = 1,
              registry: Sequence[ParityMetric] = REGISTRY,
-             progress: Optional[Callable[[str], None]] = None,
-             kernel: Optional[str] = None) -> Dict[str, float]:
+             progress: Optional[Callable[[str], None]] = None) -> Dict[str, float]:
     """Measure every registry metric at the suite's scale; id -> value."""
     suite = suite if suite is not None else ParitySuite()
-    ctx = build_context(suite, workers=workers, progress=progress,
-                        kernel=kernel)
+    ctx = build_context(suite, workers=workers, progress=progress)
     return {m.id: float(m.extract(ctx)) for m in registry}

@@ -50,7 +50,7 @@ def parse_job_request(payload: Dict[str, Any],
     if not isinstance(payload, dict):
         raise BadRequest("job submission must be a JSON object")
     known = {"configs", "workloads", "ops", "seeds", "priority", "tenant",
-             "validate", "kernel", "tracing"}
+             "validate", "tracing"}
     unknown = set(payload) - known
     if unknown:
         raise BadRequest(f"unknown field(s): {', '.join(sorted(unknown))}; "
@@ -98,24 +98,20 @@ def parse_job_request(payload: Dict[str, Any],
     validate = payload.get("validate")
     if validate is not None and validate not in ("off", "on", "strict"):
         raise BadRequest("'validate' must be one of off/on/strict")
-    kernel = payload.get("kernel")
-    if kernel is not None and kernel not in ("fast", "reference", "batch"):
-        raise BadRequest("'kernel' must be one of fast/reference/batch")
     tracing = payload.get("tracing")
     if tracing is not None and tracing not in ("off", "on", "kernel"):
         raise BadRequest("'tracing' must be one of off/on/kernel")
 
     try:
         tasks = expand_grid(configs, workloads, ops=ops, seeds=seeds,
-                            validate=validate, kernel=kernel, tracing=tracing)
+                            validate=validate, tracing=tracing)
     except KeyError as e:
         raise BadRequest(str(e).strip("'\"")) from None
     if len(tasks) > MAX_TASKS_PER_JOB:
         raise BadRequest(f"job expands to {len(tasks)} tasks; the limit is "
                          f"{MAX_TASKS_PER_JOB}")
     spec = {"configs": configs, "workloads": workloads, "ops": ops,
-            "seeds": seeds, "validate": validate, "kernel": kernel,
-            "tracing": tracing}
+            "seeds": seeds, "validate": validate, "tracing": tracing}
     return {"tenant": tenant, "priority": priority, "spec": spec,
             "tasks": tasks}
 

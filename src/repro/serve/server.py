@@ -14,7 +14,7 @@ Endpoints (all JSON unless noted)::
 
 Submission body: ``{"configs": [...], "workloads": [...], "ops": N,
 "seeds": [...], "priority": P, "tenant": "...", "validate": ...,
-"kernel": ...}`` — the same vocabulary as ``repro sweep`` flags. The
+"tracing": ...}`` — the same vocabulary as ``repro sweep`` flags. The
 tenant may also ride in an ``X-Tenant`` header; an explicit body field
 wins.
 """

@@ -212,7 +212,7 @@ def simulate(
     max_ns: float = 5e8,
     validate: Union[bool, str, None] = None,
     trace: Optional["object"] = None,
-    kernel: Optional[str] = None,
+    kernel: str = "fast",
     obs: Union[bool, str, None, "object"] = None,
     tracing: Union[bool, str, None, "object"] = None,
 ) -> SimResult:
@@ -241,11 +241,9 @@ def simulate(
         measured requests' timelines (implies ``validate="on"`` if
         validation was otherwise off).
     kernel:
-        Event-dispatch loop: ``"fast"`` (inlined hot path), ``"batch"``
-        (same-timestamp batch drain over flat arrays), or ``"reference"``
-        (the retained baseline loop the fuzzer's differential oracles
-        compare against). All three are bit-identical. ``None`` defers to
-        ``$REPRO_KERNEL``, defaulting to ``"fast"``.
+        Event-dispatch loop: ``"fast"`` (the production loop) or
+        ``"reference"`` (the retained baseline loop the fuzzer's
+        ``diff_kernel`` oracle compares against). Both are bit-identical.
     obs:
         Observability (see :mod:`repro.obs`): ``True``/"on" samples
         metrics + time series into ``extras["obs"]``, ``"profile"``
@@ -260,8 +258,8 @@ def simulate(
         Causal span tracing (see :mod:`repro.tracing`): ``True``/"on"
         records per-request component spans + critical-path attribution
         into ``extras["trace"]``, ``"kernel"`` additionally counts event
-        dispatches per callback (deterministic, identical across
-        kernels), ``False``/"off" disables. A pre-built
+        dispatches per callback (deterministic, identical on both
+        loops), ``False``/"off" disables. A pre-built
         :class:`~repro.tracing.SpanTracer` is used directly (the caller
         keeps it for exporting). ``None`` defers to ``$REPRO_TRACING``.
         Like obs, the tracer is a pure observer: it schedules no events
@@ -297,8 +295,6 @@ def simulate(
             config_hash=config_digest(cfg),
         )
 
-    if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL", "fast") or "fast"
     sim, chip = build_system(cfg, sim=Simulator(kernel=kernel))
     n_active = cfg.active_cores
 
@@ -422,7 +418,7 @@ def simulate(
     if collector is not None:
         collector.finalize(elapsed)
         # Deterministic payload only (no profile wall times): the fuzz
-        # oracles diff full results across kernels and cache hits.
+        # oracles diff full results across dispatch loops and cache hits.
         extras["obs"] = collector.snapshot(with_profile=False)
     if tracer is not None:
         extras["trace"] = tracer.snapshot()

@@ -12,8 +12,8 @@ rollover is evaluated lazily from the simulation clock at ``route()``
 time, migrations are selected with total-order tie-breaks (touch count,
 then page number), and every decision is a pure function of the request
 arrival order — which the kernel bit-identity contract guarantees is the
-same under the reference, fast, and batch dispatch loops. This is what
-lets the three-kernel differential oracle cover tiered configurations
+same under the production and reference dispatch loops. This is what
+lets the ``diff_kernel`` differential oracle cover tiered configurations
 unchanged.
 """
 

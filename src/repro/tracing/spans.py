@@ -7,7 +7,7 @@ stamps onto each :class:`~repro.request.MemRequest` (the same event
 vocabulary :func:`repro.validate.timeline_of` exports). A run with
 tracing enabled therefore produces a bit-identical :class:`SimResult`
 outside ``extras["trace"]`` — the fuzzer's ``tracing`` oracle enforces
-this across all three dispatch kernels.
+this on both dispatch loops.
 
 Per measured request the tracer records child spans at each component
 boundary:
@@ -25,17 +25,19 @@ arithmetic mirrors ``Chip._complete`` / ``LatencyBreakdown`` term for
 term, so the span-derived queuing share reconciles exactly with the
 Fig 2b parity golden (the ``fig2b_attribution`` registry metric).
 
-In ``"kernel"`` mode the tracer additionally installs
-``Simulator.event_hook`` and counts measurement-phase event dispatches
-per callback ``__qualname__`` — a deterministic (no wall-clock) view of
-where the event kernel spends its dispatches, honored identically by
-all three dispatch loops.
+In ``"kernel"`` mode the tracer additionally reads measurement-phase
+event dispatch counts per callback ``__qualname__`` from the simulator's
+:class:`~repro.obs.KernelProfiler` hook (shared with obs ``profile``
+mode) — a deterministic (no wall-clock) view of where the event kernel
+spends its dispatches, identical on both dispatch loops.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.profiler import KernelProfiler
 
 #: Valid tracing modes: disabled, span tracing, span + kernel dispatch counts.
 TRACING_MODES = ("off", "on", "kernel")
@@ -99,7 +101,9 @@ class SpanTracer:
         self.chip = None
         self._live: Dict[int, list] = {}            # req_id -> in-flight marks
         self._mshr: Dict[Tuple[int, int], float] = {}  # (core, op) -> stall t
-        self.kernel_events: Dict[str, int] = {}
+        #: The shared dispatch-count hook, set by :meth:`attach` in
+        #: ``"kernel"`` mode.
+        self.profiler: Optional[KernelProfiler] = None
         #: Ring of compact completed-request tuples; the span dicts are
         #: materialized lazily in rows() so only the retained
         #: ``span_capacity`` rows ever pay for span assembly.
@@ -125,9 +129,9 @@ class SpanTracer:
         """Install hooks on the chip, cores, and CXL channels.
 
         Called at the measurement boundary (immediately before
-        ``chip.begin_measurement()``); in ``"kernel"`` mode also installs
-        the simulator's event hook, which the measurement-phase dispatch
-        loop picks up.
+        ``chip.begin_measurement()``); in ``"kernel"`` mode also hooks the
+        simulator's :class:`~repro.obs.KernelProfiler`, which the
+        measurement-phase dispatch loop feeds.
         """
         self.chip = chip
         chip.tracer = self
@@ -137,15 +141,9 @@ class SpanTracer:
             if hasattr(port, "tracer"):  # CXL channels; bare DDR has no spans
                 port.tracer = self
         if self.mode == "kernel":
-            sim.event_hook = self.on_event
+            self.profiler = KernelProfiler.hook(sim)
 
     # -- hook sites (all observers: read state, never schedule) ---------------
-    def on_event(self, fn) -> None:
-        """Kernel-mode dispatch hook: count one fired event per callback."""
-        key = getattr(fn, "__qualname__", None) or repr(fn)
-        ke = self.kernel_events
-        ke[key] = ke.get(key, 0) + 1
-
     def on_mshr_stall(self, core_id: int, op_idx: int, t: float) -> None:
         """Op ``op_idx`` queued at the core's full MSHR file at time ``t``."""
         self._mshr[(core_id, op_idx)] = t
@@ -310,6 +308,6 @@ class SpanTracer:
             "attribution": attribution,
             "spans": self.rows(),
         }
-        if self.mode == "kernel":
-            snap["kernel_events"] = dict(sorted(self.kernel_events.items()))
+        if self.profiler is not None:
+            snap["kernel_events"] = self.profiler.counts()
         return snap

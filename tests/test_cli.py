@@ -125,6 +125,20 @@ class TestCommands:
         assert bench["fleet"]["slowest_jobs"]
         assert bench["fleet"]["miss_latency_ns"]["count"] > 0
 
+    def test_bench_run_gate_fails_below_min_ratio(self, capsys, tmp_path):
+        import json
+        from pathlib import Path
+
+        golden = Path(__file__).resolve().parents[1] / "goldens" / "bench.json"
+        out = tmp_path / "BENCH_kernel.json"
+        rc = main(["bench", "run", "--ops", "100", "--repeats", "1",
+                   "--quiet", "--golden", str(golden), "--out", str(out),
+                   "--min-ratio", "1e9"])
+        assert rc == 1
+        assert "PERF GATE FAILED" in capsys.readouterr().err
+        record = json.loads(out.read_text())
+        assert record["events"] > 0 and record["ratio_vs_baseline"] > 0
+
     def test_run_obs_unknown_suffix_rejected_before_run(self, capsys,
                                                         tmp_path):
         rc = main(["run", "--workload", "mcf", "--ops", "200",

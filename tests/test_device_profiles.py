@@ -1,7 +1,7 @@
 """Property tests for the per-device CXL latency profiles.
 
 The sampler's determinism is what keeps profiled configs inside the
-three-kernel bit-identity contract, so it is pinned by property tests
+kernel bit-identity contract, so it is pinned by property tests
 rather than examples: same (seed, profile) must mean the same draw
 sequence forever, quantiles must be monotone in the quantile argument,
 and draw streams recorded into the obs StreamingHistogram must merge

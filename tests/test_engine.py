@@ -82,6 +82,10 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            Simulator(kernel="batch")
+
     def test_schedule_at_past_rejected(self):
         sim = Simulator()
         sim.schedule(2.0, lambda: None)
@@ -114,14 +118,6 @@ class TestSimulator:
         assert fired == [0, 1, 2, 3]
         assert sim.now == 3.0
 
-    def test_max_events_bounds_run(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule(float(i), lambda: None)
-        sim.run(max_events=4)
-        assert sim.events_fired == 4
-        assert sim.pending() == 6
-
     def test_same_time_insertion_order(self):
         sim = Simulator()
         fired = []
@@ -132,23 +128,23 @@ class TestSimulator:
 
 
 class TestFastPath:
-    def test_push_fast_interleaves_with_push(self):
-        q = EventQueue()
+    def test_schedule_interleaves_with_schedule_cancellable(self):
+        # Handle-free and handle-returning pushes share one seq counter,
+        # so equal-time entries fire in schedule order either way.
+        sim = Simulator()
         out = []
-        q.push_fast(2.0, out.append, ("fast",))
-        q.push(1.0, out.append, "handle")
-        q.push_fast(1.0, out.append, ("fast-tie",))
-        while True:
-            ev = q.pop()
-            if ev is None:
-                break
-            ev.fn(*ev.args)
-        assert out == ["handle", "fast-tie", "fast"]
+        sim.schedule(2.0, out.append, "plain")
+        sim.schedule_cancellable(1.0, out.append, "handle")
+        sim.schedule_at(1.0, out.append, "plain-tie")
+        sim.schedule_at_cancellable(1.0, out.append, "handle-tie")
+        sim.run()
+        assert out == ["handle", "plain-tie", "handle-tie", "plain"]
 
     def test_len_is_tracked_incrementally(self):
-        q = EventQueue()
-        q.push_fast(1.0, lambda: None, ())
-        ev = q.push(2.0, lambda: None)
+        sim = Simulator()
+        q = sim.queue
+        sim.schedule(1.0, lambda: None)
+        ev = sim.schedule_cancellable(2.0, lambda: None)
         assert len(q) == 2
         ev.cancel()
         assert len(q) == 1
@@ -195,7 +191,7 @@ class TestFastPath:
     def test_clear(self):
         q = EventQueue()
         q.push(1.0, lambda: None).cancel()
-        q.push_fast(2.0, lambda: None, ())
+        q.push(2.0, lambda: None)
         q.clear()
         assert len(q) == 0 and q.pop() is None
 

@@ -1,16 +1,18 @@
-"""Batched dispatch loop: ordering, cancellation, and bit-equality.
+"""Production vs reference dispatch loop: ordering, cancellation, equality.
 
-The ``"batch"`` kernel drains every event sharing the head timestamp in
-one flat pass, landing same-cycle follow-on schedules in a tail list
-instead of the heap. These tests pin the contract that makes that safe:
-all three kernels fire equal-time events in the identical global
-``(time, seq)`` order — including events scheduled from *inside* a
-same-cycle batch and cancellable events cancelled mid-batch — and a full
-simulation is bit-identical across kernels, with or without observability
-attached.
+``Simulator.run`` pops heap tuples inline; the reference loop goes
+through the ``EventQueue`` API one event at a time. These tests pin the
+contract between them: both fire equal-time events in the identical
+global ``(time, seq)`` order — including events scheduled at the current
+time from inside a callback and cancellables cancelled by an earlier
+same-time event — both leave the clock in the same place under ``until``
+and cancellation, and a full simulation is bit-identical on both, with
+or without observability attached.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -22,14 +24,14 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _scenario(sim: Simulator):
-    """Script a queue exercising every batch-loop edge; returns the log.
+    """Script a queue exercising every equal-time edge; returns the log.
 
     Covers: several events at one timestamp, a same-cycle spawn chain
-    (events scheduled at the *current* time from inside the batch), a
+    (events scheduled at the *current* time from inside a callback), a
     cancellable cancelled by an earlier same-time event, a cancellable
-    spawned and cancelled entirely within one batch, cross-time
-    scheduling out of a batch, and a trailing cancelled event that must
-    not advance the clock.
+    spawned and cancelled within one timestamp, cross-time scheduling out
+    of a same-time group, and a trailing cancelled event that must not
+    advance the clock.
     """
     log = []
     handles = {}
@@ -47,7 +49,7 @@ def _scenario(sim: Simulator):
         rec("cancel:" + name)
 
     def spawn_cancelled(name):
-        # Both land in the current batch; the canceller has the lower
+        # Both land at the current time; the canceller has the lower
         # seq, so the cancellable is skipped at fire time.
         rec("spawn:" + name)
         sim.schedule(0.0, cancel, name)
@@ -81,18 +83,18 @@ class TestEqualTimeOrdering:
     def test_identical_firing_order_across_kernels(self):
         runs = _run_all_kernels(lambda sim: sim.run())
         logs = {k: v[0] for k, v in runs.items()}
-        assert logs["fast"] == logs["reference"] == logs["batch"]
+        assert logs["fast"] == logs["reference"]
         # Equal-time events fire in schedule order; the same-cycle chain
         # (b+ / b++) fires after every event already queued at t=1.
-        t1 = [tag for t, tag in logs["batch"] if t == 1.0]
+        t1 = [tag for t, tag in logs["fast"] if t == 1.0]
         assert t1 == ["a", "b", "c", "cancel:y", "b+", "b++"]
-        # The in-batch cancellable never fires; its canceller does.
-        t2 = [tag for t, tag in logs["batch"] if t == 2.0]
+        # The same-time cancellable never fires; its canceller does.
+        t2 = [tag for t, tag in logs["fast"] if t == 2.0]
         assert t2 == ["spawn:z", "cancel:z"]
-        assert "z" not in [tag for _, tag in logs["batch"]]
-        # "late" was scheduled 2.0 ns ahead from inside the t=1 batch, so
-        # it fires at t=3 after the events queued before it.
-        t3 = [tag for t, tag in logs["batch"] if t == 3.0]
+        assert "z" not in [tag for _, tag in logs["fast"]]
+        # "late" was scheduled 2.0 ns ahead from a t=1 callback, so it
+        # fires at t=3 after the events queued before it.
+        t3 = [tag for t, tag in logs["fast"] if t == 3.0]
         assert t3 == ["d", "cancel:tick", "late"]
 
     def test_cancelled_trailing_event_does_not_advance_clock(self):
@@ -119,34 +121,57 @@ class TestEqualTimeOrdering:
             sim.run()
             assert sim.now == 3.0, kernel
 
-    def test_max_events_resumes_mid_batch(self):
-        # Draining two events at a time must visit the identical order,
-        # even when the cap lands inside a same-timestamp batch and the
-        # unfired tail goes back on the heap.
-        def drive(sim):
-            sim.run(max_events=2)
-            while sim.pending():
-                sim.run(max_events=2)
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    def test_until_past_only_cancelled_entries_keeps_clock(self, kernel):
+        # Nothing live lies past `until`, so the run ends like an
+        # unbounded one: a cancelled entry must not move the clock.
+        sim = Simulator(kernel=kernel)
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule_cancellable(10.0, fired.append, "dead").cancel()
+        sim.run(until=5.0)
+        assert fired == ["a"]
+        assert sim.now == 1.0
+        assert sim.pending() == 0
 
-        capped = _run_all_kernels(drive)
-        oneshot = _run_all_kernels(lambda sim: sim.run())
+    def test_event_hook_sees_each_fired_event_once(self):
+        names = {}
         for kernel in KERNEL_MODES:
-            assert capped[kernel][0] == oneshot[kernel][0], kernel
+            sim = Simulator(kernel=kernel)
+            _scenario(sim)
+            seen = []
+            sim.event_hook = seen.append
+            sim.run()
+            assert len(seen) == sim.events_fired, kernel
+            names[kernel] = [fn.__name__ for fn in seen]
+        assert names["fast"] == names["reference"]
+        # The cancelled entries (y, z, tick) never reach the hook: only a,
+        # c, late and d are dispatched as `rec` itself.
+        assert names["fast"].count("rec") == 4
 
 
 class TestBatchSimulationEquality:
-    def test_diff_batch_oracle_on_named_configs(self):
-        for base in ("ddr-baseline", "coaxial-4x"):
-            case = FuzzCase(base=base, workload="mcf", ops=300, seed=1)
-            assert run_oracle("diff_batch", case) is None
+    """Full simulations agree bit-for-bit on both dispatch loops."""
 
-    def test_obs_bit_identical_under_batch(self):
-        # The obs oracle diffs obs-on vs obs-off full results; running the
-        # case under kernel="batch" pins the cancellable-sampler-tick path
-        # (cancelled ticks skipped without advancing the batch clock).
-        case = FuzzCase(base="coaxial-4x", workload="stream-copy", ops=300,
-                        seed=1, kernel="batch")
-        assert run_oracle("obs", case) is None
+    def test_obs_bit_identical_on_both_kernels(self):
+        # The sampler's final tick is cancelled when the last core drains;
+        # on either loop that entry must move neither clock nor result.
+        from repro.system.config import ALL_CONFIGS
+        from repro.system.sim import simulate
+        from repro.workloads import get_workload
+
+        cfg, wl = ALL_CONFIGS["coaxial-4x"](), get_workload("stream-copy")
+        for kernel in KERNEL_MODES:
+            plain = simulate(cfg, wl, ops_per_core=300, seed=1, kernel=kernel)
+            seen = simulate(cfg, wl, ops_per_core=300, seed=1, kernel=kernel,
+                            obs="on")
+            a, b = dataclasses.asdict(plain), dataclasses.asdict(seen)
+            assert b["extras"].pop("obs")
+            # Live sampler ticks are counted as fired events; nothing else
+            # may differ.
+            a["extras"].pop("events_fired")
+            b["extras"].pop("events_fired")
+            assert a == b, kernel
 
     @pytest.mark.slow
     @pytest.mark.parametrize("base", ["tiered-static", "tiered-lru",
@@ -155,11 +180,10 @@ class TestBatchSimulationEquality:
     def test_tiering_and_device_configs_bit_identical(self, base):
         # The tiering manager routes lazily (no scheduled events) and the
         # profile sampler draws in request-arrival order, so every
-        # scenario config must stay inside the three-kernel bit-identity
-        # contract; both differential oracles do full-result asdict diffs.
+        # scenario config must stay inside the two-loop bit-identity
+        # contract; the differential oracle does a full-result asdict diff.
         case = FuzzCase(base=base, workload="capacity-churn", ops=400, seed=1)
         assert run_oracle("diff_kernel", case) is None
-        assert run_oracle("diff_batch", case) is None
 
 
 class TestWarmupReplayEquivalence:
@@ -203,50 +227,18 @@ class TestWarmupReplayEquivalence:
 
 
 class TestKernelPlumbing:
-    def test_fuzzcase_kernel_roundtrip(self):
-        case = FuzzCase(ops=300, kernel="batch")
-        assert FuzzCase.from_json(case.to_json()) == case
-        assert "kernel=batch" in case.label()
-
-    def test_fuzzcase_kernel_omitted_when_unset(self):
-        # Serialization without a kernel stays byte-identical to the old
-        # format, so committed corpus entry names don't churn.
-        assert "kernel" not in FuzzCase().to_dict()
-        legacy = {"base": "ddr-baseline", "overrides": {},
-                  "workload": "mcf", "ops": 600, "seed": 1}
-        assert FuzzCase.from_dict(legacy).kernel is None
-
-    def test_corpus_entry_records_kernel(self, tmp_path):
-        from repro.fuzz.corpus import load_entry, save_entry
-
-        path = save_entry(FuzzCase(ops=300, kernel="batch"), "calm_clock",
-                          corpus_dir=tmp_path)
-        assert load_entry(path).case.kernel == "batch"
-
-    def test_sweep_job_kernel_label(self):
-        from repro.exec.runner import expand_grid
-
-        jobs = expand_grid(["ddr-baseline"], ["mcf"], ops=300,
-                           kernel="batch")
-        assert jobs[0].kernel == "batch"
-        assert "kernel=batch" in jobs[0].label()
-
     def test_kernel_bench_record(self):
         from repro.exec.perf import kernel_bench_record
+        from repro.system.config import ALL_CONFIGS
+        from repro.system.sim import simulate
+        from repro.workloads import get_workload
 
-        rec = kernel_bench_record(
-            ["fast", "batch"], configs=("ddr-baseline",),
-            workloads=("mcf",), ops=200, repeats=1, baseline_eps=1000.0)
-        assert set(rec["kernels"]) == {"fast", "batch"}
-        fast, batch = rec["kernels"]["fast"], rec["kernels"]["batch"]
-        # Bit-identical simulations: the kernels fire the same events.
-        assert fast["events"] == batch["events"] > 0
-        assert batch["events_per_s"] > 0
-        assert batch["ratio_vs_baseline"] > 0
-
-    def test_kernel_bench_rejects_unknown_kernel(self):
-        from repro.exec.perf import kernel_bench_record
-
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernel_bench_record(["warp"], configs=("ddr-baseline",),
-                                workloads=("mcf",), ops=100, repeats=1)
+        rec = kernel_bench_record(configs=("ddr-baseline",),
+                                  workloads=("mcf",), ops=200, repeats=1,
+                                  baseline_eps=1000.0)
+        # The bench times the same loop simulate() runs.
+        plain = simulate(ALL_CONFIGS["ddr-baseline"](), get_workload("mcf"),
+                         ops_per_core=200, seed=1)
+        assert rec["events"] == plain.extras["events_fired"] > 0
+        assert rec["events_per_s"] > 0
+        assert rec["ratio_vs_baseline"] > 0

@@ -357,7 +357,37 @@ class TestCollectorIntegration:
     def test_profiler_disabled_by_default(self):
         from repro.system.builder import build_system
         sim, _ = build_system(baseline_config())
-        assert sim.profiler is None
+        assert sim.event_hook is None
+
+    def test_profiler_hook_is_shared(self):
+        from repro.engine import Simulator
+
+        sim = Simulator()
+        sim.event_hook = print                   # a foreign hook is replaced
+        prof = KernelProfiler.hook(sim)
+        assert sim.event_hook is prof
+        assert KernelProfiler.hook(sim) is prof  # a second observer shares it
+
+    def test_profiler_charges_time_since_previous_dispatch(self, monkeypatch):
+        import repro.obs.profiler as profiler_mod
+        from repro.engine import Simulator
+
+        ticks = iter([10.0, 10.5, 12.0, 12.25])
+        monkeypatch.setattr(profiler_mod, "perf_counter", lambda: next(ticks))
+
+        def a():
+            pass
+
+        def b():
+            pass
+
+        sim = Simulator()
+        prof = KernelProfiler.hook(sim)          # armed at t=10.0
+        for t, fn in ((1.0, a), (2.0, b), (3.0, a)):
+            sim.schedule(t, fn)
+        sim.run()
+        wall = {k.rsplit(".", 1)[-1]: v for k, v in prof.data.items()}
+        assert wall == {"a": [2, 0.5 + 0.25], "b": [1, 1.5]}
 
     def test_kernel_profiler_rows_sorted_by_wall(self):
         p = KernelProfiler()

@@ -1,11 +1,12 @@
 """Tests for the causal span tracer (`repro.tracing`).
 
-Covers the zero-perturbation contract across all three dispatch
-kernels, snapshot structure and its reconciliation with the always-on
-latency breakdown, critical-path coverage semantics, the Perfetto /
-JSONL exporters (round trip through ``load_trace``), the shared
-suffix-dispatch helper, and trace-id propagation through the sweep
-runner, fleet specs, and the serve job store.
+Covers the zero-perturbation contract on both dispatch loops (alone and
+together with the obs profiler), snapshot structure and its
+reconciliation with the always-on latency breakdown, critical-path
+coverage semantics, the Perfetto / JSONL exporters (round trip through
+``load_trace``), the shared suffix-dispatch helper, and trace-id
+propagation through the sweep runner, fleet specs, and the serve job
+store.
 """
 
 import dataclasses
@@ -13,8 +14,10 @@ import json
 
 import pytest
 
+from repro.engine.kernel import KERNEL_MODES
 from repro.exportutil import dispatch_export
 from repro.fleet import TaskSpec, expand_specs
+from repro.obs import ObsCollector
 from repro.serve.jobs import BadRequest, JobStore, parse_job_request
 from repro.exec.runner import SweepJob, _simulate_job, expand_grid
 from repro.system.config import ALL_CONFIGS
@@ -94,7 +97,7 @@ class TestResolveMode:
 # -- zero perturbation ---------------------------------------------------------
 
 class TestZeroPerturbation:
-    @pytest.mark.parametrize("kernel", ["fast", "batch", "reference"])
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
     def test_bit_identical_with_tracing_on(self, kernel):
         base = run(ops=200, kernel=kernel)
         on = run(ops=200, kernel=kernel, tracing="on")
@@ -111,8 +114,24 @@ class TestZeroPerturbation:
     def test_kernel_mode_counts_identical_across_kernels(self):
         counts = [run(ops=150, kernel=k, tracing="kernel")
                   .extras["trace"]["kernel_events"]
-                  for k in ("fast", "batch", "reference")]
-        assert counts[0] and counts[0] == counts[1] == counts[2]
+                  for k in KERNEL_MODES]
+        assert counts[0] and counts[0] == counts[1]
+
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    def test_profile_and_kernel_tracing_together(self, kernel):
+        # What `repro run --obs x.jsonl --tracing kernel` does: obs
+        # profile mode and the tracer's kernel mode share one hook.
+        collector = ObsCollector(mode="profile")
+        both = run(ops=150, kernel=kernel, obs=collector, tracing="kernel")
+        profile = collector.snapshot(with_profile=True)["profile"]
+        counts = both.extras["trace"]["kernel_events"]
+        assert profile and counts
+        assert {k: e["count"] for k, e in profile.items()} == counts
+        d = dataclasses.asdict(both)
+        plain = dataclasses.asdict(run(ops=150, kernel=kernel))
+        d.pop("extras")
+        plain.pop("extras")
+        assert d == plain
 
 
 # -- snapshot + attribution ----------------------------------------------------
