@@ -6,7 +6,9 @@ Examples
 
     python -m repro list
     python -m repro run --config coaxial-4x --workload stream-copy
-    python -m repro trace --config coaxial-4x --workload mcf --strict
+    python -m repro run --config coaxial-4x --workload mcf \
+        --validate strict --trace-out trace.jsonl
+    python -m repro trace view trace.jsonl
     python -m repro compare --workloads stream-copy,PageRank,gcc
     python -m repro curve --loads 0.1,0.3,0.5,0.6
     python -m repro area
@@ -109,14 +111,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     tracing = args.tracing
     if args.trace_out:
         from pathlib import Path
-        if Path(args.trace_out).suffix.lower() not in (".json", ".jsonl"):
+        if Path(args.trace_out).suffix.lower() not in (".json", ".jsonl",
+                                                       ".npy"):
             print(f"error: unknown span trace format "
                   f"{Path(args.trace_out).suffix!r} for {args.trace_out}; "
-                  f"use a .json (Perfetto) or .jsonl path", file=sys.stderr)
+                  f"use a .json (Perfetto), .jsonl or .npy path",
+                  file=sys.stderr)
             return 2
         tracing = tracing or "on"
-    r = simulate(cfg, wl, ops_per_core=args.ops, seed=args.seed,
-                 validate=args.validate, obs=collector, tracing=tracing)
+    from repro.validate import InvariantError
+    try:
+        r = simulate(cfg, wl, ops_per_core=args.ops, seed=args.seed,
+                     validate=args.validate, obs=collector, tracing=tracing)
+    except InvariantError as e:
+        print(f"invariant violation (strict): {e}", file=sys.stderr)
+        return 1
     print(r.summary())
     print(f"  miss latency     : p50 {r.p50_miss_latency:.1f} / "
           f"p90 {r.p90_miss_latency:.1f} / p99 {r.p99_miss_latency:.1f} / "
@@ -139,10 +148,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  metrics          : -> {out}{hint}")
     if args.trace_out:
         from repro.tracing import export_trace
-        tout = export_trace(r.extras["trace"], args.trace_out)
-        att = r.extras["trace"]["attribution"]
-        print(f"  spans            : {att['n']} measured requests -> {tout} "
-              f"(view with: repro trace view {tout})")
+        snap = r.extras["trace"]
+        tout = export_trace(snap, args.trace_out)
+        hint = ("" if tout.suffix == ".npy"
+                else f" (view with: repro trace view {tout})")
+        print(f"  spans            : {len(snap['spans'])} of "
+              f"{snap['attribution']['n']} measured requests -> {tout}{hint}")
     report = r.extras.get("invariant_violations")
     if report is not None:
         _print_violation_report(report)
@@ -168,29 +179,6 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
             print()
         print(render_report(run, top=args.top), end="")
     return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one simulation under audit and export the request trace."""
-    from repro.validate import InvariantError, TraceRecorder
-
-    cfg = ALL_CONFIGS[args.config]()
-    wl = get_workload(args.workload)
-    recorder = TraceRecorder(capacity=args.capacity)
-    mode = "strict" if args.strict else "on"
-    try:
-        r = simulate(cfg, wl, ops_per_core=args.ops, seed=args.seed,
-                     validate=mode, trace=recorder)
-    except InvariantError as e:
-        print(f"invariant violation (strict): {e}", file=sys.stderr)
-        return 1
-    out = recorder.export(args.out, fmt=args.format)
-    print(r.summary())
-    print(f"  trace            : {len(recorder)} of {recorder.recorded} "
-          f"measured requests -> {out}")
-    report = r.extras.get("invariant_violations", {})
-    _print_violation_report(report)
-    return 1 if report.get("count", 0) else 0
 
 
 def cmd_trace_view(args: argparse.Namespace) -> int:
@@ -938,29 +926,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "'kernel' also counts fired events per callback)")
     pr.add_argument("--trace-out", default=None, metavar="PATH",
                     help="export the span trace to PATH (.json = Perfetto "
-                         "trace_event, .jsonl = span lines); implies "
-                         "--tracing on")
+                         "trace_event, .jsonl = span lines, .npy = "
+                         "timeline array); implies --tracing on")
     _add_device_args(pr)
     pr.set_defaults(fn=cmd_run)
 
     pt = sub.add_parser(
-        "trace", help="run one simulation under invariant audit and export "
-                      "the per-request timeline trace")
-    pt.add_argument("--config", default="coaxial-4x", choices=list(ALL_CONFIGS))
-    pt.add_argument("--workload", default="stream-copy")
-    pt.add_argument("--ops", type=int, default=None,
-                    help="memory ops per core (default: workload default)")
-    pt.add_argument("--seed", type=int, default=1)
-    pt.add_argument("--out", default="trace.jsonl",
-                    help="output path (default: trace.jsonl)")
-    pt.add_argument("--format", default=None, choices=["jsonl", "npy"],
-                    help="export format (default: by --out suffix)")
-    pt.add_argument("--capacity", type=int, default=4096,
-                    help="trace ring-buffer size (most recent N requests)")
-    pt.add_argument("--strict", action="store_true",
-                    help="raise on the first invariant violation")
-    pt.set_defaults(fn=cmd_trace)
-    ptsub = pt.add_subparsers(dest="trace_command",
+        "trace", help="inspect a span trace written by "
+                      "'repro run --trace-out'")
+    ptsub = pt.add_subparsers(dest="trace_command", required=True,
                               metavar="{view,critpath}")
     ptv = ptsub.add_parser(
         "view", help="summarize an exported span trace "

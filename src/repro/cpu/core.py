@@ -99,10 +99,10 @@ class Core(Component):
         self.on_done = on_done
         self.prefetcher = prefetcher
         self.mshr = MSHRFile(params.mshrs)
-        # Optional span tracer (repro.tracing): observes MSHR stalls and
-        # merges. Attached at the measurement boundary, never reset by
-        # _reset_run_state so it survives the warmup -> measurement restart.
-        self.tracer = None
+        # Observer slot (repro.observer), set by ``Chip.set_observer`` at
+        # the measurement boundary; never reset by _reset_run_state so it
+        # survives the warmup -> measurement restart.
+        self.observer = None
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
@@ -234,13 +234,13 @@ class Core(Component):
         if status is None:
             self.mshr_pending.append(i)
             self.bump("mshr_stalls")
-            if self.tracer is not None:
-                self.tracer.on_mshr_stall(self.core_id, i, t)
+            if self.observer is not None:
+                self.observer.on_mshr_stall(self.core_id, i, t)
             return
         self.outstanding += 1
         if status == "merged":
-            if self.tracer is not None:
-                self.tracer.on_mshr_merge(self.core_id, i)
+            if self.observer is not None:
+                self.observer.on_mshr_merge(self.core_id, i)
             return  # rides the in-flight request for this line
         when = max(t, self.sim.now)
         self.sim.schedule_at(when, self._send_miss, i)

@@ -59,9 +59,9 @@ class CxlChannel(Component):
             system_channels=system_channels,
             backend=backend, ssd_params=ssd_params,
         )
-        # Optional span tracer (repro.tracing): observes TX/RX interface
-        # crossings for traced requests. One attribute test per hook site.
-        self.tracer = None
+        # Observer slot (repro.observer), set by ``Chip.set_observer``:
+        # one attribute test per hook site.
+        self.observer = None
 
     # -- CPU-side entry point -------------------------------------------------
     def submit(self, req: MemRequest) -> None:
@@ -79,8 +79,8 @@ class CxlChannel(Component):
         # CPU egress port, TX wire, device ingress port (+ profile extra).
         arrive = self.latency.device_bound_ns(self.tx, now, nbytes, is_read)
         req.cxl_delay += arrive - now
-        if self.tracer is not None:
-            self.tracer.on_cxl_tx(req, now, arrive)
+        if self.observer is not None:
+            self.observer.on_cxl_tx(req, now, arrive)
         self.bump("tx_bytes", nbytes)
         self.sim.schedule_at(arrive, self.device.submit, req)
 
@@ -91,8 +91,8 @@ class CxlChannel(Component):
         nbytes = 64 + p.header_bytes
         arrive = self.latency.cpu_bound_ns(self.rx, now, nbytes)
         req.cxl_delay += arrive - now
-        if self.tracer is not None:
-            self.tracer.on_cxl_rx(req, now, arrive)
+        if self.observer is not None:
+            self.observer.on_cxl_rx(req, now, arrive)
         self.bump("rx_bytes", nbytes)
         self.sim.schedule_at(arrive, self._deliver, req)
 

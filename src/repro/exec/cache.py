@@ -36,7 +36,9 @@ from repro.system.stats import SimResult
 #: SimResult schema) without a package-version bump.
 #: 3: p50/p99/p99.9 miss-latency fields; p90 now comes from the streaming
 #:    log-bucketed histogram instead of an exact full-sample percentile.
-CACHE_SCHEMA_VERSION = 3
+#: 4: ``extras["events_fired"]`` counts model events only; an entry stored
+#:    from an obs-on run used to include the sampler's ticks.
+CACHE_SCHEMA_VERSION = 4
 
 #: Environment variable overriding the cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

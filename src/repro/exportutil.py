@@ -1,9 +1,8 @@
 """Shared suffix-dispatch helper for file exporters.
 
-Both the validate-layer :class:`~repro.validate.TraceRecorder` (per-request
-timelines) and the tracing-layer span exporters (Perfetto / JSONL) pick an
-output format either from an explicit ``fmt`` argument or from the output
-path's suffix. This module keeps that policy in one place:
+The span-trace exporters (Perfetto / JSONL / ``.npy``) pick an output
+format either from an explicit ``fmt`` argument or from the output path's
+suffix. This module keeps that policy in one place:
 
 - an unrecognized suffix is an error rather than a silent fall-through,
   so a typo like ``trace.jsnl`` can't quietly produce the wrong format;
@@ -30,35 +29,29 @@ def dispatch_export(
     exporters: Dict[str, Callable[[Path], Path]],
     *,
     kind: str = "trace",
-    suffix_map: Optional[Dict[str, str]] = None,
 ) -> Path:
     """Run the exporter picked by ``fmt`` or by ``path``'s suffix.
 
     Parameters
     ----------
     exporters:
-        Maps format names to ``writer(path) -> Path`` callables. Writers
-        run with the parent directory already created and must return the
-        path actually written (which may differ, e.g. ``np.save`` appends
-        ``.npy``).
+        Maps format names to ``writer(path) -> Path`` callables; format
+        ``f`` claims the suffix ``.f``. Writers run with the parent
+        directory already created and must return the path actually
+        written (which may differ, e.g. ``np.save`` appends ``.npy``).
     kind:
         Noun used in error messages (``"trace"``, ``"span trace"``, ...).
-    suffix_map:
-        Maps lowercase suffixes (with the dot) to format names. When
-        omitted, each format ``f`` claims exactly ``.f``.
     """
     path = Path(path)
-    if suffix_map is None:
-        suffix_map = {f".{name}": name for name in exporters}
     if fmt is None:
         suffix = path.suffix.lower()
-        fmt = suffix_map.get(suffix)
-        if fmt is None:
-            paths = "/".join(suffix_map)
+        if suffix[1:] not in exporters:
+            paths = "/".join(f".{name}" for name in exporters)
             fmts = "/".join(f"'{name}'" for name in exporters)
             raise ValueError(
                 f"cannot infer {kind} format from suffix {suffix!r} for "
                 f"{path}; use a {paths} path or pass fmt={fmts}")
+        fmt = suffix[1:]
     if fmt not in exporters:
         names = " or ".join(exporters)
         raise ValueError(f"unknown {kind} format {fmt!r} (use {names})")

@@ -1,9 +1,12 @@
 """Fuzz oracles: what "correct" means for a randomly generated case.
 
-Three oracle classes, per the testing plan:
+Four oracle classes, per the testing plan:
 
 - **Invariant** (``invariant``): run with the request-lifecycle checker on
   (:mod:`repro.validate`); any violation fails the case.
+- **Observer** (``observers``): the invariant checker, the obs collector
+  and the span tracer together leave every result field of a plain run
+  unchanged, ``events_fired`` included, on both dispatch loops.
 - **Differential** (``diff_kernel``, ``diff_cache``): two executions
   that must agree bit-for-bit — the production dispatch loop vs the
   retained reference loop, and a cold :func:`repro.analysis.tables.run_one`
@@ -355,42 +358,16 @@ def check_ssd_hit_path(case: FuzzCase) -> Optional[str]:
             f"{hits:.0f}/{misses:.0f} hits/misses (limit {limit:.1f})")
 
 
-def check_obs(case: FuzzCase) -> Optional[str]:
-    """Observability is a pure observer and its export round-trips.
-
-    Three properties: (1) a run with ``obs="on"`` produces a result
-    identical to one with obs off, except for the ``extras["obs"]``
-    payload itself and the sampler ticks counted in ``events_fired``;
-    (2) every exported counter is non-negative and the Prometheus
-    rendering parses back cleanly; (3) histogram bucket series are
-    cumulative (monotone non-decreasing, ending at the sample count).
-    """
-    import dataclasses as _dc
-
+def _obs_payload_problem(payload: dict) -> Optional[str]:
+    """Counters non-negative; the Prometheus rendering parses back and
+    its histogram bucket series are cumulative, ending at the count."""
     from repro.obs import parse_prometheus, prometheus_text
-
-    plain = _simulate(case, obs="off")
-    observed = _simulate(case, obs="on")
-
-    da, db = _dc.asdict(plain), _dc.asdict(observed)
-    payload = db["extras"].pop("obs", None)
-    for d in (da, db):
-        # Sampler ticks fire as (inert) events; everything else must match.
-        d["extras"].pop("events_fired", None)
-        d["extras"].pop("obs", None)
-    diffs = [f"{k}: {da[k]!r} != {db[k]!r}" for k in da if da[k] != db[k]]
-    if diffs:
-        return "obs=on perturbed the simulation: " + "; ".join(diffs[:5])
-    if payload is None:
-        return "obs=on produced no extras['obs'] payload"
 
     for ent in payload.get("metrics", {}).get("counters", []):
         if ent["value"] < 0:
             return f"negative counter {ent['name']}{ent['labels']}: {ent['value']}"
-
     try:
-        text = prometheus_text(payload)
-        parsed = parse_prometheus(text)
+        parsed = parse_prometheus(prometheus_text(payload))
     except ValueError as e:
         return f"prometheus export did not round-trip: {e}"
     if not parsed:
@@ -398,59 +375,65 @@ def check_obs(case: FuzzCase) -> Optional[str]:
     for name, ent in parsed.items():
         if ent["type"] != "histogram":
             continue
-        buckets = [(lbl, v) for (n, lbl, v) in ent["samples"]
-                   if n == name + "_bucket"]
-        counts = [(v, lbl) for (n, lbl, v) in ent["samples"]
-                  if n == name + "_count"]
-        cum = [v for _lbl, v in buckets]
+        cum = [v for (n, _lbl, v) in ent["samples"] if n == name + "_bucket"]
+        counts = [v for (n, _lbl, v) in ent["samples"] if n == name + "_count"]
         if any(b > a for a, b in zip(cum[1:], cum)):
             return f"histogram {name} buckets are not cumulative: {cum}"
-        if cum and counts and cum[-1] != counts[0][0]:
-            return (f"histogram {name} +Inf bucket {cum[-1]} != count "
-                    f"{counts[0][0]}")
+        if cum and counts and cum[-1] != counts[0]:
+            return f"histogram {name} +Inf bucket {cum[-1]} != count {counts[0]}"
     return None
 
 
-def check_tracing(case: FuzzCase) -> Optional[str]:
-    """The span tracer is a *zero-perturbation* observer on both loops.
-
-    Stricter than the obs oracle: tracing schedules no events of its own,
-    so a traced run must match the untraced twin in **every** result
-    field — ``events_fired`` included — except for the
-    ``extras["trace"]`` payload itself. The payload is then sanity
-    checked: attribution components must be non-negative, sum to the
-    total, and count exactly the measured misses plus hits.
-    """
-    import dataclasses as _dc
-
+def _trace_payload_problem(payload: dict) -> Optional[str]:
+    """Attribution components non-negative, ``n == hits + misses``, and
+    the components cover the total."""
     from repro.tracing.critpath import ATTRIBUTION_COMPONENTS
 
+    att = payload.get("attribution") or {}
+    bad = [c for c in ATTRIBUTION_COMPONENTS if att.get(c, 0.0) < 0]
+    if bad:
+        return f"negative attribution component(s) {bad}: {att}"
+    if att.get("n", -1) != att.get("hits", 0) + att.get("misses", 0):
+        return (f"attribution n {att.get('n')} != hits "
+                f"{att.get('hits')} + misses {att.get('misses')}")
+    parts = sum(att.get(c, 0.0) for c in ATTRIBUTION_COMPONENTS)
+    total = att.get("total", 0.0)
+    # Clamped residuals (onchip, serialization) can only push the
+    # component sum *above* the total; under-coverage means time was
+    # lost on the walk.
+    if parts < total - 1e-6 * max(1.0, abs(total)):
+        return (f"attribution components sum to {parts!r}, "
+                f"under-covering total {total!r}")
+    return None
+
+
+def check_all_observers(case: FuzzCase) -> Optional[str]:
+    """Every observer at once is zero-perturbation on both loops.
+
+    A run with ``validate``, ``obs`` and ``tracing`` all on must match the
+    plain twin in **every** result field — ``events_fired`` included —
+    except for the three payloads themselves, which are then checked:
+    the obs export round-trips through Prometheus with cumulative
+    histograms, and the span attribution is non-negative, counts every
+    measured request, and covers the total.
+    """
     for kern in ("fast", "reference"):
-        plain = _simulate(case, kernel=kern, tracing="off")
-        traced = _simulate(case, kernel=kern, tracing="on")
-        da, db = _dc.asdict(plain), _dc.asdict(traced)
-        payload = db["extras"].pop("trace", None)
-        diffs = [f"{k}: {da[k]!r} != {db[k]!r}" for k in da if da[k] != db[k]]
+        plain = _simulate(case, kernel=kern)
+        observed = _simulate(case, kernel=kern, validate="on", obs="on",
+                             tracing="on")
+        payloads = {key: observed.extras.pop(key, None)
+                    for key in ("invariant_violations", "obs", "trace")}
+        diffs = _result_diff(plain, observed)
         if diffs:
-            return (f"tracing=on perturbed the {kern} kernel: "
+            return (f"observers perturbed the {kern} kernel: "
                     + "; ".join(diffs[:5]))
-        if payload is None:
-            return f"tracing=on produced no extras['trace'] payload ({kern})"
-        att = payload.get("attribution") or {}
-        bad = [c for c in ATTRIBUTION_COMPONENTS if att.get(c, 0.0) < 0]
-        if bad:
-            return f"negative attribution component(s) {bad}: {att}"
-        if att.get("n", -1) != att.get("hits", 0) + att.get("misses", 0):
-            return (f"attribution n {att.get('n')} != hits "
-                    f"{att.get('hits')} + misses {att.get('misses')}")
-        parts = sum(att.get(c, 0.0) for c in ATTRIBUTION_COMPONENTS)
-        total = att.get("total", 0.0)
-        # Clamped residuals (onchip, serialization) can only push the
-        # component sum *above* the total; under-coverage means time was
-        # lost on the walk.
-        if parts < total - 1e-6 * max(1.0, abs(total)):
-            return (f"attribution components sum to {parts!r}, "
-                    f"under-covering total {total!r} ({kern})")
+        missing = [key for key, payload in payloads.items() if payload is None]
+        if missing:
+            return f"observers produced no extras payload for {missing} ({kern})"
+        problem = (_obs_payload_problem(payloads["obs"])
+                   or _trace_payload_problem(payloads["trace"]))
+        if problem:
+            return f"{problem} ({kern})"
     return None
 
 
@@ -505,8 +488,7 @@ ORACLES: Dict[str, Oracle] = {o.name: o for o in [
     Oracle("tiering_bound", check_tiering_bound, applies=_is_tiered),
     Oracle("migration_identity", check_migration_identity, applies=_is_tiered),
     Oracle("ssd_hit_path", check_ssd_hit_path, applies=_is_ssd_backed),
-    Oracle("obs", check_obs),
-    Oracle("tracing", check_tracing),
+    Oracle("observers", check_all_observers),
     Oracle("calm_clock", check_calm_clock, default=False),
 ]}
 

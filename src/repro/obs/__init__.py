@@ -1,10 +1,11 @@
 """Observability: streaming metrics, time series, profiling, exporters.
 
-Off by default and zero-cost when disabled: components hold ``None`` or
-the shared :data:`NULL_REGISTRY`, so the simulator's hot paths pay at
-most one attribute test. Enable per run with ``simulate(obs="on")`` /
-``simulate(obs="profile")`` or globally with ``$REPRO_OBS``; export with
-``repro run --obs metrics.jsonl`` and render with
+Off by default and zero-cost when disabled: :class:`ObsCollector` is an
+:class:`~repro.observer.Observer` with no request hooks, so it never
+sits on the memory path; it samples the chip from its own timer events
+and reads end-of-run counters. Enable per run with ``simulate(obs="on")``
+/ ``simulate(obs="profile")`` or globally with ``$REPRO_OBS``; export
+with ``repro run --obs metrics.jsonl`` and render with
 ``repro obs report metrics.jsonl``. See ``docs/observability.md``.
 """
 
@@ -14,14 +15,12 @@ from repro.obs.export import (export_csv, export_jsonl, export_prometheus,
                               load_jsonl, parse_prometheus, prometheus_text)
 from repro.obs.metrics import Counter, Gauge, StreamingHistogram, TimeSeries
 from repro.obs.profiler import KernelProfiler
-from repro.obs.registry import (NULL_REGISTRY, OBS_MODES, MetricRegistry,
-                                NullRegistry, resolve_obs_mode)
+from repro.obs.registry import MetricRegistry
 from repro.obs.report import render_report, sparkline
 
 __all__ = [
     "Counter", "Gauge", "StreamingHistogram", "TimeSeries",
-    "MetricRegistry", "NullRegistry", "NULL_REGISTRY",
-    "OBS_MODES", "resolve_obs_mode",
+    "MetricRegistry",
     "KernelProfiler", "ObsCollector", "DEFAULT_SAMPLE_INTERVAL_NS",
     "prometheus_text", "parse_prometheus",
     "export_jsonl", "export_csv", "export_prometheus", "export_snapshot",

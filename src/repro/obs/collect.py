@@ -10,8 +10,10 @@ component state, and its tick events ride the normal event queue: a tick
 that fires between real events samples and reschedules without touching
 any component, and the final pending tick is cancelled the moment the
 last core drains — cancelled events advance neither the clock nor the
-fired-event count in either dispatch loop, so ``elapsed_ns`` and every
-other result field are bit-identical with observability on or off.
+fired-event count in either dispatch loop. The ticks that did fire are
+counted in ``ticks_fired``, which ``simulate()`` subtracts, so
+``elapsed_ns``, ``events_fired`` and every other result field are
+bit-identical with observability on or off.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Dict, Optional
 from repro.obs.metrics import TimeSeries
 from repro.obs.profiler import KernelProfiler
 from repro.obs.registry import MetricRegistry
+from repro.observer import Observer
 
 __all__ = ["ObsCollector", "DEFAULT_SAMPLE_INTERVAL_NS"]
 
@@ -30,24 +33,26 @@ __all__ = ["ObsCollector", "DEFAULT_SAMPLE_INTERVAL_NS"]
 DEFAULT_SAMPLE_INTERVAL_NS = 250.0
 
 
-class ObsCollector:
+class ObsCollector(Observer):
     """Collects metrics, time series, and (optionally) a kernel profile.
 
-    Lifecycle::
+    An :class:`~repro.observer.Observer` with no request hooks; its
+    lifecycle::
 
         col = ObsCollector(mode="on")
-        col.attach(sim, chip)          # before the measurement phase
-        col.start()                    # at the measurement boundary
+        col.attach(sim, chip)          # measurement boundary: arm sampler
         ...                            # sim runs; ticks sample state
-        col.stop()                     # when the last core drains
-        col.finalize(elapsed_ns)       # fold final counters/histograms
-        payload = col.snapshot()       # JSON-safe dict
+        col.drained()                  # last core drained: cancel the tick
+        payload = col.finish(chip, elapsed_ns)   # fold final counters
 
-    ``snapshot(with_profile=False)`` (the default) is fully
-    deterministic — suitable for ``SimResult.extras`` and the result
-    cache. Wall-clock profile times are only included on request, for
-    exported metrics files.
+    The payload is ``snapshot(with_profile=False)``: fully deterministic,
+    suitable for ``SimResult.extras`` and the result cache. Wall-clock
+    profile times are only included on request, for exported metrics
+    files.
     """
+
+    key = "obs"
+    request_hooks = False
 
     def __init__(self, mode: str = "on",
                  sample_interval_ns: float = DEFAULT_SAMPLE_INTERVAL_NS,
@@ -65,29 +70,24 @@ class ObsCollector:
         self._tick_event = None
         self._t0 = 0.0
         self._last: Dict[str, float] = {}
-        self._finalized = False
+        self.ticks_fired = 0
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, sim, chip) -> None:
-        """Bind to a simulator + chip; hooks the profiler in profile mode."""
+        """Bind at the measurement boundary and arm the sampler; hooks the
+        profiler in profile mode."""
         self._sim = sim
         self._chip = chip
         if self.mode == "profile":
             self.profiler = KernelProfiler.hook(sim)
+            self.profiler.reset()
         # Delta columns accumulate traffic; everything else is a level.
         self.series.sum_cols = set(self._delta_names())
-
-    def start(self) -> None:
-        """Begin sampling: call at the warmup/measurement boundary."""
-        if self._sim is None:
-            raise RuntimeError("ObsCollector.start() before attach()")
-        self._t0 = self._sim.now
-        if self.profiler is not None:
-            self.profiler.reset()
+        self._t0 = sim.now
         self._last = self._cumulative()
         self._arm()
 
-    def stop(self) -> None:
+    def drained(self) -> None:
         """Cancel the pending sampler tick (measurement drained)."""
         if self._tick_event is not None:
             self._tick_event.cancel()
@@ -100,6 +100,7 @@ class ObsCollector:
 
     def _tick(self) -> None:
         self._tick_event = None
+        self.ticks_fired += 1
         sim, chip = self._sim, self._chip
         now = sim.now
         row: Dict[str, float] = {}
@@ -154,14 +155,10 @@ class ObsCollector:
         return out
 
     # -- final aggregation ----------------------------------------------------
-    def finalize(self, elapsed_ns: float) -> None:
-        """Fold the chip's end-of-run counters into the registry."""
-        if self._chip is None:
-            raise RuntimeError("ObsCollector.finalize() before attach()")
-        if self._finalized:
-            return
-        self._finalized = True
-        chip, reg = self._chip, self.registry
+    def finish(self, chip, elapsed_ns: float) -> Dict:
+        """Fold the chip's end-of-run counters into the registry; returns
+        the deterministic snapshot."""
+        reg = self.registry
 
         for i, ch in enumerate(chip.ddr_channels):
             labels = {"channel": f"ddr{i}"}
@@ -204,6 +201,7 @@ class ObsCollector:
         # The measured miss-latency distribution, shared with SimResult's
         # quantile fields (same underlying histogram).
         reg.histogram("repro_miss_latency_ns").merge(chip.lat.hist)
+        return self.snapshot(with_profile=False)
 
     # -- output ----------------------------------------------------------------
     def snapshot(self, with_profile: bool = False) -> Dict:

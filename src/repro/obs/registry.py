@@ -1,57 +1,21 @@
-"""Metric registries: the real one, and the zero-cost disabled one.
+"""The metric registry: named instruments keyed by (name, labels).
 
-Hot-path components never test a mode flag per event: when observability
-is off they either hold ``None`` (one attribute test, the same pattern
-the invariant checker uses) or :data:`NULL_REGISTRY`, whose instruments
-are shared do-nothing singletons. Either way the disabled path does no
-metric bookkeeping at all — the CI overhead gate holds the disabled
-path to within noise of a build without the subsystem.
+:class:`~repro.obs.collect.ObsCollector` owns one per run and folds the
+chip's end-of-run counters into it; ``snapshot()`` is the JSON-safe form
+the exporters and ``SimResult.extras["obs"]`` carry.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.obs.metrics import Counter, Gauge, StreamingHistogram, _label_key
 
-__all__ = ["MetricRegistry", "NullRegistry", "NULL_REGISTRY",
-           "OBS_MODES", "resolve_obs_mode"]
-
-#: Observability modes: ``off`` (no collection), ``on`` (metrics +
-#: time-series sampling), ``profile`` (metrics + kernel profiler).
-OBS_MODES = ("off", "on", "profile")
-
-#: Environment variable holding the default obs mode.
-ENV_OBS = "REPRO_OBS"
-
-
-def resolve_obs_mode(obs: Union[bool, str, None]) -> str:
-    """Normalize an ``obs=`` argument (or ``$REPRO_OBS``) to a mode.
-
-    ``None`` defers to the environment; booleans map to on/off; strings
-    accept the mode names plus ``0/1/2`` and ``true/false`` aliases.
-    """
-    if obs is None:
-        obs = os.environ.get(ENV_OBS, "")
-    if isinstance(obs, bool):
-        return "on" if obs else "off"
-    text = str(obs).strip().lower()
-    if text in ("", "0", "off", "false", "no", "none"):
-        return "off"
-    if text in ("1", "on", "true", "yes"):
-        return "on"
-    if text in ("2", "profile"):
-        return "profile"
-    raise ValueError(
-        f"unknown obs mode {obs!r}; expected one of {OBS_MODES} "
-        f"(or a boolean / 0 / 1 / 2)")
+__all__ = ["MetricRegistry"]
 
 
 class MetricRegistry:
     """Named instruments, unique per (name, labels) pair."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, Tuple], object] = {}
@@ -103,66 +67,3 @@ class MetricRegistry:
                                    **inst.to_dict()})
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set_total(self, value: float) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(StreamingHistogram):
-    __slots__ = ()
-
-    def record(self, value: float) -> None:
-        pass
-
-    def merge(self, other: StreamingHistogram) -> StreamingHistogram:
-        return self
-
-
-class NullRegistry(MetricRegistry):
-    """The disabled registry: hands out shared no-op instruments.
-
-    Every ``counter()``/``gauge()``/``histogram()`` call returns the
-    *same* singleton whose mutators do nothing, so instrumented code can
-    run unconditionally against it with no allocations and no retained
-    state. ``snapshot()`` is always empty.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._counter = _NullCounter("null")
-        self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram()
-
-    def counter(self, name: str,
-                labels: Optional[Dict[str, str]] = None) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str, labels: Optional[Dict[str, str]] = None) -> Gauge:
-        return self._gauge
-
-    def histogram(self, name: str, labels: Optional[Dict[str, str]] = None,
-                  alpha: float = 0.01) -> StreamingHistogram:
-        return self._histogram
-
-    def snapshot(self) -> Dict:
-        return {"counters": [], "gauges": [], "histograms": []}
-
-
-#: Shared disabled registry; safe to hand to any component.
-NULL_REGISTRY = NullRegistry()

@@ -102,8 +102,8 @@ class MemRequest:
     def timeline(self) -> dict:
         """The full lifecycle as a plain JSON-serializable dict.
 
-        Used by the trace recorder and by invariant-violation reports to
-        name the exact request and its timestamps.
+        Invariant-violation reports carry it to name the exact request
+        and its timestamps.
         """
         return {
             "req_id": self.req_id,

@@ -124,16 +124,19 @@ class Chip(Component):
         self.meas_start = 0.0
         self.lat = LatencyBreakdown()
 
-        # Optional invariant checker (repro.validate). ``None`` keeps the
-        # hot path at one attribute test per hook site; ``simulate()``
-        # attaches a checker at the measurement boundary when validation
-        # is enabled.
-        self.checker = None
-        # Optional span tracer (repro.tracing), same discipline and
-        # attach point as the checker: ``None`` keeps each hook site at
-        # one attribute test, and the tracer only observes — it never
-        # schedules or mutates, so traced runs stay bit-identical.
-        self.tracer = None
+        # The one observer slot (repro.observer): ``None`` keeps each hook
+        # site at one attribute test. ``set_observer`` fills it, and the
+        # cores' and CXL ports' slots, at the measurement boundary.
+        self.observer = None
+
+    def set_observer(self, observer) -> None:
+        """Install one observer (or a fan-out, or ``None``) at every hook site."""
+        self.observer = observer
+        for core in self.cores:
+            core.observer = observer
+        for port in self.ports:
+            if isinstance(port, CxlChannel):
+                port.observer = observer
 
     # -- topology helpers ---------------------------------------------------------
     def core_tile(self, core_id: int) -> int:
@@ -175,8 +178,8 @@ class Chip(Component):
         }
         calm = (not is_write) and (not prefetch) and self.calm.decide(pc, line)
         req.calm = calm
-        if self.tracer is not None:
-            self.tracer.on_l2_miss(req, now)
+        if self.observer is not None:
+            self.observer.on_l2_miss(req)
         st = self.stats
         key = "prefetch_reqs" if prefetch else "l2_misses"
         st[key] = st.get(key, 0.0) + 1.0
@@ -190,8 +193,6 @@ class Chip(Component):
 
     def _send_to_memory(self, req: MemRequest, from_tile: int) -> None:
         """Route a read towards its memory port over the NoC."""
-        if self.checker is not None:
-            self.checker.on_mem_submit(req)
         extra = 0.0
         if self.tiers is None:
             pidx = self.port_of(req.addr)
@@ -202,8 +203,8 @@ class Chip(Component):
                 # CXL component so the breakdown (and the checker's
                 # conservation audit) see it.
                 req.cxl_delay += extra
-        if self.tracer is not None:
-            self.tracer.on_mem_submit(req, self.sim.now, extra)
+        if self.observer is not None:
+            self.observer.on_mem_submit(req, self.sim.now, extra)
         port = self.ports[pidx]
         ptile = self.port_tiles[pidx]
         req.user["port_tile"] = ptile
@@ -248,8 +249,8 @@ class Chip(Component):
 
     def _mem_at_core(self, req: MemRequest) -> None:
         now = self.sim.now
-        if self.checker is not None:
-            self.checker.on_mem_response(req)
+        if self.observer is not None:
+            self.observer.on_mem_response(req)
         u = req.user
         state = u["llc_state"]
         if req.calm:
@@ -274,16 +275,14 @@ class Chip(Component):
     def _complete(self, req: MemRequest) -> None:
         u = req.user
         if u["completed"]:
-            if self.checker is not None:
-                self.checker.on_double_complete(req)
+            if self.observer is not None:
+                self.observer.on_double_complete(req)
             return
         u["completed"] = True
         now = self.sim.now
         req.t_complete = now
-        if self.checker is not None:
-            self.checker.on_complete(req)
-        if self.tracer is not None:
-            self.tracer.on_complete(req, now)
+        if self.observer is not None:
+            self.observer.on_complete(req)
         core: Core = u["core"]
         if (self.measuring and req.t_create >= self.meas_start
                 and not u["prefetch"]):

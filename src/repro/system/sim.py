@@ -203,6 +203,31 @@ def _warmup_traces(chip: Chip, workload, traces, n_active: int, seed: int):
     return out
 
 
+def _observers(cfg: SystemConfig, validate, obs, tracing) -> list:
+    """The run's live observers, in payload order, from ``simulate()``'s
+    ``validate``/``obs``/``tracing`` arguments (or their env defaults)."""
+    from repro.exec.cache import config_digest
+    from repro.obs import ObsCollector
+    from repro.observer import resolve_mode
+    from repro.tracing import SpanTracer
+    from repro.validate import InvariantChecker
+
+    live = []
+    mode = resolve_mode("validate", validate)
+    if mode != "off":
+        live.append(InvariantChecker(strict=(mode == "strict"),
+                                     config_hash=config_digest(cfg)))
+    for kind, arg, cls in (("obs", obs, ObsCollector),
+                           ("tracing", tracing, SpanTracer)):
+        if isinstance(arg, cls):
+            live.append(arg)
+            continue
+        mode = resolve_mode(kind, arg)
+        if mode != "off":
+            live.append(cls(mode=mode))
+    return live
+
+
 def simulate(
     cfg: SystemConfig,
     workload: Union["object", Sequence[Trace]],
@@ -211,7 +236,6 @@ def simulate(
     seed: int = 1,
     max_ns: float = 5e8,
     validate: Union[bool, str, None] = None,
-    trace: Optional["object"] = None,
     kernel: str = "fast",
     obs: Union[bool, str, None, "object"] = None,
     tracing: Union[bool, str, None, "object"] = None,
@@ -236,10 +260,6 @@ def simulate(
         collects violations into ``extras["invariant_violations"]``,
         ``"strict"`` raises on the first one, ``False``/"off" disables.
         ``None`` defers to ``$REPRO_VALIDATE`` (``1`` / ``strict``).
-    trace:
-        Optional :class:`~repro.validate.TraceRecorder` filled with the
-        measured requests' timelines (implies ``validate="on"`` if
-        validation was otherwise off).
     kernel:
         Event-dispatch loop: ``"fast"`` (the production loop) or
         ``"reference"`` (the retained baseline loop the fuzzer's
@@ -250,51 +270,27 @@ def simulate(
         additionally profiles the event kernel, ``False``/"off"
         disables. A pre-built :class:`~repro.obs.ObsCollector` is used
         directly (the caller keeps it for exporting, profile included).
-        ``None`` defers to ``$REPRO_OBS``. Observation never changes
-        results: the sampler only reads state and its pending tick is
-        cancelled when the last core drains, so every ``SimResult``
-        field outside ``extras["obs"]`` is identical obs on or off.
+        ``None`` defers to ``$REPRO_OBS``.
     tracing:
         Causal span tracing (see :mod:`repro.tracing`): ``True``/"on"
-        records per-request component spans + critical-path attribution
-        into ``extras["trace"]``, ``"kernel"`` additionally counts event
-        dispatches per callback (deterministic, identical on both
-        loops), ``False``/"off" disables. A pre-built
-        :class:`~repro.tracing.SpanTracer` is used directly (the caller
-        keeps it for exporting). ``None`` defers to ``$REPRO_TRACING``.
-        Like obs, the tracer is a pure observer: it schedules no events
-        and every ``SimResult`` field outside ``extras["trace"]`` —
-        including ``events_fired`` — is identical tracing on or off.
+        records per-request component spans, timelines and
+        critical-path attribution into ``extras["trace"]``, ``"kernel"``
+        additionally counts event dispatches per callback
+        (deterministic, identical on both loops), ``False``/"off"
+        disables. A pre-built :class:`~repro.tracing.SpanTracer` is used
+        directly (the caller keeps it for exporting). ``None`` defers to
+        ``$REPRO_TRACING``.
+
+    All three are observers (:class:`~repro.observer.Observer`): they
+    attach at the measurement boundary, only read state, and each stores
+    one payload in ``extras``. Every other ``SimResult`` field — including
+    ``events_fired``, which excludes the obs sampler's own ticks — is
+    identical with any of them on or off.
     """
     from repro.engine.kernel import Simulator
-    from repro.exec.cache import config_digest
-    from repro.obs import ObsCollector, resolve_obs_mode
-    from repro.tracing import SpanTracer, resolve_tracing_mode
-    from repro.validate import InvariantChecker, TraceRecorder, resolve_validate_mode
+    from repro.observer import observer_slot
 
-    if isinstance(obs, ObsCollector):
-        collector: Optional[ObsCollector] = obs
-    else:
-        obs_mode = resolve_obs_mode(obs)
-        collector = ObsCollector(mode=obs_mode) if obs_mode != "off" else None
-
-    if isinstance(tracing, SpanTracer):
-        tracer: Optional[SpanTracer] = tracing
-    else:
-        tracing_mode = resolve_tracing_mode(tracing)
-        tracer = SpanTracer(mode=tracing_mode) if tracing_mode != "off" else None
-
-    mode = resolve_validate_mode(validate)
-    if mode == "off" and trace is not None:
-        mode = "on"
-    checker = None
-    if mode != "off":
-        checker = InvariantChecker(
-            strict=(mode == "strict"),
-            trace=trace if trace is not None else TraceRecorder(),
-            config_hash=config_digest(cfg),
-        )
-
+    observers = _observers(cfg, validate, obs, tracing)
     sim, chip = build_system(cfg, sim=Simulator(kernel=kernel))
     n_active = cfg.active_cores
 
@@ -342,28 +338,24 @@ def simulate(
         raise RuntimeError(f"warmup did not drain within {max_ns} ns")
 
     # Phase B: measurement. The warmup phase drained completely above, so
-    # this is a clean boundary to start auditing request lifecycles.
-    if checker is not None:
-        chip.checker = checker
-    if tracer is not None:
-        # Same attach point as the checker: every request created inside
-        # the measurement window is created with span hooks live, so the
-        # tracer's attribution guard mirrors the breakdown's exactly.
-        tracer.attach(sim, chip)
+    # this is a clean boundary to attach observers: every request created
+    # inside the measurement window is created with hooks live.
     chip.begin_measurement()
+    if observers:
+        chip.set_observer(observer_slot(observers))
+        for ob in observers:
+            ob.attach(sim, chip)
     t0 = sim.now
     remaining[0] = n_active
 
     def _meas_done(core) -> None:
         remaining[0] -= 1
-        if remaining[0] == 0 and collector is not None:
-            # Cancel the pending sampler tick so the clock stops at the
-            # last real event, exactly as it would without observability.
-            collector.stop()
+        if remaining[0] == 0:
+            # Observers cancel their own pending events here, so the clock
+            # stops at the last real event, exactly as it would without them.
+            for ob in observers:
+                ob.drained()
 
-    if collector is not None:
-        collector.attach(sim, chip)
-        collector.start()
     for c in range(n_active):
         core = chip.cores[c]
         core.on_done = _meas_done
@@ -395,7 +387,8 @@ def simulate(
         "l2_misses": l2_misses,
         "mem_writes": chip.stats.get("mem_writes", 0.0),
         "calm_wasted_bytes": chip.stats.get("calm_wasted_bytes", 0.0),
-        "events_fired": float(sim.events_fired),
+        "events_fired": float(sim.events_fired
+                              - sum(ob.ticks_fired for ob in observers)),
         # Per-DDR-channel traffic, in address-mapping order. The fuzzer's
         # channel-balance oracle reads this to catch interleave-decode skew.
         "channel_bytes": [float(ch.stats.get("bytes", 0.0))
@@ -412,16 +405,8 @@ def simulate(
                       "ssd_miss_ns_sum", "ssd_media_rd_bytes",
                       "ssd_media_wr_bytes", "ssd_wr_hits", "ssd_wr_misses")
         }
-    if checker is not None:
-        checker.finish(chip, elapsed)
-        extras["invariant_violations"] = checker.report()
-    if collector is not None:
-        collector.finalize(elapsed)
-        # Deterministic payload only (no profile wall times): the fuzz
-        # oracles diff full results across dispatch loops and cache hits.
-        extras["obs"] = collector.snapshot(with_profile=False)
-    if tracer is not None:
-        extras["trace"] = tracer.snapshot()
+    for ob in observers:
+        extras[ob.key] = ob.finish(chip, elapsed)
 
     return SimResult(
         config_name=cfg.name,

@@ -1,10 +1,12 @@
-"""Causal span tracing for the simulated memory path (see PR docs).
+"""Causal span tracing for the simulated memory path.
 
-Three tiers: per-request simulation spans (:class:`SpanTracer`,
-zero-perturbation), critical-path attribution (:mod:`.critpath`), and
-Perfetto/JSONL export with distributed trace-id propagation
-(:mod:`.export`). Enable per run with ``simulate(..., tracing="on")``,
-``repro run --tracing on``, or ``$REPRO_TRACING``.
+Three tiers: per-request simulation spans and timelines
+(:class:`SpanTracer`, a zero-perturbation
+:class:`~repro.observer.Observer`), critical-path attribution
+(:mod:`.critpath`), and Perfetto/JSONL/``.npy`` export with distributed
+trace-id propagation (:mod:`.export`). Enable per run with
+``simulate(..., tracing="on")``, ``repro run --tracing on``, or
+``$REPRO_TRACING``; see ``docs/observability.md``.
 """
 
 from repro.tracing.critpath import (
@@ -21,17 +23,11 @@ from repro.tracing.export import (
     export_trace,
     load_trace,
 )
-from repro.tracing.spans import (
-    TRACE_SCHEMA_VERSION,
-    TRACING_MODES,
-    SpanTracer,
-    resolve_tracing_mode,
-)
+from repro.tracing.spans import TRACE_SCHEMA_VERSION, SpanTracer
 
 __all__ = [
     "ATTRIBUTION_COMPONENTS",
     "TRACE_SCHEMA_VERSION",
-    "TRACING_MODES",
     "SpanTracer",
     "attribution_table",
     "critical_path",
@@ -41,6 +37,5 @@ __all__ = [
     "format_critical_path",
     "load_trace",
     "path_attribution",
-    "resolve_tracing_mode",
     "slowest",
 ]

@@ -1,4 +1,4 @@
-"""Span-trace exporters: Chrome/Perfetto ``trace_event`` JSON and JSONL.
+"""Span-trace exporters: Chrome/Perfetto ``trace_event`` JSON, JSONL, ``.npy``.
 
 The Perfetto form loads directly into ``ui.perfetto.dev`` (or
 ``chrome://tracing``): one ``"X"`` (complete) event per request plus one
@@ -7,7 +7,9 @@ component attribution carried in ``otherData``. The JSONL form is one
 header object followed by one request row per line — easy to grep/jq.
 Both round-trip through :func:`load_trace`, which `repro trace view` /
 `repro trace critpath` use, so a trace id minted at ``repro serve``
-submit is recoverable from a worker-side export.
+submit is recoverable from a worker-side export. The ``.npy`` form is
+the rows' timelines (no child spans) as a numpy structured array, easy
+to slice in analysis code.
 """
 
 from __future__ import annotations
@@ -95,13 +97,37 @@ def export_spans_jsonl(snapshot: dict, path: Union[str, Path]) -> Path:
     return path
 
 
+#: Columns of the ``.npy`` export: each row's timeline, oldest first.
+#: ``-1.0`` marks a stage the request never visited.
+NPY_DTYPE = [
+    ("req_id", "i8"), ("core", "i4"), ("addr", "u8"), ("calm", "?"),
+    ("llc_hit", "?"), ("t_create", "f8"), ("t_llc_done", "f8"),
+    ("t_mc_enqueue", "f8"), ("t_mc_issue", "f8"), ("t_dram_done", "f8"),
+    ("t_complete", "f8"), ("total", "f8"), ("cxl_delay", "f8"),
+]
+
+
+def export_npy(snapshot: dict, path: Union[str, Path]) -> Path:
+    """Write the rows' timelines as a ``.npy`` structured array."""
+    import numpy as np
+
+    path = ensure_parent(path)
+    names = [name for name, _ in NPY_DTYPE]
+    arr = np.array([tuple(row[n] for n in names)
+                    for row in snapshot.get("spans", ())], dtype=NPY_DTYPE)
+    np.save(path, arr)
+    # np.save appends .npy when missing; report the real file.
+    return path if path.suffix == ".npy" else path.with_suffix(path.suffix + ".npy")
+
+
 def export_trace(snapshot: dict, path: Union[str, Path],
                  fmt: Optional[str] = None) -> Path:
-    """Export by explicit format (``json``/``jsonl``) or by file suffix."""
+    """Export by explicit format (``json``/``jsonl``/``npy``) or by suffix."""
     return dispatch_export(
         path, fmt,
         {"json": lambda p: export_perfetto(snapshot, p),
-         "jsonl": lambda p: export_spans_jsonl(snapshot, p)},
+         "jsonl": lambda p: export_spans_jsonl(snapshot, p),
+         "npy": lambda p: export_npy(snapshot, p)},
         kind="span trace",
     )
 

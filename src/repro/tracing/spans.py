@@ -1,13 +1,12 @@
 """Zero-perturbation causal span tracer for the simulated memory path.
 
-:class:`SpanTracer` follows the same discipline as :mod:`repro.obs`: it
-is a pure observer. It schedules no events, mutates no request or
+:class:`SpanTracer` is an :class:`~repro.observer.Observer` on the
+memory-path hook points. It schedules no events, mutates no request or
 component state, and only *reads* the timestamps the simulation already
-stamps onto each :class:`~repro.request.MemRequest` (the same event
-vocabulary :func:`repro.validate.timeline_of` exports). A run with
-tracing enabled therefore produces a bit-identical :class:`SimResult`
-outside ``extras["trace"]`` — the fuzzer's ``tracing`` oracle enforces
-this on both dispatch loops.
+stamps onto each :class:`~repro.request.MemRequest`. A run with tracing
+enabled therefore produces a bit-identical :class:`SimResult` outside
+``extras["trace"]`` — the fuzzer's ``observers`` oracle enforces this on
+both dispatch loops.
 
 Per measured request the tracer records child spans at each component
 boundary:
@@ -19,6 +18,11 @@ boundary:
 - ``cxl.tx`` / ``cxl.rx`` — CXL port crossings + link serialization;
 - ``mc.queue`` — DRAM controller queuing (``t_mc_enqueue -> t_mc_issue``);
 - ``dram.service`` — bank service (``t_mc_issue -> t_dram_done``).
+
+Each retained row also carries the request's raw timeline
+(``t_llc_done``, ``t_mc_enqueue``, ``t_mc_issue``, ``t_dram_done``,
+``cxl_delay``), so the ring doubles as the per-request audit trace that
+``repro run --validate strict --trace-out`` exports.
 
 Alongside the bounded span ring it keeps running attribution sums whose
 arithmetic mirrors ``Chip._complete`` / ``LatencyBreakdown`` term for
@@ -34,13 +38,10 @@ spends its dispatches, identical on both dispatch loops.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.profiler import KernelProfiler
-
-#: Valid tracing modes: disabled, span tracing, span + kernel dispatch counts.
-TRACING_MODES = ("off", "on", "kernel")
+from repro.observer import Observer
 
 #: In-flight mark-list indices. One small list per live request instead
 #: of a dict — these are the tracer's hottest allocations. ``-1.0``
@@ -52,40 +53,17 @@ _M_TX0, _M_TX1, _M_RX0, _M_RX1 = 3, 4, 5, 6
 TRACE_SCHEMA_VERSION = 1
 
 
-def resolve_tracing_mode(tracing) -> str:
-    """Normalize a ``tracing=`` argument to one of :data:`TRACING_MODES`.
-
-    ``None`` defers to ``$REPRO_TRACING`` (``1``/``on`` enables spans,
-    ``kernel`` adds dispatch counting); booleans map to on/off.
-    """
-    if tracing is None:
-        raw = os.environ.get("REPRO_TRACING", "")
-        if raw in ("", "0", "off", "false"):
-            return "off"
-        if raw in ("1", "on", "true"):
-            return "on"
-        if raw == "kernel":
-            return "kernel"
-        raise ValueError(
-            f"REPRO_TRACING must be one of {TRACING_MODES}, got {raw!r}")
-    if tracing is True:
-        return "on"
-    if tracing is False:
-        return "off"
-    if tracing in TRACING_MODES:
-        return tracing
-    raise ValueError(f"tracing must be one of {TRACING_MODES}, got {tracing!r}")
-
-
-class SpanTracer:
+class SpanTracer(Observer):
     """Opt-in per-request span recorder (see module docstring).
 
-    ``simulate()`` attaches one at the warmup/measurement boundary, the
-    same place the invariant checker and obs collector attach, so every
-    request passing the measurement guard was created with hooks live.
-    The span ring holds the most recent ``span_capacity`` requests;
-    attribution sums cover *every* measured request.
+    ``simulate()`` attaches it at the warmup/measurement boundary, with
+    every other observer, so every request passing the measurement guard
+    was created with hooks live. The span ring holds the most recent
+    ``span_capacity`` requests; attribution sums cover *every* measured
+    request.
     """
+
+    key = "trace"
 
     def __init__(self, mode: str = "on", span_capacity: int = 512) -> None:
         if mode not in ("on", "kernel"):
@@ -126,24 +104,17 @@ class SpanTracer:
 
     # -- wiring ----------------------------------------------------------------
     def attach(self, sim, chip) -> None:
-        """Install hooks on the chip, cores, and CXL channels.
-
-        Called at the measurement boundary (immediately before
-        ``chip.begin_measurement()``); in ``"kernel"`` mode also hooks the
-        simulator's :class:`~repro.obs.KernelProfiler`, which the
-        measurement-phase dispatch loop feeds.
-        """
+        """Bind to the chip at the measurement boundary; in ``"kernel"``
+        mode also hook the simulator's :class:`~repro.obs.KernelProfiler`,
+        which the measurement-phase dispatch loop feeds."""
         self.chip = chip
-        chip.tracer = self
-        for core in chip.cores:
-            core.tracer = self
-        for port in chip.ports:
-            if hasattr(port, "tracer"):  # CXL channels; bare DDR has no spans
-                port.tracer = self
         if self.mode == "kernel":
             self.profiler = KernelProfiler.hook(sim)
 
-    # -- hook sites (all observers: read state, never schedule) ---------------
+    def finish(self, chip, elapsed_ns: float) -> dict:
+        return self.snapshot()
+
+    # -- hook sites (read state, never schedule) -------------------------------
     def on_mshr_stall(self, core_id: int, op_idx: int, t: float) -> None:
         """Op ``op_idx`` queued at the core's full MSHR file at time ``t``."""
         self._mshr[(core_id, op_idx)] = t
@@ -152,7 +123,7 @@ class SpanTracer:
         """Op merged into an in-flight line miss; discard any stall mark."""
         self._mshr.pop((core_id, op_idx), None)
 
-    def on_l2_miss(self, req, now: float) -> None:
+    def on_l2_miss(self, req) -> None:
         """A demand miss left the L2 (``req.t_create`` just stamped)."""
         u = req.user
         if u["prefetch"]:
@@ -189,7 +160,7 @@ class SpanTracer:
             m[_M_RX0] = now
             m[_M_RX1] = arrive
 
-    def on_complete(self, req, now: float) -> None:
+    def on_complete(self, req) -> None:
         """Response arrived back at the L2; close out the request."""
         marks = self._live.pop(req.req_id, None)
         chip = self.chip
@@ -198,6 +169,7 @@ class SpanTracer:
         if (chip is None or not chip.measuring
                 or req.t_create < chip.meas_start or u["prefetch"]):
             return
+        now = req.t_complete
         total = now - req.t_create
         self.n += 1
         if req.llc_hit:
@@ -226,7 +198,7 @@ class SpanTracer:
         entry = (req.req_id, req.core_id, req.addr, req.calm,
                  bool(req.llc_hit), req.t_create, req.t_llc_done,
                  req.t_mc_enqueue, req.t_mc_issue, req.t_dram_done,
-                 now, total, marks)
+                 now, total, req.cxl_delay, marks)
         if len(self._ring) < self.span_capacity:
             self._ring.append(entry)
         else:
@@ -247,7 +219,7 @@ class SpanTracer:
         """
         (req_id, core, addr, calm, llc_hit, t_create, t_llc_done,
          t_mc_enqueue, t_mc_issue, t_dram_done, t_complete, total,
-         marks) = entry
+         cxl_delay, marks) = entry
         spans: List[dict] = []
 
         def add(name: str, component: str, t0: float, t1: float) -> None:
@@ -272,7 +244,10 @@ class SpanTracer:
                 add("cxl.rx", "serialization", marks[_M_RX0], marks[_M_RX1])
         return {"req_id": req_id, "core": core, "addr": addr, "calm": calm,
                 "llc_hit": llc_hit, "t_create": t_create,
-                "t_complete": t_complete, "total": total, "spans": spans}
+                "t_llc_done": t_llc_done, "t_mc_enqueue": t_mc_enqueue,
+                "t_mc_issue": t_mc_issue, "t_dram_done": t_dram_done,
+                "t_complete": t_complete, "total": total,
+                "cxl_delay": cxl_delay, "spans": spans}
 
     # -- output ----------------------------------------------------------------
     def rows(self) -> List[dict]:

@@ -1,7 +1,8 @@
 """Invariant checks over request lifecycles and end-of-run statistics.
 
-Two layers of checks, both near-zero cost when the checker is absent
-(the hot path pays one ``is None`` test per hook site):
+:class:`InvariantChecker` is an :class:`~repro.observer.Observer`. Two
+layers of checks, both near-zero cost when the checker is absent (the
+hot path pays one ``is None`` test per hook site):
 
 **Per-request** (:meth:`InvariantChecker.on_complete`, at response time):
 
@@ -31,21 +32,17 @@ Two layers of checks, both near-zero cost when the checker is absent
 
 In strict mode the first violation raises :class:`InvariantError` with
 the offending request's full timeline; otherwise violations aggregate
-into a report for ``SimResult.extras["invariant_violations"]``.
+into the report :meth:`InvariantChecker.finish` returns for
+``SimResult.extras["invariant_violations"]``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.observer import Observer
 from repro.request import MemRequest, READ
-from repro.validate.trace import TraceRecorder, timeline_of
-
-#: Environment variable enabling validation: ``1``/``on`` collects,
-#: ``strict`` raises on the first violation.
-ENV_VALIDATE = "REPRO_VALIDATE"
 
 #: Bound on violation records kept in full detail (counters keep counting).
 MAX_RECORDED = 50
@@ -76,28 +73,7 @@ class Violation:
                 "config_hash": self.config_hash}
 
 
-def resolve_validate_mode(validate=None) -> str:
-    """Resolve a ``simulate(validate=...)`` argument against the env.
-
-    Returns ``"off"``, ``"on"`` (collect) or ``"strict"`` (raise).
-    An explicit argument wins; ``None`` falls back to ``$REPRO_VALIDATE``.
-    """
-    if validate is None:
-        env = os.environ.get(ENV_VALIDATE, "").strip().lower()
-        if env in ("", "0", "off", "false", "no"):
-            return "off"
-        return "strict" if env == "strict" else "on"
-    if validate is False:
-        return "off"
-    if validate is True:
-        return "on"
-    mode = str(validate).strip().lower()
-    if mode in ("off", "on", "strict"):
-        return mode
-    raise ValueError(f"validate must be True/False/'off'/'on'/'strict', got {validate!r}")
-
-
-class InvariantChecker:
+class InvariantChecker(Observer):
     """Collects (or raises on) invariant violations for one measured run.
 
     Parameters
@@ -108,9 +84,6 @@ class InvariantChecker:
     tol_ns:
         Absolute tolerance for timestamp/accounting comparisons, absorbing
         float rounding across long simulations.
-    trace:
-        Optional :class:`TraceRecorder`; every checked request is recorded
-        so violation reports can cite full timelines.
     config_hash:
         Short digest of the audited configuration (see
         :func:`repro.exec.cache.config_digest`); stamped onto every
@@ -118,12 +91,12 @@ class InvariantChecker:
         self-describing.
     """
 
+    key = "invariant_violations"
+
     def __init__(self, strict: bool = False, tol_ns: float = 1e-6,
-                 trace: Optional[TraceRecorder] = None,
                  config_hash: str = "") -> None:
         self.strict = strict
         self.tol_ns = tol_ns
-        self.trace = trace
         self.config_hash = config_hash
         self.violations: List[Violation] = []
         self.counts: Dict[str, int] = {}
@@ -139,7 +112,7 @@ class InvariantChecker:
 
     # -- violation plumbing ----------------------------------------------------
     def _flag(self, kind: str, message: str, req: Optional[MemRequest] = None) -> None:
-        tl = timeline_of(req) if req is not None else None
+        tl = req.timeline() if req is not None else None
         self.counts[kind] = self.counts.get(kind, 0) + 1
         if self.config_hash:
             message = f"{message} [config {self.config_hash}]"
@@ -168,7 +141,7 @@ class InvariantChecker:
         }
 
     # -- per-request checks (response time) ------------------------------------
-    def on_mem_submit(self, req: MemRequest) -> None:
+    def on_mem_submit(self, req: MemRequest, now: float, extra: float) -> None:
         """A READ left the chip towards a memory port."""
         if req.kind == READ:
             self.reads_submitted += 1
@@ -189,8 +162,6 @@ class InvariantChecker:
         """Validate one request's full lifecycle at response time."""
         self.checked += 1
         tol = self.tol_ns
-        if self.trace is not None:
-            self.trace.record(req)
 
         if req.req_id in self._completed_ids:
             self.on_double_complete(req)
@@ -260,8 +231,9 @@ class InvariantChecker:
                        req)
 
     # -- system-level checks (end of run) --------------------------------------
-    def finish(self, chip, elapsed_ns: float) -> None:
-        """Validate end-of-run aggregate state of the whole memory system."""
+    def finish(self, chip, elapsed_ns: float) -> Dict:
+        """Validate end-of-run aggregate state of the whole memory system;
+        returns :meth:`report`."""
         from repro.cxl.channel import CxlChannel
 
         tol = self.tol_ns
@@ -334,3 +306,4 @@ class InvariantChecker:
                        f"{self.reads_submitted} READs entered the memory "
                        f"system but {self.reads_responded} responses "
                        f"returned{detail}")
+        return self.report()

@@ -19,6 +19,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--config", "nope"])
 
+    def test_trace_only_inspects(self):
+        # Audited runs go through `repro run --validate strict --trace-out`.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["trace", "--config", "coaxial-4x"])
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -147,3 +152,43 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "unknown metrics export format" in err
         assert not (tmp_path / "metrics.xml").exists()
+
+
+class TestAuditedTrace:
+    ARGS = ["run", "--workload", "mcf", "--ops", "300",
+            "--config", "coaxial-4x", "--validate", "strict"]
+
+    def test_strict_run_writes_viewable_trace(self, capsys, tmp_path):
+        import numpy as np
+
+        out = tmp_path / "audit" / "trace.jsonl"
+        assert main(self.ARGS + ["--trace-out", str(out)]) == 0
+        run_out = capsys.readouterr().out
+        assert "0 violation(s)" in run_out and str(out) in run_out
+        assert main(["trace", "view", str(out)]) == 0
+        assert "slowest" in capsys.readouterr().out
+        # A .npy path writes the timelines as a structured array.
+        assert main(self.ARGS + ["--trace-out", str(tmp_path / "t.npy")]) == 0
+        arr = np.load(tmp_path / "t.npy")
+        assert len(arr) > 0 and "t_mc_enqueue" in arr.dtype.names
+
+    def test_strict_violation_is_one_line_exit_1(self, capsys, monkeypatch,
+                                                 tmp_path):
+        from repro.dram.controller import _SubChannel
+
+        orig = _SubChannel.enqueue
+
+        def corrupt(self, req, coord):
+            ok = orig(self, req, coord)
+            if req.t_create >= 0:
+                req.t_mc_enqueue = req.t_create - 5.0  # enqueue before create
+            return ok
+
+        monkeypatch.setattr(_SubChannel, "enqueue", corrupt)
+        out = tmp_path / "trace.jsonl"
+        assert main(self.ARGS + ["--trace-out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("invariant violation (strict): ")
+        assert "Traceback" not in err[0]
+        assert not out.exists()

@@ -34,6 +34,16 @@ def test_diff_kernel_oracle_on_named_configs():
         assert run_oracle("diff_kernel", case) is None
 
 
+@pytest.mark.slow
+def test_observers_oracle_on_named_configs():
+    # Validate, obs and tracing together leave every result field of a
+    # plain run unchanged on both loops: one flat and one tiered config.
+    for base, workload in (("coaxial-4x", "mcf"),
+                           ("tiered-epoch", "capacity-churn")):
+        case = FuzzCase(base=base, workload=workload, ops=300, seed=1)
+        assert run_oracle("observers", case) is None
+
+
 def test_every_default_oracle_applies_somewhere():
     # No oracle may be dead weight: across a modest sample each default
     # oracle must be applicable to at least one generated case.

@@ -11,14 +11,14 @@ import pytest
 from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
 from repro.system.stats import breakdown_from_records
-from repro.validate import TraceRecorder
+from repro.tracing import SpanTracer
 from repro.workloads import get_workload
 
 OPS = 600
 
 
 def components_of(row):
-    """(total, queuing, dram, cxl) of one trace row, as the analysis sees it."""
+    """(total, queuing, dram, cxl) of one span row, as the analysis sees it."""
     total = row["t_complete"] - row["t_create"]
     if row["llc_hit"]:
         return total, 0.0, 0.0, 0.0
@@ -29,11 +29,12 @@ def components_of(row):
 
 @pytest.mark.parametrize("cfg", ["ddr-baseline", "coaxial-4x"])
 def test_components_sum_to_total_without_clamping(cfg):
-    rec = TraceRecorder(capacity=8192)
-    simulate(ALL_CONFIGS[cfg](), get_workload("mcf"), ops_per_core=OPS,
-             validate="strict", trace=rec)
-    assert len(rec) > 0
-    for row in rec.rows():
+    tracer = SpanTracer(span_capacity=8192)
+    r = simulate(ALL_CONFIGS[cfg](), get_workload("mcf"), ops_per_core=OPS,
+                 validate="strict", tracing=tracer)
+    rows = r.extras["trace"]["spans"]
+    assert 0 < len(rows) == r.extras["trace"]["requests"]
+    for row in rows:
         total, queuing, dram, cxl = components_of(row)
         residual = total - queuing - dram - cxl
         # The residual is the on-chip component; it must be non-negative

@@ -1,8 +1,8 @@
 """Tests for the observability subsystem (repro.obs).
 
 Covers the streaming primitives (histogram accuracy and mergeability,
-time-series compaction), the registry (including the zero-cost disabled
-path), exporters (Prometheus round-trip, JSONL, CSV), the collector's
+time-series compaction), the registry, exporters (Prometheus round-trip,
+JSONL, CSV, and the audit-trace export), the collector's
 zero-perturbation guarantee, and the fleet aggregation layer.
 """
 
@@ -11,13 +11,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.engine.kernel import KERNEL_MODES
 from repro.obs import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     KernelProfiler,
     MetricRegistry,
-    NullRegistry,
     ObsCollector,
     StreamingHistogram,
     TimeSeries,
@@ -28,7 +27,6 @@ from repro.obs import (
     parse_prometheus,
     prometheus_text,
     render_report,
-    resolve_obs_mode,
     sparkline,
 )
 from repro.system.config import baseline_config, coaxial_config
@@ -203,31 +201,6 @@ class TestRegistry:
         assert snap["gauges"][0]["value"] == 1.5
         assert snap["histograms"][0]["count"] == 1
 
-    def test_null_registry_is_inert_singleton(self):
-        assert isinstance(NULL_REGISTRY, NullRegistry)
-        assert not NULL_REGISTRY.enabled
-        a = NULL_REGISTRY.counter("anything", {"k": "v"})
-        b = NULL_REGISTRY.counter("other")
-        assert a is b  # shared no-op instrument, no per-name allocation
-        a.inc(5.0)
-        NULL_REGISTRY.gauge("g").set(3.0)
-        NULL_REGISTRY.histogram("h").record(1.0)
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": [], "gauges": [], "histograms": []}
-
-    def test_resolve_obs_mode(self, monkeypatch):
-        assert resolve_obs_mode(True) == "on"
-        assert resolve_obs_mode(False) == "off"
-        assert resolve_obs_mode("profile") == "profile"
-        assert resolve_obs_mode("2") == "profile"
-        assert resolve_obs_mode("0") == "off"
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert resolve_obs_mode(None) == "off"
-        monkeypatch.setenv("REPRO_OBS", "1")
-        assert resolve_obs_mode(None) == "on"
-        with pytest.raises(ValueError):
-            resolve_obs_mode("bogus")
-
 
 # -- exporters -----------------------------------------------------------------
 class TestExporters:
@@ -329,6 +302,21 @@ class TestCollectorIntegration:
         assert b.ipc == a.ipc
         assert b.n_misses == a.n_misses
         assert b.p90_miss_latency == a.p90_miss_latency
+
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    def test_sampler_ticks_not_counted_as_events(self, kernel):
+        # Regression: each fired sampler tick used to count in
+        # events_fired (18758 vs 18724 on ddr-baseline), and since obs is
+        # not in the cache key an obs-on entry replayed the inflated
+        # count to obs-off callers.
+        collector = ObsCollector(mode="on")
+        plain = simulate(baseline_config(), get_workload("mcf"),
+                         ops_per_core=300, seed=1, kernel=kernel)
+        seen = simulate(baseline_config(), get_workload("mcf"),
+                        ops_per_core=300, seed=1, kernel=kernel,
+                        obs=collector)
+        assert seen.extras["events_fired"] == plain.extras["events_fired"]
+        assert collector.ticks_fired > 0
 
     def test_miss_latency_histogram_counts_misses(self):
         r = _fast_result(obs="on")
@@ -476,32 +464,39 @@ class TestReport:
         assert "Time series" not in render_report({"series": {}})
 
 
-# -- trace recorder export fixes (satellite) -----------------------------------
+# -- audit trace export (the span ring through export_trace) -------------------
 class TestTraceExport:
-    def _recorder(self):
-        from repro.validate.trace import TraceRecorder
+    def _snapshot(self):
+        from types import SimpleNamespace
         from repro.request import READ, MemRequest
-        rec = TraceRecorder(capacity=8)
+        from repro.tracing import SpanTracer
+        tracer = SpanTracer(span_capacity=8)
+        tracer.attach(None, SimpleNamespace(measuring=True, meas_start=0.0))
         req = MemRequest(64, READ, core_id=0)
+        req.user = {"prefetch": False}
         req.t_create = 0.0
         req.t_complete = 10.0
-        rec.record(req)
-        return rec
+        tracer.on_complete(req)
+        return tracer.finish(None, 0.0)
 
     def test_export_creates_parent_dirs(self, tmp_path):
-        rec = self._recorder()
+        from repro.tracing import export_trace
+        snap = self._snapshot()
         deep = tmp_path / "a" / "b" / "trace.jsonl"
-        out = rec.export(deep)
-        assert out.exists()
+        assert export_trace(snap, deep) == deep and deep.exists()
         deep_npy = tmp_path / "c" / "d" / "trace.npy"
-        assert rec.export(deep_npy).exists()
+        arr = np.load(export_trace(snap, deep_npy))
+        # Stages the request never reached keep the -1.0 sentinel.
+        assert arr["t_mc_enqueue"].tolist() == [-1.0]
 
     def test_export_unknown_suffix_raises(self, tmp_path):
-        rec = self._recorder()
+        from repro.tracing import export_trace
+        snap = self._snapshot()
         with pytest.raises(ValueError, match="suffix"):
-            rec.export(tmp_path / "trace.jsnl")
+            export_trace(snap, tmp_path / "trace.jsnl")
         # explicit fmt still works regardless of suffix
-        assert rec.export(tmp_path / "trace.jsnl", fmt="jsonl").exists()
+        assert export_trace(snap, tmp_path / "trace.jsnl",
+                            fmt="jsonl").exists()
 
 
 # -- fleet aggregation ---------------------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for the causal span tracer (`repro.tracing`).
 
 Covers the zero-perturbation contract on both dispatch loops (alone and
-together with the obs profiler), snapshot structure and its
-reconciliation with the always-on latency breakdown, critical-path
-coverage semantics, the Perfetto / JSONL exporters (round trip through
-``load_trace``), the shared suffix-dispatch helper, and trace-id
-propagation through the sweep runner, fleet specs, and the serve job
-store.
+together with the obs profiler) and the fuzz oracle that enforces it,
+snapshot structure and its reconciliation with the always-on latency
+breakdown, critical-path coverage semantics, the Perfetto / JSONL /
+``.npy`` exporters (round trip through ``load_trace``), the shared
+suffix-dispatch helper, and trace-id propagation through the sweep
+runner, fleet specs, and the serve job store. The span ring as the
+per-request audit trace is tested in ``test_validate_checker.py``.
 """
 
 import dataclasses
@@ -32,7 +33,6 @@ from repro.tracing import (
     format_critical_path,
     load_trace,
     path_attribution,
-    resolve_tracing_mode,
     slowest,
 )
 from repro.workloads import get_workload
@@ -58,30 +58,7 @@ def snap(traced):
 # -- mode resolution -----------------------------------------------------------
 
 class TestResolveMode:
-    @pytest.mark.parametrize("arg,want", [
-        ("off", "off"), ("on", "on"), ("kernel", "kernel"),
-        (True, "on"), (False, "off"),
-    ])
-    def test_explicit(self, arg, want):
-        assert resolve_tracing_mode(arg) == want
-
-    def test_invalid_value_raises(self):
-        with pytest.raises(ValueError, match="tracing must be one of"):
-            resolve_tracing_mode("spans")
-
-    @pytest.mark.parametrize("env,want", [
-        ("", "off"), ("0", "off"), ("off", "off"), ("false", "off"),
-        ("1", "on"), ("on", "on"), ("true", "on"), ("kernel", "kernel"),
-    ])
-    def test_env_fallback(self, monkeypatch, env, want):
-        monkeypatch.setenv("REPRO_TRACING", env)
-        assert resolve_tracing_mode(None) == want
-
-    def test_env_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACING", "bogus")
-        with pytest.raises(ValueError, match="REPRO_TRACING"):
-            resolve_tracing_mode(None)
-
+    # The spellings themselves: tests/test_observer.py::test_resolve_mode.
     def test_env_enables_tracing_end_to_end(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACING", "1")
         r = run(config="ddr-baseline", ops=100)
@@ -283,10 +260,14 @@ class TestExporters:
             export_trace(snap, tmp_path / "t.xml")
         with pytest.raises(ValueError, match="unknown span trace format"):
             export_trace(snap, tmp_path / "t.json", fmt="pb")
+        # An explicit fmt works regardless of suffix.
+        assert export_trace(snap, tmp_path / "t.dat", fmt="npy").name == (
+            "t.dat.npy")
 
     def test_creates_parent_dirs(self, snap, tmp_path):
-        out = export_trace(snap, tmp_path / "deep" / "nest" / "t.json")
-        assert out.exists()
+        for name in ("t.json", "t.jsonl", "t.npy"):
+            out = export_trace(snap, tmp_path / "deep" / "nest" / name)
+            assert out.exists()
 
     def test_load_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -295,7 +276,7 @@ class TestExporters:
             load_trace(bad)
 
     def test_dispatch_export_shared_helper(self, tmp_path):
-        """The suffix policy both TraceRecorder and export_trace ride."""
+        """The suffix policy export_trace rides."""
         calls = []
         exporters = {"json": lambda p: calls.append(("json", p)) or p,
                      "jsonl": lambda p: calls.append(("jsonl", p)) or p}
@@ -359,12 +340,17 @@ class TestPropagation:
 # -- fuzz oracle ---------------------------------------------------------------
 
 class TestTracingOracle:
+    # Tracing's no-perturbation and attribution checks ride in the
+    # ``observers`` oracle, next to validate and obs.
     def test_clean_on_generated_case(self):
         from repro.fuzz.gen import generate_cases
-        from repro.fuzz.oracles import check_tracing
+        from repro.fuzz.oracles import run_oracle
         [case] = generate_cases(1, seed=5)
-        assert check_tracing(case) is None
+        assert run_oracle("observers", case) is None
 
     def test_registered(self):
-        from repro.fuzz.oracles import ORACLES
-        assert "tracing" in ORACLES
+        from repro.fuzz.gen import generate_cases
+        from repro.fuzz.oracles import ORACLES, applicable_oracles
+        assert ORACLES["observers"].default
+        assert all("observers" in applicable_oracles(case)
+                   for case in generate_cases(5, seed=5))

@@ -1,15 +1,15 @@
-"""Unit tests for the invariant checker and the trace recorder."""
+"""Unit tests for the invariant checker and its per-request audit trace."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.request import MemRequest, READ
-from repro.validate import (
-    InvariantChecker, InvariantError, TraceRecorder, resolve_validate_mode,
-    timeline_of,
-)
+from repro.tracing import SpanTracer, export_trace
+from repro.validate import InvariantChecker, InvariantError
 
 
 def make_miss_req(t0=100.0, calm=False):
@@ -34,30 +34,6 @@ def make_hit_req(t0=100.0):
     req.t_complete = t0 + 20.0
     req.llc_hit = True
     return req
-
-
-class TestResolveValidateMode:
-    def test_arg_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VALIDATE", "strict")
-        assert resolve_validate_mode(False) == "off"
-        assert resolve_validate_mode("off") == "off"
-        assert resolve_validate_mode(True) == "on"
-        assert resolve_validate_mode("strict") == "strict"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VALIDATE", raising=False)
-        assert resolve_validate_mode(None) == "off"
-        for off in ("", "0", "off", "false", "no"):
-            monkeypatch.setenv("REPRO_VALIDATE", off)
-            assert resolve_validate_mode(None) == "off"
-        monkeypatch.setenv("REPRO_VALIDATE", "1")
-        assert resolve_validate_mode(None) == "on"
-        monkeypatch.setenv("REPRO_VALIDATE", "strict")
-        assert resolve_validate_mode(None) == "strict"
-
-    def test_bad_arg(self):
-        with pytest.raises(ValueError):
-            resolve_validate_mode("verbose")
 
 
 class TestPerRequestChecks:
@@ -166,7 +142,7 @@ class TestPerRequestChecks:
     def test_read_conservation(self):
         ck = InvariantChecker()
         req = make_miss_req()
-        ck.on_mem_submit(req)
+        ck.on_mem_submit(req, req.t_llc_done, 0.0)
         # no response recorded -> finish flags the imbalance
 
         class _Chip:
@@ -235,61 +211,85 @@ class TestSystemChecks:
         assert ck.counts.get("bandwidth_exceeds_peak", 0) == 1
 
 
+
+def audit_trace(reqs, capacity=512):
+    """The audit trace of ``reqs``: the span-ring snapshot that
+    ``repro run --validate strict --trace-out`` exports."""
+    tracer = SpanTracer(span_capacity=capacity)
+    tracer.attach(None, SimpleNamespace(measuring=True, meas_start=0.0))
+    for req in reqs:
+        req.user = {"prefetch": False}
+        tracer.on_complete(req)
+    return tracer.finish(None, 0.0)
+
+
 class TestTraceRecorder:
     def test_ring_wraps_oldest_first(self):
-        rec = TraceRecorder(capacity=4)
         reqs = [make_miss_req(t0=100.0 * i) for i in range(10)]
-        for r in reqs:
-            rec.record(r)
-        assert len(rec) == 4
-        assert rec.recorded == 10
-        rows = rec.rows()
-        assert [r["req_id"] for r in rows] == [r.req_id for r in reqs[-4:]]
+        snap = audit_trace(reqs, capacity=4)
+        assert snap["requests"] == 10
+        assert [row["req_id"] for row in snap["spans"]] == [
+            r.req_id for r in reqs[-4:]]
 
-    def test_find(self):
-        rec = TraceRecorder(capacity=8)
-        req = make_miss_req()
-        rec.record(req)
-        assert rec.find(req.req_id)["t_create"] == req.t_create
-        assert rec.find(-1) is None
+    def test_rows_carry_request_timelines(self):
+        miss, hit = make_miss_req(), make_hit_req(t0=300.0)
+        rows = audit_trace([miss, hit])["spans"]
+        for row, req in zip(rows, (miss, hit)):
+            timeline = req.timeline()
+            for key in ("req_id", "addr", "calm", "t_create", "t_llc_done",
+                        "t_mc_enqueue", "t_mc_issue", "t_dram_done",
+                        "t_complete", "cxl_delay"):
+                assert row[key] == timeline[key], key
+            assert row["llc_hit"] is bool(req.llc_hit)
+        assert rows[1]["t_mc_enqueue"] == -1.0   # a hit never visited the MC
+
+    def test_find(self, tmp_path, capsys):
+        miss = make_miss_req()
+        out = export_trace(audit_trace([miss, make_hit_req()]),
+                           tmp_path / "t.jsonl")
+        assert main(["trace", "critpath", str(out),
+                     "--req", str(miss.req_id)]) == 0
+        assert capsys.readouterr().out.startswith(f"req {miss.req_id} ")
+        assert main(["trace", "critpath", str(out), "--req", "-1"]) == 1
+        assert "not in the retained ring" in capsys.readouterr().err
 
     def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(capacity=0)
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="span_capacity"):
+                SpanTracer(span_capacity=capacity)
 
     def test_timeline_roundtrip(self):
         req = make_miss_req()
-        tl = timeline_of(req)
+        tl = req.timeline()
         assert tl["req_id"] == req.req_id
         assert tl["t_dram_done"] == req.t_dram_done
-        json.dumps(tl)
+        assert json.loads(json.dumps(tl)) == tl
 
     def test_export_jsonl(self, tmp_path):
-        rec = TraceRecorder(capacity=8)
-        rec.record(make_miss_req())
-        rec.record(make_hit_req())
-        out = rec.export(tmp_path / "t.jsonl")
+        miss, hit = make_miss_req(), make_hit_req()
+        out = export_trace(audit_trace([miss, hit]), tmp_path / "t.jsonl")
         lines = [json.loads(ln) for ln in out.read_text().splitlines()]
-        assert len(lines) == 2
-        assert lines[1]["llc_hit"] is True
+        assert [ln["kind"] for ln in lines] == ["header", "request", "request"]
+        assert lines[1]["t_dram_done"] == miss.t_dram_done
+        assert lines[2]["llc_hit"] is True
+        assert lines[2]["t_mc_enqueue"] == -1.0
 
     def test_export_npy(self, tmp_path):
-        rec = TraceRecorder(capacity=8)
-        miss = make_miss_req()
-        hit = make_hit_req()
-        rec.record(miss)
-        rec.record(hit)
-        out = rec.export(tmp_path / "t.npy")
-        arr = np.load(out)
+        miss, hit = make_miss_req(), make_hit_req()
+        snap = audit_trace([miss, hit])
+        arr = np.load(export_trace(snap, tmp_path / "t.npy"))
         assert len(arr) == 2
+        for name in arr.dtype.names:
+            assert arr[name].tolist() == [
+                row[name] for row in snap["spans"]], name
         assert arr["req_id"][0] == miss.req_id
-        assert arr["llc_hit"].tolist() == [0, 1]
+        assert arr["llc_hit"].tolist() == [False, True]
         assert arr["t_complete"][1] == hit.t_complete
 
     def test_export_format_by_suffix_and_override(self, tmp_path):
-        rec = TraceRecorder()
-        rec.record(make_miss_req())
-        p = rec.export(tmp_path / "x.dat", fmt="jsonl")
-        assert json.loads(p.read_text().splitlines()[0])["kind"] == READ
+        snap = audit_trace([make_miss_req()])
+        p = export_trace(snap, tmp_path / "x.dat", fmt="jsonl")
+        assert json.loads(p.read_text().splitlines()[1])["kind"] == "request"
+        assert export_trace(snap, tmp_path / "x.npy").suffix == ".npy"
         with pytest.raises(ValueError):
-            rec.export(tmp_path / "x.dat", fmt="csv")
+            export_trace(snap, tmp_path / "x.dat", fmt="csv")

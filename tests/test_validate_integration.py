@@ -11,7 +11,7 @@ from repro.dram.controller import _SubChannel
 from repro.exec.runner import SweepJob, SweepRunner, expand_grid
 from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
-from repro.validate import InvariantError, TraceRecorder
+from repro.validate import InvariantError
 from repro.workloads import get_workload
 
 OPS = 600
@@ -43,11 +43,13 @@ class TestCleanRuns:
         assert r.extras["invariant_violations"]["count"] == 0
 
     def test_trace_arg_implies_validation(self):
-        rec = TraceRecorder(capacity=64)
-        r = run("ddr-baseline", trace=rec)
-        assert len(rec) == 64
-        assert rec.recorded == r.extras["invariant_violations"]["checked_requests"]
-        assert rec.recorded > 64
+        # The audit trace is the span ring: with both observers on, it
+        # records exactly the requests the checker audited.
+        r = run("ddr-baseline", validate="on", tracing="on")
+        trace = r.extras["trace"]
+        assert trace["requests"] == (
+            r.extras["invariant_violations"]["checked_requests"])
+        assert trace["requests"] > len(trace["spans"]) == 512
 
 
 class TestMutationKillsChecker:
