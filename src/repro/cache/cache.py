@@ -7,7 +7,8 @@ arithmetic and hit latency so the hierarchy code can reason in ns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.replacement import LRUPolicy, make_policy
 
@@ -153,6 +154,19 @@ class CacheArray:
             s[tag] = True
             return True
         return False
+
+    def load_lru(self, counts: Iterable[int], tags: Iterable[int],
+                 dirty: Iterable[bool]) -> None:
+        """Replace the contents with ``(tag, dirty)`` rows.
+
+        Rows come set by set, least recently used first, as Python ints and
+        bools; ``counts[i]`` is the number of rows of set *i*. Under LRU a
+        set's dict insertion order *is* its recency order, so inserting the
+        rows in that order rebuilds each set exactly as a one-access-at-a-
+        time replay would have left it.
+        """
+        rows = zip(tags, dirty)
+        self._sets[:] = [dict(islice(rows, n)) for n in counts]
 
     # -- introspection ---------------------------------------------------------
     @property

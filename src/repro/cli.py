@@ -691,7 +691,7 @@ def cmd_bench_bless(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    """Measure dispatch-loop throughput; optional ratio gate."""
+    """Measure whole-simulate() throughput in events/s; optional ratio gate."""
     from repro.exec.perf import kernel_bench_record, write_bench
     from repro.parity import GoldenError, load_bench_baseline, record_events_per_s
 
@@ -1203,7 +1203,9 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = pb.add_subparsers(dest="bench_command", required=True)
 
     pbr = bsub.add_parser(
-        "run", help="measure dispatch-loop throughput (cache-free, in-process)")
+        "run", help="measure events/s over whole simulate() calls: trace "
+                    "generation, functional warmup and the timed phases "
+                    "(cache-free, in-process)")
     pbr.add_argument("--ops", type=int, default=800,
                      help="memory ops per core per job (default 800)")
     pbr.add_argument("--seed", type=int, default=1)

@@ -22,8 +22,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.engine import Component, Simulator
-from repro.engine.soa import cumulative_instr_no
 from repro.cache.cache import CacheLevel
 from repro.cache.mshr import MSHRFile
 from repro.cpu.trace import Trace
@@ -143,7 +144,9 @@ class Core(Component):
         n = len(arr)
         self.n_ops = n
         self.comp = [-1.0] * n
-        ino = cumulative_instr_no(arr["gap"])
+        # Op i is instruction sum(gaps[:i+1]) + i: the skipped
+        # instructions so far plus the memory ops themselves.
+        ino = (np.cumsum(arr["gap"].astype(np.int64) + 1) - 1).tolist()
         self.instr_no = ino
         self.total_instrs = ino[-1] + 1 if ino else 0
         self.done = n == 0

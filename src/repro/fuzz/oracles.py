@@ -7,10 +7,12 @@ Four oracle classes, per the testing plan:
 - **Observer** (``observers``): the invariant checker, the obs collector
   and the span tracer together leave every result field of a plain run
   unchanged, ``events_fired`` included, on both dispatch loops.
-- **Differential** (``diff_kernel``, ``diff_cache``): two executions
-  that must agree bit-for-bit — the production dispatch loop vs the
-  retained reference loop, and a cold :func:`repro.analysis.tables.run_one`
-  vs the same job served back through the on-disk result cache.
+- **Differential** (``diff_kernel``, ``diff_cache``, ``diff_warmup``):
+  two executions that must agree bit-for-bit — the production dispatch
+  loop vs the retained reference loop, a cold
+  :func:`repro.analysis.tables.run_one` vs the same job served back
+  through the on-disk result cache, and the set-parallel LRU functional
+  warmup vs the scalar per-core replay (cache state, LRU configs only).
 - **Metamorphic** (``bw_monotone``, ``calm_r_bound``, ``asym_read_heavy``,
   ``ops_scaling``, ``channel_balance``, ``tiering_bound``,
   ``migration_identity``, ``ssd_hit_path``): a transformed twin of the
@@ -162,6 +164,48 @@ def check_diff_cache(case: FuzzCase) -> Optional[str]:
     if not diffs:
         return None
     return "cold vs disk-cached run_one diverged: " + "; ".join(diffs[:5])
+
+
+def cache_state(chip) -> Dict[str, list]:
+    """Every cache array's sets as ``(tag, dirty)`` items in insertion
+    (LRU) order, with the value types, by array name."""
+    arrays = {}
+    for c, core in enumerate(chip.cores):
+        arrays[f"core {c} L1"] = core.l1.array
+        arrays[f"core {c} L2"] = core.l2.array
+    for i, llc in enumerate(chip.llc_slices):
+        arrays[f"LLC slice {i}"] = llc
+    return {name: [[(k, type(k), v, type(v)) for k, v in s.items()]
+                   for s in arr._sets] for name, arr in arrays.items()}
+
+
+def check_diff_warmup(case: FuzzCase) -> Optional[str]:
+    """The set-parallel functional warmup leaves exactly the cache state of
+    the scalar per-core replay, on the case's own config and traces."""
+    from repro.engine.kernel import Simulator
+    from repro.system import sim
+    from repro.system.builder import Chip
+
+    cfg = build_config(case)
+    spec = get_workload(case.workload)
+    traces, _, _ = sim._workload_traces(cfg, spec, case.ops, case.seed)
+    warm = [t.split(int(len(t) * 0.25))[0] for t in traces]  # simulate()'s default
+    fast, ref = Chip(Simulator(), cfg), Chip(Simulator(), cfg)
+    streams = sim._warmup_streams(fast, spec, traces, warm, case.seed)
+    sim._replay_lru_sets(fast, streams)
+    for c, trace in streams:
+        sim._replay_core_lru(ref, ref.cores[c], trace)
+    ref_state = cache_state(ref)
+    for name, sets in cache_state(fast).items():
+        for si, (got, want) in enumerate(zip(sets, ref_state[name])):
+            if got != want:
+                j = next((j for j, (x, y) in enumerate(zip(got, want))
+                          if x != y), min(len(got), len(want)))
+                return (f"set-parallel warmup diverged from the scalar replay "
+                        f"in {name}, set {si}, LRU position {j}: "
+                        f"{got[j:j + 1]} != {want[j:j + 1]} "
+                        f"({len(got)} vs {len(want)} lines)")
+    return None
 
 
 # -- metamorphic --------------------------------------------------------------
@@ -471,6 +515,8 @@ ORACLES: Dict[str, Oracle] = {o.name: o for o in [
     Oracle("invariant", check_invariant),
     Oracle("diff_kernel", check_diff_kernel),
     Oracle("diff_cache", check_diff_cache),
+    Oracle("diff_warmup", check_diff_warmup,
+           applies=lambda c: build_config(c).replacement == "lru"),
     Oracle("bw_monotone", check_bw_monotone, applies=_is_cxl),
     Oracle("calm_r_bound", check_calm_r_bound,
            applies=lambda c: build_config(c).calm_policy.startswith("calm_")),

@@ -94,7 +94,12 @@ class Mesh2D:
         return self._lat[src][dst]
 
     def llc_slice_of(self, addr: int) -> int:
-        """Address-interleaved LLC home slice for a line address."""
+        """Address-interleaved LLC home slice for a line address.
+
+        Also takes a numpy ``uint64`` address column and returns the slice
+        of each. The hot miss paths in ``repro.system`` inline the same
+        hash on line numbers.
+        """
         line = addr >> 6
         # Mix upper bits so strided streams spread across slices.
         return (line ^ (line >> 7) ^ (line >> 13)) % self.n_tiles

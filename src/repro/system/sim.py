@@ -10,14 +10,11 @@ over each core's own measured span, averaged across active cores.
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-free installs
-    np = None
+import numpy as np
 
-from repro.engine.soa import warmup_columns
+from repro.cache.warmup import busiest_share, lru_pass
 from repro.cpu.trace import Trace
 from repro.system.builder import Chip, build_system
 from repro.system.config import SystemConfig
@@ -41,54 +38,65 @@ def _parse_scale(raw: str) -> float:
 #: rather than on every ``simulate()`` call.
 _SCALE: float = _parse_scale(os.environ.get("REPRO_SCALE", "1"))
 
+#: Functional-warmup input: ``(core index, trace)`` pairs in replay order.
+Streams = List[Tuple[int, Trace]]
 
-def _replay_functional(chip: Chip, core, trace: Trace) -> None:
-    """Replay a trace through the cache arrays with no timing or memory.
+#: The set-parallel warmup pass runs only while every cache level's busiest
+#: set holds at most this share of the level's events; otherwise the scalar
+#: per-core loop runs. See docs/performance.md for the measurement.
+MAX_SET_SHARE = 1 / 64
+
+
+def _replay_functional(chip: Chip, streams: Streams) -> None:
+    """Replay warmup streams through the cache arrays, any policy.
 
     This is ChampSim-style functional warmup: it establishes steady-state
     cache contents — including dirty bits, so the measured phase produces
     realistic DRAM write(back) traffic — at a fraction of the cost of timed
     simulation. Deeper-level victims are simply dropped (the memory system
-    is not involved).
+    is not involved). ``streams`` lists ``(core index, trace)`` pairs in
+    replay order.
     """
-    l1 = core.l1.array
-    l2 = core.l2.array
     slices = chip.llc_slices
     slice_of = chip.mesh.llc_slice_of
-    arr = trace.arr
-    for a, w in zip(arr["addr"].tolist(), arr["is_write"].tolist()):
-        w = bool(w)
-        if l1.lookup(a, w):
-            continue
-        if l2.lookup(a, w):
-            v = l1.fill(a, w)
-            if v is not None and v[1]:
-                l2.set_dirty(v[0])
-            continue
-        line = a & ~0x3F
-        s = slices[slice_of(line)]
-        if not s.lookup(line):
-            s.fill(line, False)
-        v2 = l2.fill(line, w)
-        if v2 is not None and v2[1]:
-            slices[slice_of(v2[0])].fill(v2[0], True)
-        v1 = l1.fill(line, w)
-        if v1 is not None and v1[1]:
-            l2.set_dirty(v1[0])
+    for c, trace in streams:
+        l1 = chip.cores[c].l1.array
+        l2 = chip.cores[c].l2.array
+        arr = trace.arr
+        for a, w in zip(arr["addr"].tolist(), arr["is_write"].tolist()):
+            w = bool(w)
+            if l1.lookup(a, w):
+                continue
+            if l2.lookup(a, w):
+                v = l1.fill(a, w)
+                if v is not None and v[1]:
+                    l2.set_dirty(v[0])
+                continue
+            line = a & ~0x3F
+            s = slices[slice_of(line)]
+            if not s.lookup(line):
+                s.fill(line, False)
+            v2 = l2.fill(line, w)
+            if v2 is not None and v2[1]:
+                slices[slice_of(v2[0])].fill(v2[0], True)
+            v1 = l1.fill(line, w)
+            if v1 is not None and v1[1]:
+                l2.set_dirty(v1[0])
 
 
-def _replay_functional_lru(chip: Chip, core, trace: Trace) -> None:
-    """LRU-specialized :func:`_replay_functional` (the common case).
+def _replay_core_lru(chip: Chip, core, trace: Trace) -> None:
+    """LRU-specialized scalar replay of one core's trace.
 
-    Produces bit-identical cache *state* — same dict contents in the same
-    insertion (recency) order at every level — while stripping everything
-    the generic replay pays for that the measurement can't observe: method
-    dispatch, replacement-policy indirection, and the lookup/fill counters
-    (``Chip.begin_measurement`` resets all counters wholesale at the
-    warmup/measurement boundary, so warmup-phase counter churn is dead
-    work). The access stream is lowered to flat line/write columns by the
-    SoA layer in one vectorized pass. Only valid when every level runs the
-    LRU policy; :func:`_warmup_replay_fn` picks the right variant.
+    Produces bit-identical cache *state* to :func:`_replay_functional` —
+    same dict contents in the same insertion (recency) order at every
+    level — while stripping everything the generic replay pays for that
+    the measurement can't observe: method dispatch, replacement-policy
+    indirection, and the lookup/fill counters (``Chip.begin_measurement``
+    resets all counters wholesale at the warmup/measurement boundary, so
+    warmup-phase counter churn is dead work). The access stream is
+    lowered to flat line/write columns in one vectorized pass. It is the
+    fallback of :func:`_replay_functional_lru` and the reference its
+    set-parallel pass is tested against.
     """
     l1 = core.l1.array
     l2 = core.l2.array
@@ -105,7 +113,8 @@ def _replay_functional_lru(chip: Chip, core, trace: Trace) -> None:
     llc_shift = slices[0]._shift
     llc_ways = slices[0].ways
     n_tiles = chip.mesh.n_tiles
-    lines, writes = warmup_columns(trace.arr)
+    lines = (trace.arr["addr"] >> 6).tolist()
+    writes = (trace.arr["is_write"] != 0).tolist()
     for line, w in zip(lines, writes):
         t1 = line >> l1_shift
         s1 = l1_sets[line & l1_mask]
@@ -169,6 +178,129 @@ def _replay_functional_lru(chip: Chip, core, trace: Trace) -> None:
         s1[t1] = w
 
 
+def _replay_lru_sets(chip: Chip, streams: Streams,
+                     max_share: float = 1.0) -> bool:
+    """Replay ``streams`` level by level with :func:`repro.cache.warmup.lru_pass`.
+
+    Leaves exactly the state :func:`_replay_core_lru` leaves when run over
+    the streams in order. Each level's stream keeps the scalar replay's
+    order within one access: the L1 lookup; on an L1 miss the L2 touch,
+    then the ``set_dirty`` of a dirty L1 victim; on an L2 miss the clean
+    LLC touch, then the dirty install of a dirty L2 victim. The L1 and L2
+    sets of all cores sit side by side, and the LLC stream spans every
+    slice. Returns False, having changed nothing, when a cache is not
+    empty or a level's busiest set holds more than ``max_share`` of its
+    events (see :func:`repro.cache.warmup.busiest_share`).
+    """
+    cores = chip.cores
+    used = sorted({c for c, _ in streams})
+    l1s = [(c, cores[c].l1.array) for c in used]
+    l2s = [(c, cores[c].l2.array) for c in used]
+    slices = list(enumerate(chip.llc_slices))
+    if any(a.occupancy() for _, a in l1s + l2s + slices):
+        return False
+    if not streams:
+        return True
+    l1, l2, llc = cores[0].l1.array, cores[0].l2.array, chip.llc_slices[0]
+
+    # The chip's access stream: the streams back to back. Each level's
+    # columns are dropped before the next level's are built, which keeps
+    # phase 0's peak memory near the scalar loop's.
+    arrs = [trace.arr for _, trace in streams]
+    line = (np.concatenate([a["addr"] for a in arrs]) >> 6).astype(np.int64)
+    write = np.concatenate([a["is_write"] for a in arrs]) != 0
+    core = np.repeat(np.array([c for c, _ in streams], np.int32),
+                     [len(a) for a in arrs])
+    del arrs
+
+    n_sets = len(cores) * l1.sets
+    sets = (core * l1.sets + (line & l1._mask)).astype(np.int32)
+    if busiest_share(sets, n_sets) > max_share:
+        return False
+    r1 = lru_pass(sets, line, write, n_sets, l1.ways)
+    del sets
+    rows1 = r1.rows
+    # L2 stream: per L1 miss, its touch, then the set_dirty of the dirty
+    # L1 victim the miss evicted.
+    miss = ~r1.hit
+    src, mark, line = _next_level(miss, miss & r1.victim_dirty, line,
+                                  r1.victim)
+    write, core = write[src], core[src]
+    del r1, miss, src
+
+    n_sets = len(cores) * l2.sets
+    sets = (core * l2.sets + (line & l2._mask)).astype(np.int32)
+    del core
+    if busiest_share(sets, n_sets) > max_share:
+        return False
+    r2 = lru_pass(sets, line, write, n_sets, l2.ways, set_dirty=mark)
+    del sets, write
+    rows2 = r2.rows
+    # LLC stream: per L2 miss, its clean touch, then the dirty install of
+    # the dirty L2 victim the miss evicted.
+    miss = ~(r2.hit | mark)
+    write, line = _next_level(miss, miss & r2.victim_dirty, line,
+                              r2.victim)[1:]
+    del r2, miss, mark
+
+    n_sets = len(slices) * llc.sets
+    tile = chip.mesh.llc_slice_of(line.astype(np.uint64) << 6)
+    sets = (tile.astype(np.int32) * llc.sets
+            + (line & llc._mask).astype(np.int32))
+    del tile
+    if busiest_share(sets, n_sets) > max_share:
+        return False
+    rows3 = lru_pass(sets, line, write, n_sets, llc.ways).rows
+    del sets, line, write
+
+    for arrays, rows in ((l1s, rows1), (l2s, rows2), (slices, rows3)):
+        _load_lru(arrays, *rows)
+    return True
+
+
+def _next_level(first, second, line, victim):
+    """Build the next level's stream from two slots per event: an access to
+    ``line`` where ``first`` holds, then an event on ``victim`` (the line
+    the event evicted) where ``second`` holds. Returns each new event's
+    source event, whether it came from the second slot, and its line."""
+    keep = np.empty(2 * len(first), bool)
+    keep[0::2] = first
+    keep[1::2] = second
+    slot = np.flatnonzero(keep).astype(np.int32)
+    del keep
+    src = slot >> 1
+    mark = (slot & 1).astype(bool)
+    out = line[src]
+    out[mark] = victim[src[mark]]
+    return src, mark, out
+
+
+def _load_lru(arrays, counts, lines, dirty) -> None:
+    """Load a level's rows into its ``(block, array)`` pairs: block ``b``
+    owns the level's sets ``[b * sets, (b + 1) * sets)``."""
+    each = arrays[0][1].sets
+    start = np.concatenate(([0], np.cumsum(counts)))
+    for b, arr in arrays:
+        lo, hi = b * each, (b + 1) * each
+        rows = slice(start[lo], start[hi])
+        arr.load_lru(counts[lo:hi].tolist(),
+                     (lines[rows] >> arr._shift).tolist(),
+                     dirty[rows].tolist())
+
+
+def _replay_functional_lru(chip: Chip, streams: Streams) -> None:
+    """Whole-chip LRU functional warmup (the common case).
+
+    Runs the set-parallel pass (:func:`_replay_lru_sets`) when every
+    level's busiest set holds at most :data:`MAX_SET_SHARE` of that
+    level's events, and the scalar per-core loop otherwise. Both leave the
+    same cache state.
+    """
+    if not _replay_lru_sets(chip, streams, MAX_SET_SHARE):
+        for c, trace in streams:
+            _replay_core_lru(chip, chip.cores[c], trace)
+
+
 def _warmup_replay_fn(chip: Chip):
     """Pick the functional-warmup replay for this chip's cache policies."""
     core0 = chip.cores[0]
@@ -201,6 +333,30 @@ def _warmup_traces(chip: Chip, workload, traces, n_active: int, seed: int):
             ghost["addr"] = ghost["addr"] ^ np.uint64(1 << 41)
             out.append(Trace(ghost, "ghost-warm"))
     return out
+
+
+def _warmup_streams(chip: Chip, spec, traces, warm, seed: int) -> Streams:
+    """Phase 0's replay order: every active core's disjoint sample, core 0
+    first, then each core's timed-warmup prefix (``warm``) three times."""
+    samples = _warmup_traces(chip, spec, traces, len(traces), seed)
+    return list(enumerate(samples)) + [
+        (c, prefix) for c, prefix in enumerate(warm) for _ in range(3)]
+
+
+def _workload_traces(cfg: SystemConfig, workload, ops_per_core, seed: int):
+    """Per-core traces for ``simulate()``: ``(traces, name, spec)``.
+
+    ``spec`` is the catalog workload, or ``None`` for an explicit trace
+    list (a mix).
+    """
+    n_active = cfg.active_cores
+    if isinstance(workload, (list, tuple)):
+        if len(workload) != n_active:
+            raise ValueError(f"need {n_active} traces, got {len(workload)}")
+        return list(workload), "mix", None
+    n_ops = ops_per_core or int(getattr(workload, "default_ops", 6000) * _SCALE)
+    return ([workload.generate(n_ops, seed=seed + 1000 * c)
+             for c in range(n_active)], workload.name, workload)
 
 
 def _observers(cfg: SystemConfig, validate, obs, tracing) -> list:
@@ -293,21 +449,9 @@ def simulate(
     observers = _observers(cfg, validate, obs, tracing)
     sim, chip = build_system(cfg, sim=Simulator(kernel=kernel))
     n_active = cfg.active_cores
-
-    if isinstance(workload, (list, tuple)):
-        traces = list(workload)
-        if len(traces) != n_active:
-            raise ValueError(f"need {n_active} traces, got {len(traces)}")
-        wl_name = "mix"
-        spec = None
-    else:
-        n_ops = ops_per_core or int(getattr(workload, "default_ops", 6000) * _SCALE)
-        traces = [workload.generate(n_ops, seed=seed + 1000 * c) for c in range(n_active)]
-        wl_name = workload.name
-        spec = workload
-
-    warm = [t.split(int(len(t) * warmup_frac))[0] for t in traces]
-    meas = [t.split(int(len(t) * warmup_frac))[1] for t in traces]
+    traces, wl_name, spec = _workload_traces(cfg, workload, ops_per_core,
+                                             seed)
+    warm, meas = zip(*(t.split(int(len(t) * warmup_frac)) for t in traces))
 
     # Phase 0: functional warmup — establish steady-state cache contents
     # (and dirty bits) without timing, as ChampSim's warmup phase does.
@@ -316,12 +460,8 @@ def simulate(
     #     few times installs the workload's actual hot set (the prefix's
     #     cold/stream lines are never revisited by the measured portion,
     #     so no future lines are leaked into the caches).
-    replay = _warmup_replay_fn(chip)
-    for c, wtrace in enumerate(_warmup_traces(chip, spec, traces, n_active, seed)):
-        replay(chip, chip.cores[c], wtrace)
-    for c in range(n_active):
-        for _ in range(3):
-            replay(chip, chip.cores[c], warm[c])
+    _warmup_replay_fn(chip)(chip, _warmup_streams(chip, spec, traces, warm,
+                                                  seed))
 
     # Phase A: warmup.
     remaining = [n_active]

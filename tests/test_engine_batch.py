@@ -185,6 +185,7 @@ class TestBatchSimulationEquality:
 
 class TestWarmupReplayEquivalence:
     def test_lru_replay_matches_generic(self):
+        from repro.fuzz.oracles import cache_state
         from repro.system.builder import Chip
         from repro.system.config import ALL_CONFIGS
         from repro.system.sim import (
@@ -192,24 +193,16 @@ class TestWarmupReplayEquivalence:
         )
         from repro.workloads import get_workload
 
-        def state(chip):
-            # Dict *contents and insertion order* (= LRU order) per set.
-            out = []
-            for core in chip.cores:
-                for arr in (core.l1.array, core.l2.array):
-                    out.append([list(s.items()) for s in arr._sets])
-            for sl in chip.llc_slices:
-                out.append([list(s.items()) for s in sl._sets])
-            return out
-
         cfg = ALL_CONFIGS["coaxial-4x"]()
-        trace = get_workload("mcf").generate(600, seed=3)
+        wl = get_workload("mcf")
+        streams = [(0, wl.generate(600, seed=3)), (5, wl.generate(400, seed=4)),
+                   (0, wl.generate(300, seed=5))]
         a = Chip(Simulator(), cfg)
         b = Chip(Simulator(), cfg)
         assert _warmup_replay_fn(a) is _replay_functional_lru
-        _replay_functional(a, a.cores[0], trace)
-        _replay_functional_lru(b, b.cores[0], trace)
-        assert state(a) == state(b)
+        _replay_functional(a, streams)
+        _replay_functional_lru(b, streams)
+        assert cache_state(a) == cache_state(b)
 
     def test_non_lru_policy_uses_generic_replay(self):
         from dataclasses import replace

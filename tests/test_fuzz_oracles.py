@@ -44,6 +44,20 @@ def test_observers_oracle_on_named_configs():
         assert run_oracle("observers", case) is None
 
 
+def test_diff_warmup_oracle_catches_dropped_victims(monkeypatch):
+    # Clean on a named config; a set-parallel pass that stops handing
+    # dirty victims down a level must fail it.
+    from repro.system import sim
+
+    case = FuzzCase(base="cxl-ssd", workload="lbm", ops=300, seed=1)
+    assert run_oracle("diff_warmup", case) is None
+    handed_down = sim._next_level
+    monkeypatch.setattr(sim, "_next_level", lambda first, second, *rest:
+                        handed_down(first, second & False, *rest))
+    detail = run_oracle("diff_warmup", case)
+    assert detail is not None and "diverged" in detail
+
+
 def test_every_default_oracle_applies_somewhere():
     # No oracle may be dead weight: across a modest sample each default
     # oracle must be applicable to at least one generated case.

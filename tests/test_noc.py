@@ -1,5 +1,6 @@
 """Unit tests for the 2D-mesh NoC model."""
 
+import numpy as np
 import pytest
 
 from repro.noc import Mesh2D
@@ -49,6 +50,15 @@ class TestMesh2D:
         m = Mesh2D(3, 4)
         slices = {m.llc_slice_of(line * 64) for line in range(4096)}
         assert slices == set(range(12))
+
+    def test_llc_slice_of_address_column(self):
+        # The set-parallel warmup hashes a whole uint64 address column in
+        # one call; it must agree with the scalar call on every address.
+        m = Mesh2D(3, 4)
+        addrs = np.random.default_rng(0).integers(0, 2**64, 10_000,
+                                                  dtype=np.uint64)
+        assert m.llc_slice_of(addrs).tolist() == [
+            m.llc_slice_of(a) for a in addrs.tolist()]
 
     def test_default_port_tiles_on_perimeter(self):
         m = Mesh2D(3, 4)

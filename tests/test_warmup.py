@@ -1,0 +1,195 @@
+"""Set-parallel LRU functional warmup vs the scalar per-core replay.
+
+``_replay_lru_sets`` replays phase 0 one cache level at a time in numpy
+(:mod:`repro.cache.warmup`); ``_replay_core_lru`` replays one access at a
+time. The contract is exact: every set of every L1, L2 and LLC slice holds
+the same ``(tag, dirty)`` items in the same insertion (LRU) order, with
+Python ``int`` tags and ``bool`` dirty bits. ``_replay_functional_lru``
+picks between the two from the busiest-set share of each level's stream.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.cache.cache import CacheArray
+from repro.cpu.trace import TRACE_DTYPE, Trace
+from repro.engine.kernel import Simulator
+from repro.fuzz.oracles import cache_state
+from repro.system import sim
+from repro.system.builder import Chip
+from repro.system.config import ALL_CONFIGS, SystemConfig
+from repro.workloads import get_workload
+
+#: The scalar reference, bound before any test monkeypatches the module.
+_scalar_core = sim._replay_core_lru
+
+
+def trace_of(lines, writes=None) -> Trace:
+    arr = np.zeros(len(lines), TRACE_DTYPE)
+    arr["addr"] = np.asarray(lines, np.uint64) << np.uint64(6)
+    if writes is not None:
+        arr["is_write"] = writes
+    return Trace(arr)
+
+
+def phase0(cfg: SystemConfig, workload, ops: int, seed: int = 1):
+    """The streams ``simulate()`` replays in phase 0, for a fresh chip."""
+    traces, _, spec = sim._workload_traces(cfg, workload, ops, seed)
+    warm = [t.split(int(len(t) * 0.25))[0] for t in traces]
+    return sim._warmup_streams(Chip(Simulator(), cfg), spec, traces, warm,
+                               seed)
+
+
+def scalar(cfg: SystemConfig, streams) -> Chip:
+    chip = Chip(Simulator(), cfg)
+    for c, trace in streams:
+        _scalar_core(chip, chip.cores[c], trace)
+    return chip
+
+
+def assert_exact(cfg: SystemConfig, streams) -> Chip:
+    chip = Chip(Simulator(), cfg)
+    assert sim._replay_lru_sets(chip, streams)
+    assert cache_state(chip) == cache_state(scalar(cfg, streams))
+    return chip
+
+
+class TestNamedConfigs:
+    @pytest.mark.parametrize("workload", ["stream-copy", "lbm", "mcf",
+                                          "canneal"])
+    @pytest.mark.parametrize("config", sorted(ALL_CONFIGS))
+    def test_matches_scalar(self, config, workload):
+        cfg = ALL_CONFIGS[config]()
+        chip = assert_exact(cfg, phase0(cfg, get_workload(workload), 200))
+        # The streams really fill every level and leave dirty lines.
+        state = cache_state(chip).values()
+        assert all(any(sets) for sets in state)
+        assert any(v for sets in state for s in sets for _, _, v, _ in s)
+
+    def test_inactive_cores_stay_cold(self):
+        cfg = replace(ALL_CONFIGS["ddr-baseline"](), active_cores=5)
+        streams = phase0(cfg, get_workload("mcf"), 200)
+        assert {c for c, _ in streams} == set(range(5))
+        chip = assert_exact(cfg, streams)
+        for core in chip.cores[5:]:
+            assert core.l1.array.occupancy() == core.l2.array.occupancy() == 0
+
+    def test_explicit_trace_list_uses_ghost_samples(self):
+        cfg = ALL_CONFIGS["coaxial-4x"]()
+        names = itertools.cycle(["mcf", "lbm", "stream-copy", "canneal"])
+        mix = [get_workload(next(names)).generate(400, seed=c)
+               for c in range(cfg.active_cores)]
+        traces, name, spec = sim._workload_traces(cfg, mix, None, 1)
+        assert (name, spec) == ("mix", None)
+        warm = [t.split(100)[0] for t in traces]
+        streams = sim._warmup_streams(Chip(Simulator(), cfg), spec, traces,
+                                      warm, 1)
+        assert streams[0][1].name == "ghost-warm"
+        assert_exact(cfg, streams)
+
+    def test_empty_prefix(self):
+        # ops_per_core=2 leaves no timed-warmup prefix to replay.
+        cfg = ALL_CONFIGS["cxl-ssd"]()
+        streams = phase0(cfg, get_workload("lbm"), 2)
+        assert all(len(t) == 0 for _, t in streams[cfg.active_cores:])
+        assert_exact(cfg, streams)
+
+
+@st.composite
+def small_chips(draw):
+    """A small random geometry plus streams over a narrow line range, so
+    hits, conflicts and dirty L1->L2 and L2->LLC victims are common."""
+    n_cores = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 2))
+    cols = draw(st.integers(-(-n_cores // rows), 3))
+    cfg = SystemConfig(
+        n_cores=n_cores, mesh_rows=rows, mesh_cols=cols,
+        l1_kb=1, l1_ways=draw(st.sampled_from([1, 2, 4, 8])),
+        l2_kb=draw(st.sampled_from([1, 2])),
+        l2_ways=draw(st.sampled_from([1, 2, 4, 8])),
+        llc_kb_per_core=draw(st.sampled_from([1, 2])),
+        llc_ways=draw(st.sampled_from([1, 2, 4, 8])))
+    base = draw(st.sampled_from([0, 1 << 30, 1 << 57]))
+    span = draw(st.integers(1, 96))
+    streams = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(0, 60))
+        lines = draw(st.lists(st.integers(0, span - 1), min_size=n,
+                              max_size=n))
+        writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        trace = trace_of([base + x for x in lines], writes)
+        core = draw(st.integers(0, n_cores - 1))
+        streams.extend([(core, trace)] * draw(st.integers(1, 3)))
+    return cfg, streams
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_chips())
+def test_random_geometry_matches_scalar(case):
+    assert_exact(*case)
+
+
+class TestPathSelection:
+    def test_one_set_stride_takes_scalar_path(self, monkeypatch):
+        # Every access of every core lands in L1 set 0: one array step per
+        # access per core, so the set-parallel pass would be far slower.
+        cfg = ALL_CONFIGS["ddr-baseline"]()
+        l1_sets = cfg.l1_kb * 1024 // (cfg.l1_ways * 64)
+        streams = [(c, trace_of(np.arange(3000) * l1_sets + (c << 24),
+                                np.arange(3000) % 3 == 0))
+                   for c in range(cfg.n_cores)]
+        chip = Chip(Simulator(), cfg)
+        assert not sim._replay_lru_sets(chip, streams, sim.MAX_SET_SHARE)
+        assert not any(any(sets) for sets in cache_state(chip).values())
+        calls = []
+        monkeypatch.setattr(sim, "_replay_core_lru",
+                            lambda *a: calls.append(a) or _scalar_core(*a))
+        sim._replay_functional_lru(chip, streams)
+        assert len(calls) == len(streams)
+        assert cache_state(chip) == cache_state(scalar(cfg, streams))
+
+    def test_benchmark_stream_takes_set_parallel_path(self, monkeypatch):
+        cfg = ALL_CONFIGS["ddr-baseline"]()
+        streams = phase0(cfg, get_workload("mcf"), 100)
+
+        def refuse(*args):
+            raise AssertionError("scalar fallback taken")
+
+        monkeypatch.setattr(sim, "_replay_core_lru", refuse)
+        chip = Chip(Simulator(), cfg)
+        sim._replay_functional_lru(chip, streams)
+        assert cache_state(chip) == cache_state(scalar(cfg, streams))
+
+    def test_warm_caches_take_scalar_path(self):
+        # The set-parallel pass replays from empty caches only.
+        cfg = ALL_CONFIGS["cxl-ssd"]()
+        streams = phase0(cfg, get_workload("mcf"), 200)
+        chip = Chip(Simulator(), cfg)
+        sim._replay_functional_lru(chip, streams)
+        assert not sim._replay_lru_sets(chip, streams)
+        sim._replay_functional_lru(chip, streams)
+        assert cache_state(chip) == cache_state(scalar(cfg, streams + streams))
+
+
+class TestLoadLru:
+    def test_rows_set_recency_order(self):
+        arr = CacheArray(2, 2)
+        arr.load_lru([2, 1], [7, 3, 9], [False, True, True])
+        assert [list(s.items()) for s in arr._sets] == [
+            [(7, False), (3, True)], [(9, True)]]
+        # Tag 7 is least recent, so it is the victim; set 1 has room.
+        assert arr.fill(((5 << 1) | 0) << 6) == (((7 << 1) | 0) << 6, False)
+        assert arr.fill(((5 << 1) | 1) << 6) is None
+
+    def test_replaces_previous_contents(self):
+        arr = CacheArray(2, 2)
+        arr.fill(0)
+        arr.load_lru([0, 1], [4], [False])
+        assert [list(s.items()) for s in arr._sets] == [[], [(4, False)]]
