@@ -1,9 +1,9 @@
-"""Bank and rank timing state machines.
+"""Bank and rank timing state.
 
-Each :class:`Bank` tracks its open row and the earliest times the next
-ACT/RD/WR/PRE may issue, honouring tRCD/tRP/tRAS/tWR/tRTP. Each
-:class:`Rank` tracks the rolling four-activate window (tFAW), ACT-to-ACT
-spacing (tRRD) and refresh (tREFI/tRFC) blackout windows.
+These are state records. The DDR5 command rules that move them (ACT, PRE,
+RD and WR timing, tFAW and tRRD) live in the sub-channel's issue path in
+:mod:`repro.dram.controller`; the one routine here is
+:meth:`Rank.refresh_blackout`, which advances the refresh schedule.
 """
 
 from __future__ import annotations
@@ -12,16 +12,21 @@ from typing import List, Optional
 
 from repro.dram.timing import DDR5Timing
 
+_NEVER = float("-inf")
+
 
 class Bank:
     """Timing state of a single DRAM bank.
 
-    ``use_count`` increments on every ACT/RD/WR so deferred-close logic can
-    detect whether the bank was touched since a close was scheduled.
+    ``open_row`` is the row in the row buffer (``None`` when precharged);
+    ``next_act``/``next_rd``/``next_wr``/``next_pre`` are the earliest times
+    the next command of each kind may issue. ``use_count`` increments on
+    every ACT/RD/WR so deferred-close logic can detect whether the bank was
+    touched since a close was scheduled.
     """
 
     __slots__ = ("open_row", "next_act", "next_rd", "next_wr", "next_pre",
-                 "row_opened_at", "use_count")
+                 "use_count")
 
     def __init__(self) -> None:
         self.open_row: Optional[int] = None
@@ -29,47 +34,20 @@ class Bank:
         self.next_rd = 0.0
         self.next_wr = 0.0
         self.next_pre = 0.0
-        self.row_opened_at = 0.0
         self.use_count = 0
-
-    def is_row_hit(self, row: int) -> bool:
-        return self.open_row == row
-
-    def activate(self, t: float, row: int, tm: DDR5Timing) -> None:
-        """Issue ACT at time ``t`` for ``row``; updates bank-local windows."""
-        self.open_row = row
-        self.row_opened_at = t
-        self.use_count += 1
-        self.next_rd = max(self.next_rd, t + tm.tRCD)
-        self.next_wr = max(self.next_wr, t + tm.tRCD)
-        self.next_pre = max(self.next_pre, t + tm.tRAS)
-        self.next_act = max(self.next_act, t + tm.tRAS + tm.tRP)
-
-    def precharge(self, t: float, tm: DDR5Timing) -> None:
-        """Issue PRE at time ``t``; the bank closes and may re-ACT after tRP."""
-        self.open_row = None
-        self.next_act = max(self.next_act, t + tm.tRP)
-
-    def read(self, t: float, tm: DDR5Timing) -> None:
-        """Issue RD at time ``t``; pushes out the earliest PRE (tRTP)."""
-        self.use_count += 1
-        self.next_pre = max(self.next_pre, t + tm.tRTP)
-
-    def write(self, t: float, tm: DDR5Timing) -> None:
-        """Issue WR at time ``t``; write recovery gates the next PRE."""
-        self.use_count += 1
-        self.next_pre = max(self.next_pre, t + tm.tCWL + tm.tBURST + tm.tWR)
 
 
 class Rank:
-    """Rank-level constraints: tFAW, tRRD, and periodic refresh."""
+    """Rank-level state: the tFAW/tRRD windows and periodic refresh."""
 
-    __slots__ = ("tm", "banks", "act_history", "next_act_any", "next_refresh", "refresh_end", "refreshes_done")
+    __slots__ = ("tm", "banks", "act_history", "next_act_any", "next_refresh",
+                 "refresh_end", "refreshes_done")
 
     def __init__(self, tm: DDR5Timing, banks: int) -> None:
         self.tm = tm
         self.banks: List[Bank] = [Bank() for _ in range(banks)]
-        self.act_history: List[float] = []   # last 4 ACT times (rolling)
+        #: The last four ACT times, oldest first (-inf before the fourth).
+        self.act_history: List[float] = [_NEVER] * 4
         self.next_act_any = 0.0              # tRRD constraint
         self.next_refresh = tm.tREFI
         self.refresh_end = 0.0
@@ -81,6 +59,8 @@ class Rank:
         Returns the earliest time >= ``t`` at which a command may issue, i.e.
         ``t`` pushed past any refresh window it falls into. Refreshes that
         became due are considered executed at their due time (all-bank).
+        For ``refresh_end <= t < next_refresh`` it returns ``t`` and changes
+        nothing, so the issue path only calls it outside that range.
         """
         while t >= self.next_refresh:
             start = self.next_refresh
@@ -89,20 +69,4 @@ class Rank:
             self.refreshes_done += 1
             if t < self.refresh_end:
                 t = self.refresh_end
-        return max(t, self.refresh_end if t < self.refresh_end else t)
-
-    def earliest_act(self, t: float) -> float:
-        """Earliest time >= ``t`` an ACT may issue on this rank (tFAW/tRRD)."""
-        t = max(t, self.next_act_any)
-        if len(self.act_history) >= 4:
-            t = max(t, self.act_history[-4] + self.tm.tFAW)
-        return self.refresh_blackout(t)
-
-    def record_act(self, t: float) -> None:
-        """Record an ACT issued at ``t`` for the tFAW/tRRD windows."""
-        self.act_history.append(t)
-        if len(self.act_history) > 4:
-            self.act_history.pop(0)
-        # Use the conservative same-group spacing; bank-group awareness is
-        # second-order for the queuing behaviour we reproduce.
-        self.next_act_any = t + self.tm.tRRD_S
+        return self.refresh_end if t < self.refresh_end else t

@@ -19,34 +19,53 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.engine import Component, Simulator
-from repro.dram.bank import Rank
+from repro.dram.bank import Bank, Rank
 from repro.dram.mapping import AddressMapping, DramCoord
 from repro.dram.timing import DDR5Timing
 from repro.request import MemRequest, READ, WRITE, WRITEBACK
 
+#: A queued request: (request, its rank, its bank, its row).
+_Entry = Tuple[MemRequest, Rank, Bank, int]
+
+_INF = float("inf")
+
 
 class _SubChannel:
-    """One 32-bit DDR5 sub-channel: queues, banks, data bus."""
+    """One 32-bit DDR5 sub-channel: queues, banks, data bus.
+
+    Queue entries are ``(req, rank, bank, row)``: the request, its
+    :class:`Rank` and :class:`Bank` state records and its row, resolved once
+    at admission. Each DDR5 command rule has one home here: the
+    row-hit/conflict/closed-bank choice and the ACT (tRCD, tRAS, tRC, tRRD,
+    tFAW), RD (tRTP) and WR (tWR) timing are inline in :meth:`_issue_one`;
+    PRE (tRP), shared by a row conflict and the idle close, is
+    :meth:`_precharge`; refresh is :meth:`Rank.refresh_blackout`. Counters
+    go straight into the owning channel's ``stats``.
+    """
 
     __slots__ = (
         "owner", "tm", "ranks", "reads", "writes", "overflow", "bus_free",
         "last_was_write", "draining", "pass_pending", "read_q_cap",
-        "read_q_hiwat", "write_hi", "write_lo", "_horizon",
+        "read_q_hiwat", "write_hi", "write_lo", "_horizon", "tBURST",
+        "bytes_per_access",
     )
 
     def __init__(self, owner: "DDRChannel", tm: DDR5Timing, ranks: int,
                  read_q_cap: int, write_hi: int, write_lo: int) -> None:
         self.owner = owner
         self.tm = tm
+        # Properties on DDR5Timing, recomputed on every access: read once.
+        self.tBURST = tm.tBURST
+        self.bytes_per_access = tm.bytes_per_access
         # One full row-miss pipeline: the scheduling-pass lookahead.
         self._horizon = tm.tRP + tm.tRCD + tm.tCL
         self.ranks = [Rank(tm, tm.banks) for _ in range(ranks)]
-        self.reads: List[Tuple[MemRequest, DramCoord]] = []
-        self.writes: List[Tuple[MemRequest, DramCoord]] = []
+        self.reads: List[_Entry] = []
+        self.writes: List[_Entry] = []
         #: Reads arriving while the scheduler queue is at ``read_q_cap``:
         #: they wait outside the controller (modelling the issuer stalled by
         #: back-pressure) and are admitted FIFO as scheduler entries free up.
-        self.overflow: List[Tuple[MemRequest, DramCoord]] = []
+        self.overflow: List[_Entry] = []
         self.bus_free = 0.0
         self.last_was_write = False
         self.draining = False
@@ -63,26 +82,28 @@ class _SubChannel:
         ``t_mc_enqueue`` is stamped at arrival either way, so back-pressure
         wait shows up as queuing delay, where it belongs.
         """
-        req.t_mc_enqueue = self.owner.sim.now
+        owner = self.owner
+        req.t_mc_enqueue = owner.sim.now
+        rank = self.ranks[coord.rank]
+        entry = (req, rank, rank.banks[coord.bank], coord.row)
         if req.kind == READ:
-            if len(self.reads) >= self.read_q_cap:
-                self.overflow.append((req, coord))
-                self.owner.bump("read_q_stalls")
+            reads = self.reads
+            if len(reads) >= self.read_q_cap:
+                self.overflow.append(entry)
+                st = owner.stats
+                st["read_q_stalls"] = st.get("read_q_stalls", 0.0) + 1.0
                 return False
-            self.reads.append((req, coord))
-            if len(self.reads) > self.read_q_hiwat:
-                self.read_q_hiwat = len(self.reads)
+            reads.append(entry)
+            if len(reads) > self.read_q_hiwat:
+                self.read_q_hiwat = len(reads)
         else:
-            self.writes.append((req, coord))
-        self._kick()
+            self.writes.append(entry)
+        if not self.pass_pending:
+            self.pass_pending = True
+            owner.sim.schedule(0.0, self._schedule_pass)
         return True
 
     # -- scheduling ---------------------------------------------------------
-    def _kick(self) -> None:
-        if not self.pass_pending:
-            self.pass_pending = True
-            self.owner.sim.schedule(0.0, self._schedule_pass)
-
     #: FR-FCFS reordering window: only this many oldest entries are
     #: candidates, matching a real controller's bounded scheduler CAM and
     #: keeping scheduling O(window) even when open-loop probes overflow the
@@ -90,53 +111,8 @@ class _SubChannel:
     #: (mean/p90 latency at 60% load: paper 160/285 ns, this model 133/282).
     SCAN_WINDOW = 4
 
-    def _pick(self, queue: List[Tuple[MemRequest, DramCoord]]) -> int:
-        """First-ready FCFS within the scan window.
-
-        Pick the oldest request whose bank can deliver data earliest: row
-        hits beat row conflicts, and requests to ready banks beat requests
-        to banks still serving tRC from a previous activation. This is what
-        keeps the data bus busy under bank conflicts.
-        """
-        now = self.owner.sim.now
-        tm = self.tm
-        ranks = self.ranks
-        best_i = 0
-        best_key = float("inf")
-        for i, (req, coord) in enumerate(queue[: self.SCAN_WINDOW]):
-            bank = ranks[coord.rank].banks[coord.bank]
-            is_write = req.kind != READ
-            if bank.is_row_hit(coord.row):
-                ready = max(now, bank.next_wr if is_write else bank.next_rd)
-            else:
-                t = now
-                if bank.open_row is not None:
-                    t = max(t, bank.next_pre) + tm.tRP
-                t = max(t, bank.next_act)
-                ready = t + tm.tRCD
-            if ready < best_key - 1e-9:
-                best_key = ready
-                best_i = i
-                if ready <= now:
-                    break
-        return best_i
-
-    def _select_queue(self) -> Optional[List[Tuple[MemRequest, DramCoord]]]:
-        """Decide whether to serve a read or drain writes."""
-        nw = len(self.writes)
-        if self.draining:
-            if nw <= self.write_lo:
-                self.draining = False
-            else:
-                return self.writes
-        if nw >= self.write_hi:
-            self.draining = True
-            return self.writes
-        if self.reads:
-            return self.reads
-        if self.writes:
-            return self.writes
-        return None
+    #: Idle window (ns) before an unreferenced open row is precharged.
+    CLOSE_TIMEOUT = 45.0
 
     def _schedule_pass(self) -> None:
         """Commit bus slots for queued requests within the lookahead horizon.
@@ -149,9 +125,22 @@ class _SubChannel:
         self.pass_pending = False
         horizon = self._horizon
         sim = self.owner.sim
+        reads = self.reads
+        writes = self.writes
         while True:
-            queue = self._select_queue()
-            if queue is None:
+            # Serve reads first; drain posted writes from ``write_hi`` down
+            # to ``write_lo``, or when no read waits.
+            nw = len(writes)
+            if self.draining and nw <= self.write_lo:
+                self.draining = False
+            if self.draining or nw >= self.write_hi:
+                self.draining = True
+                queue = writes
+            elif reads:
+                queue = reads
+            elif writes:
+                queue = writes
+            else:
                 return
             now = sim.now
             if self.bus_free - horizon > now + 1e-6:
@@ -164,106 +153,189 @@ class _SubChannel:
                 return
             self._issue_one(queue)
 
-    def _issue_one(self, queue: List[Tuple[MemRequest, DramCoord]]) -> None:
-        now = self.owner.sim.now
+    def _issue_one(self, queue: List[_Entry]) -> None:
+        """Pick one request FR-FCFS and commit its command timeline."""
+        owner = self.owner
+        sim = owner.sim
+        st = owner.stats
+        now = sim.now
         tm = self.tm
-        idx = self._pick(queue)
-        req, coord = queue.pop(idx)
+        tRP = tm.tRP
+        tRCD = tm.tRCD
+
+        # First-ready FCFS within the scan window: the oldest request whose
+        # bank can deliver data earliest. Row hits beat row conflicts, and
+        # requests to ready banks beat requests to banks still serving tRC
+        # from a previous activation; this keeps the data bus busy under
+        # bank conflicts.
+        best_i = i = 0
+        best_key = _INF
+        for req, _rank, bank, row in queue[:self.SCAN_WINDOW]:
+            open_row = bank.open_row
+            if open_row == row:
+                ready = bank.next_wr if req.kind != READ else bank.next_rd
+                if ready < now:
+                    ready = now
+            else:
+                t = now
+                if open_row is not None:
+                    if bank.next_pre > t:
+                        t = bank.next_pre
+                    t = t + tRP
+                if bank.next_act > t:
+                    t = bank.next_act
+                ready = t + tRCD
+            if ready < best_key - 1e-9:
+                best_key = ready
+                best_i = i
+                if ready <= now:
+                    break
+            i += 1
+
+        req, rank, bank, row = queue.pop(best_i)
         if self.overflow and len(self.reads) < self.read_q_cap:
             # A scheduler slot freed up: admit the oldest back-pressured
             # read (it is younger than everything already queued, so the
             # tail keeps FCFS age order).
             self.reads.append(self.overflow.pop(0))
         is_write = req.kind != READ
-        rank = self.ranks[coord.rank]
-        bank = rank.banks[coord.bank]
 
-        # Command timeline: (optional PRE, ACT,) then CAS.
-        t = rank.refresh_blackout(now)
+        # Command timeline: (optional PRE, ACT,) then CAS. ``t`` never drops
+        # below ``now``. Refresh is only consulted when ``t`` reaches the
+        # next refresh or sits inside the last one.
+        t = now
+        if t >= rank.next_refresh or t < rank.refresh_end:
+            t = rank.refresh_blackout(t)
         first_cmd_t: Optional[float] = None
-        if not bank.is_row_hit(coord.row):
+        if bank.open_row != row:
             if bank.open_row is not None:
-                pre_t = max(t, bank.next_pre)
-                bank.precharge(pre_t, tm)
-                self.owner.bump("num_pre")
-                t = pre_t
-                first_cmd_t = pre_t
-            act_t = rank.earliest_act(max(t, bank.next_act))
-            bank.activate(act_t, coord.row, tm)
-            rank.record_act(act_t)
-            self.owner.bump("num_act")
-            t = act_t
+                # Row conflict: PRE once tRAS/tRTP/tWR allow.
+                if bank.next_pre > t:
+                    t = bank.next_pre
+                self._precharge(bank, t)
+                first_cmd_t = t
+            # ACT: the bank's tRP/tRC window, then the rank's tRRD and tFAW.
+            if bank.next_act > t:
+                t = bank.next_act
+            if rank.next_act_any > t:
+                t = rank.next_act_any
+            hist = rank.act_history
+            faw = hist[0] + tm.tFAW
+            if faw > t:
+                t = faw
+            if t >= rank.next_refresh or t < rank.refresh_end:
+                t = rank.refresh_blackout(t)
+            bank.open_row = row
+            bank.use_count += 1
+            x = t + tRCD
+            if x > bank.next_rd:
+                bank.next_rd = x
+            if x > bank.next_wr:
+                bank.next_wr = x
+            x = t + tm.tRAS
+            if x > bank.next_pre:
+                bank.next_pre = x
+            x = x + tRP               # (act + tRAS) + tRP: tRC
+            if x > bank.next_act:
+                bank.next_act = x
+            hist.append(t)
+            del hist[0]
+            rank.next_act_any = t + tm.tRRD_S
+            st["num_act"] = st.get("num_act", 0.0) + 1.0
             if first_cmd_t is None:
-                first_cmd_t = act_t
+                first_cmd_t = t
         else:
-            self.owner.bump("row_hits")
+            st["row_hits"] = st.get("row_hits", 0.0) + 1.0
 
         # CAS issue: honour bank readiness, bus availability and turnaround.
-        cas_latency = tm.tCWL if is_write else tm.tCL
-        ready = bank.next_wr if is_write else bank.next_rd
-        cas_t = max(t, ready, now)
-        turnaround = 0.0
-        if self.last_was_write and not is_write:
-            turnaround = tm.tWTR_S
-        elif not self.last_was_write and is_write:
-            turnaround = tm.tRTW
-        data_start = max(cas_t + cas_latency, self.bus_free + turnaround)
-        cas_t = data_start - cas_latency
-        data_end = data_start + tm.tBURST
-
         if is_write:
-            bank.write(cas_t, tm)
-            self.owner.bump("num_wr")
+            cas_latency = tm.tCWL
+            cas_t = bank.next_wr
+            turnaround = 0.0 if self.last_was_write else tm.tRTW
         else:
-            bank.read(cas_t, tm)
-            self.owner.bump("num_rd")
+            cas_latency = tm.tCL
+            cas_t = bank.next_rd
+            turnaround = tm.tWTR_S if self.last_was_write else 0.0
+        if t > cas_t:
+            cas_t = t
+        data_start = cas_t + cas_latency
+        x = self.bus_free + turnaround
+        if x > data_start:
+            data_start = x
+        cas_t = data_start - cas_latency
+        tBURST = self.tBURST
+        data_end = data_start + tBURST
+
+        bank.use_count += 1
+        if is_write:
+            # Write recovery gates the next PRE.
+            x = cas_t + tm.tCWL + tBURST + tm.tWR
+            if x > bank.next_pre:
+                bank.next_pre = x
+            st["num_wr"] = st.get("num_wr", 0.0) + 1.0
+        else:
+            x = cas_t + tm.tRTP
+            if x > bank.next_pre:
+                bank.next_pre = x
+            st["num_rd"] = st.get("num_rd", 0.0) + 1.0
         self.bus_free = data_end
         self.last_was_write = is_write
 
         # Adaptive page policy: close the row after a short idle window
-        # unless another queued request hits it. The deferral keeps rows
-        # open for closed-loop streams whose next line arrives one
-        # round-trip later, while random rows still close in time for the
-        # next conflict to skip the PRE.
-        if not self._pending_row_hit(coord):
-            token = bank.use_count
-            close_t = max(bank.next_pre, self.owner.sim.now + self.CLOSE_TIMEOUT)
-            self.owner.sim.schedule_at(close_t, self._deferred_close, coord.rank,
-                                       coord.bank, token)
+        # unless another queued request (within the scan window) hits it.
+        # The deferral keeps rows open for closed-loop streams whose next
+        # line arrives one round-trip later, while random rows still close
+        # in time for the next conflict to skip the PRE.
+        window = self.SCAN_WINDOW
+        keep_open = False
+        for _req, _rank, b, r in self.reads[:window]:
+            if b is bank and r == row:
+                keep_open = True
+                break
+        if not keep_open:
+            for _req, _rank, b, r in self.writes[:window]:
+                if b is bank and r == row:
+                    keep_open = True
+                    break
+        if not keep_open:
+            close_t = now + self.CLOSE_TIMEOUT
+            if bank.next_pre > close_t:
+                close_t = bank.next_pre
+            sim.schedule_at(close_t, self._deferred_close, bank,
+                            bank.use_count)
 
         # Queuing ends when the first command for this request goes out
         # (PRE/ACT for a row conflict, CAS for a row hit).
         if req.t_mc_issue < 0:
             req.t_mc_issue = first_cmd_t if first_cmd_t is not None else cas_t
         req.t_dram_done = data_end
-        self.owner.bump("bytes", tm.bytes_per_access)
+        nbytes = self.bytes_per_access
+        st["bytes"] = st.get("bytes", 0.0) + nbytes
         if is_write:
-            self.owner.bump("bytes_wr", tm.bytes_per_access)
+            st["bytes_wr"] = st.get("bytes_wr", 0.0) + nbytes
         else:
-            self.owner.bump("bytes_rd", tm.bytes_per_access)
-            self.owner.bump("sum_read_queuing", max(0.0, req.t_mc_issue - req.t_mc_enqueue))
-            self.owner.bump("sum_read_service", data_end - req.t_mc_issue)
-            self.owner.sim.schedule_at(data_end, self.owner._respond, req)
+            st["bytes_rd"] = st.get("bytes_rd", 0.0) + nbytes
+            queuing = req.t_mc_issue - req.t_mc_enqueue
+            st["sum_read_queuing"] = (st.get("sum_read_queuing", 0.0)
+                                      + (queuing if queuing > 0.0 else 0.0))
+            st["sum_read_service"] = (st.get("sum_read_service", 0.0)
+                                      + (data_end - req.t_mc_issue))
+            sim.schedule_at(data_end, owner._respond, req)
 
-    #: Idle window (ns) before an unreferenced open row is precharged.
-    CLOSE_TIMEOUT = 45.0
+    def _precharge(self, bank: Bank, t: float) -> None:
+        """PRE at ``t``: the bank closes and may re-ACT after tRP."""
+        bank.open_row = None
+        x = t + self.tm.tRP
+        if x > bank.next_act:
+            bank.next_act = x
+        st = self.owner.stats
+        st["num_pre"] = st.get("num_pre", 0.0) + 1.0
 
-    def _deferred_close(self, rank_idx: int, bank_idx: int, token: int) -> None:
+    def _deferred_close(self, bank: Bank, token: int) -> None:
         """Precharge the bank if it has been idle since the close was armed."""
-        bank = self.ranks[rank_idx].banks[bank_idx]
         if bank.use_count == token and bank.open_row is not None:
-            bank.precharge(max(self.owner.sim.now, bank.next_pre), self.tm)
-            self.owner.bump("num_pre")
-
-    def _pending_row_hit(self, coord: DramCoord) -> bool:
-        """Does a queued request (within the scan window) hit the same row?"""
-        for _req, c in self.reads[: self.SCAN_WINDOW]:
-            if c.rank == coord.rank and c.bank == coord.bank and c.row == coord.row:
-                return True
-        for _req, c in self.writes[: self.SCAN_WINDOW]:
-            if c.rank == coord.rank and c.bank == coord.bank and c.row == coord.row:
-                return True
-        return False
+            t = self.owner.sim.now
+            self._precharge(bank, bank.next_pre if bank.next_pre > t else t)
 
     @property
     def read_queue_len(self) -> int:

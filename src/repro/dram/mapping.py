@@ -10,15 +10,17 @@ pathological bank conflicts for power-of-two strides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 LINE_BYTES = 64
 LINE_SHIFT = 6
 
 
-@dataclass(frozen=True)
-class DramCoord:
-    """Decoded DRAM coordinates for one line address."""
+class DramCoord(NamedTuple):
+    """Decoded DRAM coordinates for one line address.
+
+    A named tuple: :meth:`AddressMapping.decode` builds one per request.
+    """
 
     channel: int
     subchannel: int
@@ -81,8 +83,7 @@ class AddressMapping:
         row = line % self.rows
         if self.xor_fold:
             bank = (bank ^ (row & (self.banks - 1))) % self.banks
-        return DramCoord(channel=channel, subchannel=sub, rank=rank, bank=bank,
-                         row=row, col=col)
+        return DramCoord(channel, sub, rank, bank, row, col)
 
     def encode(self, coord: DramCoord) -> int:
         """Inverse of :meth:`decode`: coordinates back to a byte address.

@@ -1,9 +1,15 @@
 """Unit tests for the FR-FCFS DDR channel controller."""
 
+import dataclasses
+import hashlib
+import random
+
 import pytest
 
 from repro.engine import Simulator
 from repro.dram.controller import DDRChannel
+from repro.dram.mapping import DramCoord
+from repro.dram.timing import DDR5_4800
 from repro.request import MemRequest, READ, WRITE
 
 
@@ -199,3 +205,131 @@ class TestReadQueueBackPressure:
         sim.run()
         chan.reset_stats()
         assert chan.read_q_high_watermark() == 0
+
+
+def _stress_stream(mapping, seed):
+    """A seeded request stream that drives every command rule.
+
+    Six 4 µs epochs (several tREFI windows), each with a cold read burst
+    past ``read_q_cap`` across many banks (closed banks, more than four
+    ACTs per tFAW window), same-row streams (row hits), same-bank
+    different-row pairs (row conflicts), a posted-write burst past
+    ``write_hi``, alternating reads and writes (both bus turnarounds) and
+    a random background trickle; then chains of back-to-back row
+    conflicts whose ACTs wait out tRC and whose PREs wait out tWR.
+    """
+    rng = random.Random(seed)
+    sys_ch = mapping.channels
+
+    def addr(sub, rank, bank, row, col):
+        return mapping.encode(DramCoord(channel=rng.randrange(sys_ch),
+                                        subchannel=sub, rank=rank, bank=bank,
+                                        row=row, col=col))
+
+    def rand_addr():
+        # A raw line in a 64 MB region: decoded differently per mapping.
+        return rng.randrange(1 << 20) << 6
+
+    out = []  # (arrival time, byte address, kind)
+    for epoch in range(6):
+        base = epoch * 4000.0
+        for i in range(130):
+            out.append((base + i * 0.05, rand_addr(), READ))
+        for i in range(48):
+            sub, bank = i % 2, (i // 2) % 3
+            out.append((base + 1200.0 + i * 0.5,
+                        addr(sub, 0, bank, epoch, i // 6), READ))
+        for i in range(24):
+            bank = rng.randrange(mapping.banks)
+            kind = READ if i % 3 else WRITE
+            for row in (2 * i, 2 * i + 1):
+                out.append((base + 1600.0 + i * 6.0,
+                            addr(0, mapping.ranks - 1, bank, row, i), kind))
+        for i in range(70):
+            out.append((base + 2000.0 + i * 0.2, rand_addr(), WRITE))
+        for i in range(60):
+            out.append((base + 2600.0 + i * 3.0, rand_addr(),
+                        READ if i % 2 else WRITE))
+        t = base
+        while t < base + 4000.0:
+            t += rng.expovariate(1 / 25.0)
+            out.append((t, rand_addr(), READ if rng.random() < 0.7 else WRITE))
+    # Back-to-back row conflicts on three banks: each ACT waits out the
+    # bank's tRC (reads) and each PRE the write recovery (writes), float
+    # sums a re-association can move.
+    for i in range(300):
+        for bank in (1, 2, 3):
+            out.append((24000.0 + i * 40.0, addr(1, 0, bank, 100 + i, 0), READ))
+    for i in range(100):
+        for bank in (4, 5, 6):
+            out.append((40000.0 + i * 80.0, addr(1, 0, bank, 100 + i, 0), WRITE))
+    return out
+
+
+#: DDR5-7200 with every timing a whole number of clocks, as a controller
+#: counts them: most sums are inexact in binary, so re-associating a
+#: timing expression moves the timeline here.
+_CK = 2000.0 / 7200.0
+_FAST_TIMING = dataclasses.replace(
+    DDR5_4800, name="DDR5-7200", data_rate_mts=7200.0, tCL=58 * _CK,
+    tRCD=58 * _CK, tRP=58 * _CK, tRAS=116 * _CK, tWR=108 * _CK, tRTP=27 * _CK,
+    tCWL=56 * _CK, tRRD_S=8 * _CK, tFAW=40 * _CK, tWTR_S=9 * _CK,
+    tRTW=14 * _CK)
+
+
+class TestExactTimeline:
+    """Pins the channel's full command timeline, bit for bit.
+
+    The digest covers every request's (enqueue, issue, done) times, the
+    stats items in insertion order, refresh counts, queue watermarks, the
+    event count and the final clock. Any change to a timing expression
+    (including float re-association) or to the events fired moves it, so
+    re-record the digests only for a deliberate change to the modelled
+    DDR5 behaviour.
+    """
+
+    DIGESTS = {
+        "default": "289fea3a6bd85cbf51cb535b57dca69e"
+                   "8c985d0e4eee4f8a77c820b5be922026",
+        "ranks2": "684935f26b27b2a5cbdcc02f30839b47"
+                  "04a288593454d489c7f81c9c94ffa1e6",
+        "sysch4": "3b83a03817f364f2fc972a3576e03553"
+                  "ecad8e73dcab63858ea344ee92a90852",
+        "fast": "56161cefd327eeeee9df4db7c39e4808"
+                "d3ef42a105dcec0629ba7dd24cf19d73",
+    }
+
+    SETUPS = {
+        "default": {},
+        "ranks2": {"ranks": 2},
+        "sysch4": {"system_channels": 4},
+        "fast": {"timing": _FAST_TIMING},
+    }
+
+    @staticmethod
+    def _digest(**kw):
+        sim = Simulator()
+        chan = DDRChannel(sim, "c", **kw)
+        reqs = []
+        for t, a, kind in _stress_stream(chan.mapping, seed=20240):
+            req = MemRequest(a, kind)
+            reqs.append(req)
+            sim.schedule_at(t, chan.enqueue, req)
+        sim.run()
+        s = chan.stats
+        assert s["row_hits"] > 0 and s["num_pre"] > 0 and s["num_act"] > 0
+        assert s["read_q_stalls"] > 0 and s["num_wr"] > 0
+        assert all(r.refreshes_done >= 5 for sub in chan.subs
+                   for r in sub.ranks)
+        payload = (
+            [(r.t_mc_enqueue, r.t_mc_issue, r.t_dram_done) for r in reqs],
+            list(s.items()),
+            [r.refreshes_done for sub in chan.subs for r in sub.ranks],
+            [sub.read_q_hiwat for sub in chan.subs],
+            sim.events_fired, sim.now,
+        )
+        return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+    @pytest.mark.parametrize("setup", list(SETUPS))
+    def test_timeline_digest(self, setup):
+        assert self._digest(**self.SETUPS[setup]) == self.DIGESTS[setup]

@@ -4,7 +4,8 @@ write drain, and refresh interaction."""
 import pytest
 
 from repro.engine import Simulator
-from repro.dram.controller import DDRChannel
+from repro.dram import LoadLatencyProbe
+from repro.dram.controller import DDRChannel, _SubChannel
 from repro.dram.timing import DDR5_4800 as TM
 from repro.request import MemRequest, READ, WRITE
 
@@ -116,3 +117,37 @@ class TestRefreshUnderLoad:
         # Most are fast, a few were parked behind a ~295 ns tRFC window.
         slow = [x for x in lat if x > 200.0]
         assert 0 < len(slow) < len(lat) // 2
+
+
+@pytest.fixture
+def knobs():
+    """Restore the calibration class attributes a test sets."""
+    saved = (_SubChannel.SCAN_WINDOW, _SubChannel.CLOSE_TIMEOUT)
+    yield _SubChannel
+    _SubChannel.SCAN_WINDOW, _SubChannel.CLOSE_TIMEOUT = saved
+
+
+class TestCalibrationKnobs:
+    """The class-level knobs reach the scheduler of channels built later."""
+
+    @staticmethod
+    def mean_latency(load):
+        pt = LoadLatencyProbe(seed=5).measure(load, n_requests=1500,
+                                             warmup=200)
+        return pt.mean_latency
+
+    def test_scan_window_reaches_pick(self, knobs):
+        knobs.SCAN_WINDOW = 1
+        fcfs = self.mean_latency(0.55)
+        knobs.SCAN_WINDOW = 16
+        wide = self.mean_latency(0.55)
+        # Strict FCFS queues far behind bank conflicts (1548 vs 89 ns).
+        assert fcfs > 5 * wide
+
+    def test_close_timeout_reaches_page_policy(self, knobs):
+        knobs.CLOSE_TIMEOUT = 0.0
+        eager = self.mean_latency(0.45)
+        knobs.CLOSE_TIMEOUT = 1e9
+        open_page = self.mean_latency(0.45)
+        # Random traffic: leaving rows open costs the next conflict a PRE.
+        assert open_page > eager + 3.0
