@@ -6,7 +6,10 @@ the acceptance path over actual sockets:
 1. a 2-worker fleet sweep of the smoke grid produces merged SimResults
    **bit-identical** to a single-pool ``repro sweep`` of the same grid
    (separate cache directories, so both legs really simulate), and the
-   fleet's exactly-merged miss-latency quantiles equal the pool's;
+   fleet's exactly-merged miss-latency quantiles equal the pool's; the
+   same comparison then runs through the CLI, ``repro sweep --broker``
+   against a local ``repro sweep`` with a fresh cache, on their BENCH
+   records' job rows and merged ``fleet.miss_latency_ns``;
 2. one worker is SIGKILLed mid-run (short leases, no heartbeats
    surviving death) and the fleet still completes every task via lease
    expiry and requeue — ``requeues > 0`` is asserted on the broker;
@@ -36,6 +39,7 @@ SETTLE_BUDGET_S = 300
 GRID_CONFIGS = ["ddr-baseline", "coaxial-4x"]
 GRID_WORKLOADS = ["mcf", "stream-copy", "gcc"]
 GRID_OPS = 800
+CLI_OPS = 600                # a fresh op count: the CLI legs simulate too
 KILL_LEASE_S = 2.0           # short leases so a killed worker requeues fast
 BENCH_OUT = "BENCH_fleet.json"
 
@@ -104,6 +108,23 @@ def wait_settled(port, ids, budget_s=SETTLE_BUDGET_S):
     raise AssertionError(f"tasks not settled within {budget_s}s")
 
 
+def cli_sweep(env, extra, bench_out):
+    """One ``repro sweep`` subprocess over the CLI grid; its BENCH record."""
+    subprocess.run(
+        [sys.executable, "-m", "repro", "sweep",
+         "--configs", ",".join(GRID_CONFIGS),
+         "--workloads", ",".join(GRID_WORKLOADS), "--ops", str(CLI_OPS),
+         "--obs", "on", "--quiet", "--bench-out", bench_out] + extra,
+        env=env, check=True, timeout=SETTLE_BUDGET_S)
+    with open(bench_out, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def job_rows(record):
+    return [(j["config"], j["workload"], j["seed"], j["ipc"], j["events"])
+            for j in record["jobs"]]
+
+
 def stop_all(procs):
     for proc in procs:
         if proc.poll() is None:
@@ -113,12 +134,16 @@ def stop_all(procs):
 
 def main():
     sys.path.insert(0, SRC)
-    from repro.fleet import FleetClient, LocalExecutor, expand_specs, run_campaign
+    from repro.exec.runner import LocalExecutor
+    from repro.exec.spec import expand_specs
+    from repro.fleet import FleetClient, run_campaign
 
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
     fleet_cache = os.path.join(ROOT, f".fleet-smoke-cache-{os.getpid()}")
     pool_cache = os.path.join(ROOT, f".fleet-smoke-pool-{os.getpid()}")
+    cli_cache = os.path.join(ROOT, f".fleet-smoke-cli-{os.getpid()}")
+    cli_bench = os.path.join(ROOT, f".fleet-smoke-bench-{os.getpid()}")
     procs = []
     try:
         # -- 1. bit-identity: 2-worker fleet vs single-pool sweep ---------
@@ -131,8 +156,9 @@ def main():
 
         specs = expand_specs(GRID_CONFIGS, GRID_WORKLOADS, ops=GRID_OPS,
                              obs="on")
-        client = FleetClient(f"http://{HOST}:{port}")
-        fleet_results = client.run(specs, timeout_s=SETTLE_BUDGET_S)
+        client = FleetClient(f"http://{HOST}:{port}",
+                             job_timeout_s=SETTLE_BUDGET_S)
+        fleet_results = client.run(specs)
         # pool leg gets its own cache dir so it really simulates too
         from pathlib import Path
 
@@ -162,6 +188,29 @@ def main():
         out = write_bench(record, os.path.join(ROOT, BENCH_OUT), force=True)
         print(f"fleet-smoke: benchmark record written to {out}")
 
+        # The same identity through the CLI: `repro sweep --broker` on the
+        # 2-worker fleet vs a local `repro sweep` with a fresh cache.
+        os.makedirs(cli_bench, exist_ok=True)
+        fleet_rec = cli_sweep(env, ["--broker", client.broker_url],
+                              os.path.join(cli_bench, "fleet.json"))
+        local_rec = cli_sweep(env, ["--jobs", "2", "--cache-dir", cli_cache],
+                              os.path.join(cli_bench, "local.json"))
+        assert job_rows(fleet_rec) == job_rows(local_rec), (
+            f"repro sweep --broker rows differ from the local sweep:\n"
+            f"{job_rows(fleet_rec)}\n{job_rows(local_rec)}")
+        assert all(r[3] is not None for r in job_rows(fleet_rec))
+        assert fleet_rec["summary"]["n_cached"] == 0, fleet_rec["summary"]
+        assert local_rec["summary"]["n_cached"] == 0, local_rec["summary"]
+        fleet_ml = fleet_rec["fleet"].get("miss_latency_ns")
+        local_ml = local_rec["fleet"].get("miss_latency_ns")
+        assert fleet_ml and fleet_ml == local_ml, (
+            f"CLI merged quantiles differ: {fleet_ml} vs {local_ml}")
+        assert fleet_rec["fleet"]["broker"] == client.broker_url
+        assert fleet_rec["workers"] == 2, fleet_rec["workers"]
+        print(f"fleet-smoke: repro sweep --broker matches a local repro "
+              f"sweep on {len(job_rows(fleet_rec))} row(s) and merged "
+              f"quantiles")
+
         # drain; oneshot workers must exit 0
         client.drain()
         for w in workers:
@@ -180,7 +229,8 @@ def main():
         procs.append(broker)
         victim = start_worker(env, port, "victim", fleet_cache)
         procs.append(victim)
-        client = FleetClient(f"http://{HOST}:{port}")
+        client = FleetClient(f"http://{HOST}:{port}",
+                             job_timeout_s=SETTLE_BUDGET_S)
         ids = client.submit(expand_specs(GRID_CONFIGS, ["mcf", "gcc"],
                                          ops=GRID_OPS))
         # wait until the victim holds a lease, then kill -9 mid-task
@@ -210,8 +260,7 @@ def main():
         # -- 3. a small campaign over the same broker ---------------------
         res = run_campaign(
             client, "coaxial-4x", "calm_policy=calm_50,calm_90;cxl=x8,asym",
-            ["mcf"], objective="ipc", ops0=300, eta=2, max_rungs=2,
-            timeout_s=SETTLE_BUDGET_S)
+            ["mcf"], objective="ipc", ops0=300, eta=2, max_rungs=2)
         assert res.winner.base == "coaxial-4x", res.winner
         assert res.total_jobs >= 6, res.total_jobs
         print(f"fleet-smoke: campaign winner {res.winner.label()} "
@@ -228,6 +277,8 @@ def main():
         stop_all(procs)
         shutil.rmtree(fleet_cache, ignore_errors=True)
         shutil.rmtree(pool_cache, ignore_errors=True)
+        shutil.rmtree(cli_cache, ignore_errors=True)
+        shutil.rmtree(cli_bench, ignore_errors=True)
 
 
 if __name__ == "__main__":

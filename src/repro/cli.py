@@ -34,14 +34,29 @@ from repro.area.cost import iso_capacity_comparison
 from repro.dram import load_latency_curve
 from repro.power import energy_report, system_power
 from repro.cxl.profiles import PROFILES
+from repro.exec.runner import ExecutorError
+from repro.exec.spec import SpecError, TaskSpec
 from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
-from repro.tiering.config import TIERING_PRESETS, get_tiering
+from repro.tiering.config import TIERING_PRESETS
 from repro.workloads import REPRESENTATIVE, SUITES, get_workload, workload_names
+
+
+class UsageError(Exception):
+    """A flag combination the parser cannot reject by itself (exit 2)."""
 
 
 def _parse_list(text: str) -> List[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
+
+
+def _workload_list(text: str) -> List[str]:
+    """A comma list, or the ``representative`` / ``all`` shorthands."""
+    if text.lower() == "all":
+        return workload_names()
+    if text.lower() == "representative":
+        return list(REPRESENTATIVE)
+    return _parse_list(text)
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -66,33 +81,28 @@ def _print_violation_report(report: dict) -> None:
         print(f"    e.g. {v['message']}")
 
 
-def _device_overrides(args: argparse.Namespace) -> dict:
-    """SystemConfig overrides from --tiering/--device-profile/--cxl-backend."""
+#: (flag dest, config field) of the config flags ``run`` and ``sweep`` take.
+_CONFIG_FLAGS = (("calm", "calm_policy"), ("active_cores", "active_cores"),
+                 ("tiering", "tiering"), ("device_profile", "device_profile"),
+                 ("cxl_backend", "cxl_backend"))
+
+
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    """The config flags as task-spec overrides (``--tiering none`` is null)."""
     ov = {}
-    t = getattr(args, "tiering", None)
-    if t is not None:
-        ov["tiering"] = None if t == "none" else get_tiering(t)
-    if getattr(args, "device_profile", None) is not None:
-        ov["device_profile"] = args.device_profile
-    if getattr(args, "cxl_backend", None) is not None:
-        ov["cxl_backend"] = args.cxl_backend
+    for dest, key in _CONFIG_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None:
+            ov[key] = None if (key == "tiering" and value == "none") else value
     return ov
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = ALL_CONFIGS[args.config]()
-    if args.calm:
-        cfg = cfg.replace(calm_policy=args.calm)
-    if args.active_cores:
-        cfg = cfg.replace(active_cores=args.active_cores)
-    device = _device_overrides(args)
-    if device:
-        try:
-            cfg = cfg.replace(**device)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    wl = get_workload(args.workload)
+    job = TaskSpec(base=args.config, overrides=_flag_overrides(args),
+                   workload=args.workload, ops=args.ops,
+                   seed=args.seed).build_job()
+    cfg = job.config
+    wl = get_workload(job.workload)
     collector = None
     if args.obs:
         from repro.obs import ObsCollector, known_export_suffixes
@@ -268,59 +278,83 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Grid sweep across a process pool with the on-disk result cache."""
-    import time
+#: The sweep flags that configure this host's pool and cache, which a
+#: broker's workers do not read.
+_LOCAL_FLAGS = ("jobs", "retries", "no_cache", "cache_dir", "clear_cache")
 
-    from repro.exec.cache import ResultCache, disk_cache_enabled
-    from repro.exec.perf import (
-        BaselineProtectedError, bench_record, format_summary, write_bench,
-    )
-    from repro.exec.runner import (
-        default_workers, expand_grid, print_progress, SweepRunner,
-    )
 
-    configs = _parse_list(args.configs)
-    for c in configs:
-        if c not in ALL_CONFIGS:
-            print(f"unknown config {c!r}; choose from {list(ALL_CONFIGS)}",
-                  file=sys.stderr)
-            return 2
-    if args.workloads.lower() == "all":
-        workloads = workload_names()
-    elif args.workloads.lower() == "representative":
-        workloads = list(REPRESENTATIVE)
-    else:
-        workloads = _parse_list(args.workloads)
-    seeds = [int(s) for s in _parse_list(args.seeds)]
+def _executor(args: argparse.Namespace, cache=None):
+    """Where ``sweep`` and ``campaign`` run their specs: the broker named
+    by ``--broker``, else this host's process pool."""
+    if args.broker:
+        clash = ["--" + dest.replace("_", "-") for dest in _LOCAL_FLAGS
+                 if getattr(args, dest, None) is not None
+                 and getattr(args, dest) is not False]
+        if clash:
+            raise UsageError(f"{', '.join(clash)} configure the local pool "
+                             f"and cannot be combined with --broker")
+        from repro.fleet.client import FleetClient
 
-    cache = ResultCache(root=args.cache_dir,
-                        enabled=not args.no_cache and disk_cache_enabled())
-    if args.clear_cache:
-        n = cache.clear()
-        print(f"cleared {n} cached results under {cache.root}")
+        return FleetClient(args.broker, job_timeout_s=args.timeout)
+    from repro.exec.runner import LocalExecutor, default_workers
 
     try:
         workers = args.jobs or default_workers()
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        jobs = expand_grid(configs, workloads, ops=args.ops, seeds=seeds,
-                           validate=args.validate, obs=args.obs,
-                           tracing=args.tracing,
-                           overrides=_device_overrides(args))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(f"sweep: {len(configs)} config(s) x {len(workloads)} workload(s) x "
-          f"{len(seeds)} seed(s) = {len(jobs)} jobs on {workers} worker(s)")
+        raise UsageError(str(e)) from None
+    retries = getattr(args, "retries", None)
+    return LocalExecutor(workers=workers, cache=cache,
+                         job_timeout_s=args.timeout,
+                         retries=1 if retries is None else retries)
 
-    runner = SweepRunner(workers=workers, cache=cache,
-                         job_timeout_s=args.timeout, retries=args.retries,
-                         progress=None if args.quiet else print_progress)
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Grid sweep on this host's process pool with the on-disk result
+    cache, or on a fleet broker with ``--broker``."""
+    import time
+    import uuid
+
+    from repro.exec.cache import cache_from_flags
+    from repro.exec.perf import (
+        BaselineProtectedError, bench_record, format_summary, write_bench,
+    )
+    from repro.exec.runner import print_progress
+    from repro.exec.spec import expand_specs
+
+    configs = _parse_list(args.configs)
+    workloads = _workload_list(args.workloads)
+    seeds = [int(s) for s in _parse_list(args.seeds)]
+    # One trace id per sweep: the root of the causal chain, recoverable
+    # from every traced result and every worker-side span export.
+    trace_id = (uuid.uuid4().hex if args.tracing not in (None, "off")
+                else None)
+    specs = expand_specs(configs, workloads, ops=args.ops, seeds=seeds,
+                         overrides=_flag_overrides(args),
+                         validate=args.validate, obs=args.obs,
+                         tracing=args.tracing, trace_id=trace_id)
+    for spec in specs:       # the whole grid is valid before anything runs
+        spec.build_job()
+    cache = None if args.broker else cache_from_flags(args.cache_dir,
+                                                      args.no_cache)
+    executor = _executor(args, cache)
+    if args.clear_cache and cache is not None:
+        n = cache.clear()
+        print(f"cleared {n} cached results under {cache.root}")
+    where = (f"-> {executor.broker_url}" if args.broker
+             else f"on {executor.runner.workers} worker(s)")
+    print(f"sweep: {len(configs)} config(s) x {len(workloads)} workload(s) x "
+          f"{len(seeds)} seed(s) = {len(specs)} jobs {where}"
+          + (f" (trace {trace_id})" if trace_id else ""))
+
     t0 = time.perf_counter()
-    results = runner.run(jobs)
+    try:
+        results = executor.run(
+            specs, progress=None if args.quiet else print_progress)
+        workers = (executor.health()["workers"] if args.broker
+                   else executor.runner.workers)
+    except ExecutorError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     total_wall = time.perf_counter() - t0
 
     rows = [[r.job.config.name, r.job.workload, r.job.seed,
@@ -334,6 +368,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows))
 
     record = bench_record(results, total_wall, workers, cache)
+    if args.broker:
+        record["fleet"]["broker"] = executor.broker_url
     print()
     for line in format_summary(record):
         print(line)
@@ -394,115 +430,26 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
                       cache_dir=args.cache_dir, trace_dir=args.trace_dir)
 
 
-def cmd_fleet_sweep(args: argparse.Namespace) -> int:
-    """Submit a sweep grid to a fleet broker and collect merged results."""
-    import time
-
-    from repro.exec.perf import (
-        BaselineProtectedError, bench_record, format_summary, write_bench,
-    )
-    from repro.fleet import FleetClient, FleetError, expand_specs
-
-    configs = _parse_list(args.configs)
-    if args.workloads.lower() == "all":
-        workloads = workload_names()
-    elif args.workloads.lower() == "representative":
-        workloads = list(REPRESENTATIVE)
-    else:
-        workloads = _parse_list(args.workloads)
-    seeds = [int(s) for s in _parse_list(args.seeds)]
-    trace_id = None
-    if args.tracing and args.tracing != "off":
-        # Submission is the root of the causal chain: one id for the whole
-        # grid, recoverable from every worker-side span export.
-        import uuid
-        trace_id = uuid.uuid4().hex
-    try:
-        specs = expand_specs(configs, workloads, ops=args.ops, seeds=seeds,
-                             validate=args.validate, obs=args.obs,
-                             tracing=args.tracing, trace_id=trace_id)
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
-        return 2
-
-    client = FleetClient(args.broker)
-    print(f"fleet sweep: {len(specs)} job(s) -> {client.broker_url}"
-          + (f" (trace {trace_id})" if trace_id else ""))
-
-    def tick(done: int, total: int) -> None:
-        if not args.quiet:
-            print(f"  settled {done}/{total}", file=sys.stderr, flush=True)
-
-    t0 = time.perf_counter()
-    try:
-        ids = client.submit(specs)
-        client.wait(ids, timeout_s=args.timeout, progress=tick)
-        results = client.results(ids)
-        status = client.tasks()
-    except FleetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    total_wall = time.perf_counter() - t0
-    if args.drain:
-        client.drain()
-
-    rows = [[r.job.config.name, r.job.workload, r.job.seed,
-             r.result.ipc if r.result else float("nan"),
-             r.result.avg_miss_latency if r.result else float("nan"),
-             "cache" if r.cached else f"{r.wall_s:.1f}s"]
-            for r in results]
-    print(format_table(
-        ["config", "workload", "seed", "IPC", "misslat ns", "ran"], rows))
-
-    record = bench_record(results, total_wall,
-                          workers=int(status.get("workers", 0)))
-    record["fleet"]["broker"] = client.broker_url
-    print()
-    for line in format_summary(record):
-        print(line)
-    try:
-        out = write_bench(record, args.bench_out, force=args.force)
-    except BaselineProtectedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(f"benchmark record written to {out}")
-
-    failed = [r for r in results if r.result is None]
-    for r in failed:
-        print(f"FAILED: {r.job.label()}: {r.error}", file=sys.stderr)
-    return 1 if failed else 0
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Successive-halving config-space search (local pool or fleet)."""
     import json
 
-    from repro.fleet import FleetClient, FleetError, LocalExecutor, run_campaign
+    from repro.fleet import CampaignFailed, run_campaign
 
-    if args.base not in ALL_CONFIGS:
-        print(f"unknown config {args.base!r}; choose from {list(ALL_CONFIGS)}",
-              file=sys.stderr)
-        return 2
-    if args.workloads.lower() == "representative":
-        workloads = list(REPRESENTATIVE)
-    else:
-        workloads = _parse_list(args.workloads)
-
-    if args.broker:
-        executor = FleetClient(args.broker)
-        where = args.broker
-    else:
-        executor = LocalExecutor(workers=args.jobs)
-        where = f"local pool ({args.jobs or 'auto'} workers)"
+    workloads = _workload_list(args.workloads)
+    executor = _executor(args)
+    where = args.broker or f"local pool ({executor.runner.workers} workers)"
     print(f"campaign: base={args.base} search={args.search!r} "
           f"objective={args.objective} on {where}")
     try:
         res = run_campaign(
             executor, args.base, args.search, workloads,
             objective=args.objective, ops0=args.ops0, eta=args.eta,
-            max_rungs=args.rungs, seed=args.seed, obs=args.obs,
-            timeout_s=args.timeout, log=print)
-    except (ValueError, KeyError, FleetError) as e:
+            max_rungs=args.rungs, seed=args.seed, obs=args.obs, log=print)
+    except CampaignFailed as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, ExecutorError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(f"\nwinner: {res.winner.label()} "
@@ -767,7 +714,11 @@ def cmd_fuzz_replay(args: argparse.Namespace) -> int:
     from repro.fuzz.corpus import load_corpus, replay_entry
 
     corpus_dir = Path(args.corpus) if args.corpus else None
-    entries = list(load_corpus(corpus_dir))
+    try:
+        entries = list(load_corpus(corpus_dir))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if args.only:
         wanted = set(_parse_list(args.only))
         entries = [e for e in entries if e.name in wanted]
@@ -790,21 +741,21 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
-    from repro.fuzz.corpus import load_entry, save_entry
-    from repro.fuzz.gen import FuzzCase
+    from repro.fuzz.corpus import case_dict, parse_case, save_entry
     from repro.fuzz.shrink import shrink
 
     src = Path(args.case)
-    if src.exists():
-        try:
-            entry = load_entry(src)
-            case, oracle = entry.case, args.oracle or entry.oracle
-        except ValueError:
-            case = FuzzCase.from_json(src.read_text(encoding="utf-8"))
-            oracle = args.oracle
-    else:
-        case = FuzzCase.from_json(args.case)
-        oracle = args.oracle
+    try:
+        payload = _json.loads(src.read_text(encoding="utf-8")
+                              if src.exists() else args.case)
+        if isinstance(payload, dict) and "case" in payload:   # corpus entry
+            case = parse_case(payload["case"])
+            oracle = args.oracle or payload.get("oracle")
+        else:
+            case, oracle = parse_case(payload), args.oracle
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if not oracle:
         print("error: --oracle is required unless the file is a corpus entry",
               file=sys.stderr)
@@ -817,7 +768,7 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     print(f"minimized after {result.probes} probes "
           f"(-{result.removed_overrides} overrides, "
           f"ops {result.ops_before} -> {result.case.ops}):")
-    print(_json.dumps(result.case.to_dict(), indent=2, sort_keys=True))
+    print(_json.dumps(case_dict(result.case), indent=2, sort_keys=True))
     print(f"still fails: {result.detail}")
     if args.save:
         path = save_entry(result.case, oracle, note=result.detail,
@@ -888,6 +839,16 @@ def _add_device_args(sp: argparse.ArgumentParser) -> None:
                          "config's own; 'fixed' = the historical model)")
     sp.add_argument("--cxl-backend", default=None, choices=["ddr", "ssd"],
                     help="Type-3 capacity medium behind each CXL port")
+
+
+def _add_cache_args(sp: argparse.ArgumentParser) -> None:
+    """``--no-cache`` / ``--cache-dir``: the on-disk result cache a command
+    reads and writes (see :func:`repro.exec.cache.cache_from_flags`)."""
+    sp.add_argument("--no-cache", action="store_true",
+                    help="skip the on-disk result cache")
+    sp.add_argument("--cache-dir", default=None,
+                    help="cache root (default: REPRO_CACHE_DIR or "
+                         "~/.cache/repro)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -964,7 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_compare)
 
     ps = sub.add_parser(
-        "sweep", help="parallel grid sweep with on-disk result caching")
+        "sweep", help="grid sweep on the local process pool with on-disk "
+                      "result caching, or on a fleet broker")
     ps.add_argument("--configs", default="ddr-baseline,coaxial-4x",
                     help="comma list of config names")
     ps.add_argument("--workloads", default="representative",
@@ -972,16 +934,19 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--ops", type=int, default=None,
                     help="memory ops per core (default: workload default)")
     ps.add_argument("--seeds", default="1", help="comma list of seeds")
-    ps.add_argument("--jobs", type=int, default=None,
-                    help="pool workers (default: REPRO_JOBS or CPU count)")
+    ps.add_argument("--broker", default=None, metavar="URL",
+                    help="run the grid on this fleet broker instead of the "
+                         "local pool (its workers own pool and cache)")
     ps.add_argument("--timeout", type=float, default=None,
-                    help="per-job wait timeout in seconds")
-    ps.add_argument("--retries", type=int, default=1,
-                    help="extra attempts per failed/timed-out job")
-    ps.add_argument("--no-cache", action="store_true",
-                    help="skip the on-disk result cache")
-    ps.add_argument("--cache-dir", default=None,
-                    help="cache root (default: REPRO_CACHE_DIR or ~/.cache/repro)")
+                    help="per-job deadline in seconds from submission; a "
+                         "job still unsettled past it fails")
+    ps.add_argument("--jobs", type=int, default=None,
+                    help="local pool workers (default: REPRO_JOBS or CPU "
+                         "count)")
+    ps.add_argument("--retries", type=int, default=None,
+                    help="extra local attempts per failed/timed-out job "
+                         "(default 1)")
+    _add_cache_args(ps)
     ps.add_argument("--clear-cache", action="store_true",
                     help="drop cached results before running")
     ps.add_argument("--bench-out", default="BENCH_sweep.json",
@@ -998,8 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "rollup in the benchmark record (cache hits skip it)")
     ps.add_argument("--tracing", default=None,
                     choices=["off", "on", "kernel"],
-                    help="per-job causal span tracing (cache hits carry "
-                         "no trace payload)")
+                    help="per-job causal span tracing under one trace id "
+                         "per sweep (cache hits carry no trace payload)")
     _add_device_args(ps)
     ps.set_defaults(fn=cmd_sweep)
 
@@ -1022,17 +987,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="queued-job cap across all tenants")
     pe.add_argument("--tenant-quota", type=int, default=8,
                     help="per-tenant cap on queued+running jobs")
-    pe.add_argument("--no-cache", action="store_true",
-                    help="skip the shared on-disk result cache")
-    pe.add_argument("--cache-dir", default=None,
-                    help="cache root (default: REPRO_CACHE_DIR or "
-                         "~/.cache/repro)")
+    _add_cache_args(pe)
     pe.add_argument("--drain", type=float, default=30.0,
                     help="seconds to wait for active jobs on shutdown")
     pe.set_defaults(fn=cmd_serve)
 
     pfl = sub.add_parser(
-        "fleet", help="distributed sweep fleet: broker / worker / sweep")
+        "fleet", help="distributed sweep fleet: broker / worker "
+                      "(drive it with 'repro sweep --broker')")
     flsub = pfl.add_subparsers(dest="fleet_command", required=True)
 
     pflb = flsub.add_parser(
@@ -1045,11 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "requeued (workers heartbeat at lease/3)")
     pflb.add_argument("--retries", type=int, default=2,
                       help="extra lease attempts before a task fails")
-    pflb.add_argument("--no-cache", action="store_true",
-                      help="skip the shared on-disk result cache")
-    pflb.add_argument("--cache-dir", default=None,
-                      help="cache root (default: REPRO_CACHE_DIR or "
-                           "~/.cache/repro)")
+    _add_cache_args(pflb)
     pflb.set_defaults(fn=cmd_fleet_broker)
 
     pflw = flsub.add_parser(
@@ -1065,49 +1023,11 @@ def build_parser() -> argparse.ArgumentParser:
     pflw.add_argument("--keep-alive", action="store_true",
                       help="keep polling after the broker drains "
                            "(default: exit on drain)")
-    pflw.add_argument("--no-cache", action="store_true",
-                      help="skip the local/shared result cache")
-    pflw.add_argument("--cache-dir", default=None,
-                      help="cache root (default: REPRO_CACHE_DIR or "
-                           "~/.cache/repro)")
+    _add_cache_args(pflw)
     pflw.add_argument("--trace-dir", default=None,
                       help="export each freshly traced task's spans as "
                            "Perfetto JSON into this directory")
     pflw.set_defaults(fn=cmd_fleet_worker)
-
-    pfls = flsub.add_parser(
-        "sweep", help="submit a sweep grid to a broker, wait, merge results")
-    pfls.add_argument("--broker", default="http://127.0.0.1:8724",
-                      help="broker URL")
-    pfls.add_argument("--configs", default="ddr-baseline,coaxial-4x",
-                      help="comma list of config names")
-    pfls.add_argument("--workloads", default="representative",
-                      help="comma list, or 'representative' / 'all'")
-    pfls.add_argument("--ops", type=int, default=None,
-                      help="memory ops per core (default: workload default)")
-    pfls.add_argument("--seeds", default="1", help="comma list of seeds")
-    pfls.add_argument("--timeout", type=float, default=600.0,
-                      help="seconds to wait for the whole grid to settle")
-    pfls.add_argument("--bench-out", default="BENCH_fleet.json",
-                      help="where to write the benchmark record")
-    pfls.add_argument("--force", action="store_true",
-                      help="allow overwriting a committed perf baseline")
-    pfls.add_argument("--drain", action="store_true",
-                      help="tell the broker to drain after results arrive "
-                           "(oneshot workers then exit)")
-    pfls.add_argument("--quiet", action="store_true",
-                      help="suppress the settle progress ticker")
-    pfls.add_argument("--validate", default=None,
-                      choices=["off", "on", "strict"],
-                      help="invariant auditing per job")
-    pfls.add_argument("--tracing", default=None,
-                      choices=["off", "on", "kernel"],
-                      help="per-job causal span tracing; mints one trace id "
-                           "for the grid and stamps every task with it")
-    pfls.add_argument("--obs", default=None, choices=["off", "on", "profile"],
-                      help="per-job observability; enables exact fleet "
-                           "quantile merging in the benchmark record")
-    pfls.set_defaults(fn=cmd_fleet_sweep)
 
     pca = sub.add_parser(
         "campaign", help="successive-halving config search (pool or fleet)")
@@ -1136,7 +1056,8 @@ def build_parser() -> argparse.ArgumentParser:
     pca.add_argument("--jobs", type=int, default=None,
                      help="local pool workers when no --broker is given")
     pca.add_argument("--timeout", type=float, default=1800.0,
-                     help="per-rung settle timeout in seconds")
+                     help="per-job deadline in seconds from submission; a "
+                          "job still unsettled past it fails")
     pca.add_argument("--out", default=None,
                      help="write the campaign report JSON here")
     pca.set_defaults(fn=cmd_campaign)
@@ -1283,7 +1204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pfs = fsub.add_parser(
         "shrink", help="minimize one failing case (corpus entry, case JSON file, or literal)")
-    pfs.add_argument("case", help="corpus entry path, FuzzCase JSON file, or JSON literal")
+    pfs.add_argument("case", help="corpus entry path, case JSON file, or JSON literal")
     pfs.add_argument("--oracle", default=None,
                      help="oracle name (inferred from a corpus entry)")
     pfs.add_argument("--max-probes", type=int, default=48)
@@ -1320,7 +1241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except KeyError as e:
+    except (KeyError, SpecError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

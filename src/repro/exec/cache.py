@@ -62,6 +62,15 @@ def disk_cache_enabled() -> bool:
     return not os.environ.get(ENV_NO_DISK_CACHE)
 
 
+def cache_from_flags(cache_dir: Optional[str],
+                     no_cache: bool) -> Optional["ResultCache"]:
+    """The cache a command's ``--cache-dir``/``--no-cache`` flags select:
+    ``None`` when the flag or ``$REPRO_NO_DISK_CACHE`` turns it off."""
+    if no_cache or not disk_cache_enabled():
+        return None
+    return ResultCache(root=Path(cache_dir) if cache_dir else None)
+
+
 def _flatten(prefix: str, value: Any, out: Dict[str, Any]) -> None:
     if isinstance(value, dict):
         for k in sorted(value):

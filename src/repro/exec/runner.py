@@ -1,4 +1,5 @@
-"""Process-pool execution: a generic task fan-out plus the sweep runner.
+"""Process-pool execution: a generic task fan-out, the sweep runner, and
+the local executor.
 
 :class:`PoolRunner` is the generic layer: a list of picklable items is
 fanned across :class:`ProcessPoolExecutor` workers through one module-level
@@ -13,6 +14,10 @@ workload, ops, seed)`` jobs — adding the on-disk
 :class:`~repro.exec.cache.ResultCache` pass that short-circuits jobs already
 simulated by *any* previous process. The fuzz harness
 (:mod:`repro.fuzz.harness`) drives :class:`PoolRunner` directly.
+
+:class:`LocalExecutor` runs :class:`~repro.exec.spec.TaskSpec`\\ s through
+a :class:`SweepRunner`; :class:`repro.fleet.client.FleetClient` runs the
+same specs on a fleet broker behind the same ``run(specs, progress)``.
 
 Workers receive the config by value (dataclasses pickle cleanly) and the
 workload by catalog name, so nothing process-local leaks into a job and a
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import ResultCache
-from repro.system.config import ALL_CONFIGS, SystemConfig
+from repro.exec.spec import SweepJob, TaskSpec
 from repro.system.stats import SimResult
 
 #: Environment variable setting the default worker count.
@@ -50,41 +55,6 @@ def default_workers() -> int:
             raise ValueError(f"{ENV_JOBS} must be >= 1, got {n}")
         return n
     return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class SweepJob:
-    """One point of a sweep grid."""
-
-    config: SystemConfig
-    workload: str
-    ops: Optional[int] = None
-    seed: int = 1
-    #: Invariant-audit mode forwarded to ``simulate(validate=...)``:
-    #: None (env default) / "off" / "on" / "strict". Not part of the cache
-    #: key — validation observes a run, it does not change its results.
-    validate: Optional[str] = None
-    #: Observability mode forwarded to ``simulate(obs=...)``: None (env
-    #: default) / "off" / "on" / "profile". Like ``validate`` it is not
-    #: part of the cache key — observation never changes results — so a
-    #: cache hit returns the stored result as-is (without an
-    #: ``extras["obs"]`` payload if it was stored without one).
-    obs: Optional[str] = None
-    #: Span-tracing mode forwarded to ``simulate(tracing=...)``: None (env
-    #: default) / "off" / "on" / "kernel". Like ``obs`` it is not part of
-    #: the cache key — tracing observes a run without changing it — so a
-    #: cache hit returns the stored result as-is (without an
-    #: ``extras["trace"]`` payload if it was stored without one).
-    tracing: Optional[str] = None
-    #: Distributed trace id (minted at ``repro serve`` submit and threaded
-    #: through fleet TaskSpecs). Stamped into the freshly simulated
-    #: result's ``extras["trace"]["trace_id"]``; purely an identity tag,
-    #: never part of the cache key.
-    trace_id: Optional[str] = None
-
-    def label(self) -> str:
-        return (f"{self.config.name}/{self.workload}/ops={self.ops}"
-                f"/seed={self.seed}")
 
 
 @dataclass
@@ -120,34 +90,6 @@ def _simulate_job(job: SweepJob) -> Tuple[SimResult, float, int]:
             trace["trace_id"] = job.trace_id
     events = int(result.extras.get("events_fired", 0))
     return result, wall, events
-
-
-def expand_grid(configs: Sequence[str], workloads: Sequence[str],
-                ops: Optional[int] = None,
-                seeds: Sequence[int] = (1,),
-                validate: Optional[str] = None,
-                obs: Optional[str] = None,
-                tracing: Optional[str] = None,
-                trace_id: Optional[str] = None,
-                overrides: Optional[Dict[str, Any]] = None) -> List[SweepJob]:
-    """Build the (config x workload x seed) job list from config names.
-
-    ``overrides`` (SystemConfig field -> value) is applied to every named
-    config — how the CLI's ``--tiering``/``--device-profile``/
-    ``--cxl-backend`` flags modify a whole sweep grid at once.
-    """
-    jobs = []
-    for c in configs:
-        if c not in ALL_CONFIGS:
-            raise KeyError(f"unknown config {c!r}; valid: {list(ALL_CONFIGS)}")
-        cfg = ALL_CONFIGS[c]()
-        if overrides:
-            cfg = cfg.replace(**overrides)
-        for w in workloads:
-            for s in seeds:
-                jobs.append(SweepJob(cfg, w, ops, s, validate=validate,
-                                     obs=obs, tracing=tracing, trace_id=trace_id))
-    return jobs
 
 
 @dataclass
@@ -499,27 +441,39 @@ class SweepRunner:
         return done
 
 
+class ExecutorError(RuntimeError):
+    """An executor could not run a batch of specs at all (e.g. its broker
+    is unreachable), as opposed to individual jobs failing."""
+
+
+class LocalExecutor:
+    """Run task specs on this host's process pool.
+
+    The in-process twin of :class:`repro.fleet.client.FleetClient`: both
+    turn specs into :class:`JobResult`\\ s in spec order through
+    ``run(specs, progress)``, calling ``progress(done, total, job_result)``
+    as each job settles, so a sweep or a campaign runs on either without
+    knowing which. Every spec is validated and materialized before any
+    job runs.
+    """
+
+    def __init__(self, workers: Optional[int] = None,
+                 cache: Optional[ResultCache] = None,
+                 job_timeout_s: Optional[float] = None, retries: int = 1):
+        self.runner = SweepRunner(workers=workers, cache=cache,
+                                  job_timeout_s=job_timeout_s,
+                                  retries=retries)
+
+    def run(self, specs: Sequence[TaskSpec],
+            progress: Optional[Callable[[int, int, JobResult], None]] = None,
+            ) -> List[JobResult]:
+        jobs = [s.build_job() for s in specs]
+        self.runner.progress = progress
+        return self.runner.run(jobs)
+
+
 def print_progress(done: int, total: int, jr: JobResult) -> None:
     """Stderr progress ticker for interactive sweeps."""
     tag = "cache" if jr.cached else (
         "FAIL " if jr.result is None else f"{jr.wall_s:5.1f}s")
     print(f"  [{done:3d}/{total}] {tag}  {jr.job.label()}", file=sys.stderr)
-
-
-def run_sweep(configs: Sequence[str], workloads: Sequence[str],
-              ops: Optional[int] = None, seeds: Sequence[int] = (1,),
-              workers: Optional[int] = None,
-              cache: Optional[ResultCache] = None,
-              job_timeout_s: Optional[float] = None, retries: int = 1,
-              progress: Optional[Callable[[int, int, JobResult], None]] = None,
-              validate: Optional[str] = None,
-              obs: Optional[str] = None,
-              tracing: Optional[str] = None,
-              ) -> List[JobResult]:
-    """One-call grid sweep: expand, run, return ordered :class:`JobResult`\\ s."""
-    jobs = expand_grid(configs, workloads, ops, seeds, validate=validate,
-                       obs=obs, tracing=tracing)
-    runner = SweepRunner(workers=workers, cache=cache,
-                         job_timeout_s=job_timeout_s, retries=retries,
-                         progress=progress)
-    return runner.run(jobs)

@@ -2,25 +2,22 @@
 
 Generalizes the single-host :class:`~repro.exec.runner.PoolRunner` to
 many hosts: a lease-based work-queue broker hands
-:class:`~repro.fleet.protocol.TaskSpec`\\ s to workers over HTTP, workers
+:class:`~repro.exec.spec.TaskSpec`\\ s to workers over HTTP, workers
 settle results through the content-addressed SimResult cache, and the
 campaign driver searches config space via successive halving over
 whichever executor (local pool or fleet) is available.
 """
 
 from repro.fleet.broker import BrokerApp, BrokerMetrics, FleetBroker, run_broker
-from repro.fleet.campaign import (Campaign, CampaignResult, Candidate,
-                                  parse_search, run_campaign)
-from repro.fleet.client import (FLEET_BENCH_FILENAME, FleetClient, FleetError,
-                                LocalExecutor)
-from repro.fleet.protocol import (TaskSpec, build_spec_config, expand_specs,
-                                  result_from_wire, result_to_wire)
+from repro.fleet.campaign import (Campaign, CampaignFailed, CampaignResult,
+                                  Candidate, parse_search, run_campaign)
+from repro.fleet.client import FleetClient, FleetError
+from repro.fleet.protocol import result_from_wire, result_to_wire
 from repro.fleet.worker import BrokerGone, FleetWorker, run_worker
 
 __all__ = [
-    "BrokerApp", "BrokerGone", "BrokerMetrics", "Campaign", "CampaignResult",
-    "Candidate", "FLEET_BENCH_FILENAME", "FleetBroker", "FleetClient",
-    "FleetError", "FleetWorker", "LocalExecutor", "TaskSpec",
-    "build_spec_config", "expand_specs", "parse_search", "result_from_wire",
+    "BrokerApp", "BrokerGone", "BrokerMetrics", "Campaign", "CampaignFailed",
+    "CampaignResult", "Candidate", "FleetBroker", "FleetClient",
+    "FleetError", "FleetWorker", "parse_search", "result_from_wire",
     "result_to_wire", "run_broker", "run_campaign", "run_worker",
 ]

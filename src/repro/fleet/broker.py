@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.exec.cache import ResultCache
-from repro.exec.runner import JobResult, SweepJob
-from repro.fleet.protocol import TaskSpec, result_from_wire, result_to_wire
+from repro.exec.runner import JobResult
+from repro.exec.spec import SpecError, SweepJob, TaskSpec
+from repro.fleet.protocol import result_from_wire, result_to_wire
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricRegistry
 
@@ -143,10 +144,14 @@ class FleetBroker:
 
     # -- submission ------------------------------------------------------------
     def submit(self, specs: Sequence[TaskSpec]) -> List[int]:
-        """Queue tasks; cache hits settle instantly without a lease."""
+        """Queue tasks; cache hits settle instantly without a lease.
+
+        Every spec is validated first: a :class:`SpecError` queues nothing.
+        """
+        jobs = [spec.build_job() for spec in specs]
         ids: List[int] = []
-        for spec in specs:
-            task = Task(id=self._next_id, spec=spec, job=spec.build_job())
+        for spec, job in zip(specs, jobs):
+            task = Task(id=self._next_id, spec=spec, job=job)
             self._next_id += 1
             self._tasks[task.id] = task
             ids.append(task.id)
@@ -368,7 +373,8 @@ class BrokerApp:
 
         GET  /healthz      liveness + task/worker counts
         GET  /metrics      Prometheus text exposition
-        POST /tasks        {"specs": [...]} -> {"ids": [...]}
+        POST /tasks        {"specs": [...]} -> {"ids": [...]}; 400 names
+                           the first invalid spec field, queuing nothing
         GET  /tasks        every task's lifecycle summary
         POST /lease        {"worker", "max"} -> {"tasks", "lease_s", "closing"}
         POST /renew        {"worker", "ids"} -> {"renewed"}
@@ -454,12 +460,9 @@ class BrokerApp:
         if not isinstance(raw, list) or not raw:
             raise HttpError(400, "'specs' must be a non-empty list")
         try:
-            specs = [TaskSpec.from_dict(d) for d in raw]
-            jobs = [s.build_job() for s in specs]     # validates eagerly
-        except (KeyError, ValueError, TypeError) as e:
+            ids = self.broker.submit([TaskSpec.from_dict(d) for d in raw])
+        except SpecError as e:
             raise HttpError(400, f"invalid task spec: {e}") from None
-        del jobs
-        ids = self.broker.submit(specs)
         return Response.json({"ids": ids}, status=202)
 
     async def handle_tasks(self, req):
@@ -550,14 +553,10 @@ class BrokerApp:
 def run_broker(host: str, port: int, lease_s: float, retries: int,
                no_cache: bool = False, cache_dir: Optional[str] = None) -> int:
     """Blocking entry point for ``repro fleet broker`` (returns exit code)."""
-    from pathlib import Path
+    from repro.exec.cache import cache_from_flags
 
-    from repro.exec.cache import disk_cache_enabled
-
-    cache = ResultCache(root=Path(cache_dir) if cache_dir else None,
-                        enabled=not no_cache and disk_cache_enabled())
-    app = BrokerApp(cache=cache if cache.enabled else None,
-                    lease_s=lease_s, retries=retries)
+    cache = cache_from_flags(cache_dir, no_cache)
+    app = BrokerApp(cache=cache, lease_s=lease_s, retries=retries)
 
     async def main() -> int:
         await app.start(host=host, port=port)
@@ -567,7 +566,7 @@ def run_broker(host: str, port: int, lease_s: float, retries: int,
             loop.add_signal_handler(sig, stop.set)
         print(f"repro fleet broker: listening on http://{host}:{app.port} "
               f"(lease={lease_s}s, retries={retries}, cache="
-              f"{'off' if not cache.enabled else cache.root})", flush=True)
+              f"{cache.root if cache else 'off'})", flush=True)
         await stop.wait()
         counts = app.broker.counts()
         print(f"repro fleet broker: shutting down ({counts['done']} done, "

@@ -11,10 +11,11 @@ are eliminated on cheap short runs; only contenders get long ones.
 
 The driver is executor-agnostic: anything with
 ``run(specs) -> List[JobResult]`` works, so the same campaign runs on an
-in-process pool (:class:`~repro.fleet.client.LocalExecutor`) or a fleet
+in-process pool (:class:`~repro.exec.runner.LocalExecutor`) or a fleet
 of hosts (:class:`~repro.fleet.client.FleetClient`). All rung specs are
 submitted as one batch per rung, which is exactly the shape the broker's
-work-stealing lease loop load-balances well.
+work-stealing lease loop load-balances well. A rung in which every
+candidate failed raises :class:`CampaignFailed` instead of crowning one.
 
 Objectives (all scored per candidate as the mean across its workloads):
 
@@ -39,10 +40,10 @@ from itertools import product
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exec.runner import JobResult
-from repro.fleet.protocol import TaskSpec
+from repro.exec.spec import TaskSpec
 
-__all__ = ["Campaign", "CampaignResult", "Candidate", "OBJECTIVES",
-           "parse_search", "run_campaign"]
+__all__ = ["Campaign", "CampaignFailed", "CampaignResult", "Candidate",
+           "OBJECTIVES", "parse_search", "run_campaign"]
 
 #: objective name -> (higher_is_better, result field description)
 OBJECTIVES = {
@@ -50,6 +51,10 @@ OBJECTIVES = {
     "miss_latency": False,
     "speedup": True,
 }
+
+
+class CampaignFailed(RuntimeError):
+    """Every candidate of a rung failed, so there is no winner."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,6 @@ class Campaign:
                  workloads: Sequence[str], objective: str = "ipc",
                  ops0: int = 500, eta: int = 3, max_rungs: int = 4,
                  seed: int = 1, obs: Optional[str] = None,
-                 timeout_s: float = 1800.0,
                  log: Any = lambda msg: None):
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}; "
@@ -159,7 +163,6 @@ class Campaign:
         self.max_rungs = max_rungs
         self.seed = seed
         self.obs = obs
-        self.timeout_s = timeout_s
         self.log = log
 
     # -- scoring ---------------------------------------------------------------
@@ -211,7 +214,7 @@ class Campaign:
             self.log(f"rung {rung}: {len(alive)} candidate(s) x "
                      f"{len(self.workloads)} workload(s) at ops={ops} "
                      f"({len(specs)} job(s))")
-            results = self.executor.run(specs, timeout_s=self.timeout_s)
+            results = self.executor.run(specs)
             total_jobs += len(results)
             total_wall += sum(jr.wall_s for jr in results if not jr.cached)
             cache_hits += sum(1 for jr in results if jr.cached)
@@ -225,6 +228,11 @@ class Campaign:
                 ((self._score(results[s:e], base_results), cand)
                  for cand, s, e in spans),
                 key=lambda t: ((-t[0] if higher else t[0]), t[1].label()))
+            if all(math.isinf(score) for score, _ in scored):
+                first = next((jr.error for jr in results if jr.error),
+                             "no job produced a finite score")
+                raise CampaignFailed(f"rung {rung}: every candidate failed; "
+                                     f"first error: {first}")
             keep = max(1, math.ceil(len(alive) / self.eta))
             history.append({
                 "rung": rung, "ops": ops,
@@ -253,10 +261,16 @@ def run_campaign(executor: Any, base: str, search: str,
                  workloads: Sequence[str], objective: str = "ipc",
                  ops0: int = 500, eta: int = 3, max_rungs: int = 4,
                  seed: int = 1, obs: Optional[str] = None,
-                 timeout_s: float = 1800.0,
                  log: Any = lambda msg: None) -> CampaignResult:
-    """Parse a search string and drive a campaign over ``executor``."""
+    """Parse a search string and drive a campaign over ``executor``.
+
+    Every search point is validated before any rung runs: a
+    :class:`~repro.exec.spec.SpecError` names the bad knob.
+    """
     candidates = attach_base(parse_search(search), base)
+    for cand in candidates:
+        for spec in cand.specs(workloads, ops0, seed, obs):
+            spec.build_job()
     return Campaign(executor, candidates, workloads, objective=objective,
                     ops0=ops0, eta=eta, max_rungs=max_rungs, seed=seed,
-                    obs=obs, timeout_s=timeout_s, log=log).run()
+                    obs=obs, log=log).run()

@@ -1,12 +1,13 @@
-"""Client-side fleet access: submit specs, wait, fetch ordered results.
+"""Client-side fleet access: submit specs, collect ordered results.
 
 :class:`FleetClient` talks to a :class:`~repro.fleet.broker.BrokerApp`
-over HTTP. :class:`LocalExecutor` runs the identical specs through the
-in-process :class:`~repro.exec.runner.SweepRunner` instead — both expose
-the same ``run(specs) -> List[JobResult]`` surface, which is what lets
-the campaign driver (and tests, and the smoke's bit-identity check)
-switch between one process pool and a fleet of hosts without changing
-anything above the executor.
+over HTTP. Its ``run(specs, progress)`` is the fleet twin of
+:class:`repro.exec.runner.LocalExecutor`'s, which runs the identical
+specs on this host's process pool: same specs in, same
+:class:`JobResult` list out, same ``progress(done, total, job_result)``
+ticks. That is what lets ``repro sweep``, the campaign driver and the
+smoke's bit-identity check switch between one process pool and a fleet
+of hosts without changing anything above the executor.
 """
 
 from __future__ import annotations
@@ -16,36 +17,50 @@ import json
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.exec.cache import ResultCache
-from repro.exec.runner import JobResult, SweepRunner
-from repro.fleet.protocol import TaskSpec, result_from_wire
+from repro.exec.runner import ExecutorError, JobResult
+from repro.exec.spec import TaskSpec
+from repro.fleet.protocol import result_from_wire
 
-__all__ = ["FleetClient", "FleetError", "LocalExecutor",
-           "FLEET_BENCH_FILENAME"]
+__all__ = ["FleetClient", "FleetError"]
 
-#: Default output file for fleet benchmark records (cf. BENCH_sweep.json).
-FLEET_BENCH_FILENAME = "BENCH_fleet.json"
+#: Seconds one HTTP request to the broker may take.
+HTTP_TIMEOUT_S = 30.0
 
 
-class FleetError(RuntimeError):
+class FleetError(ExecutorError):
     """A broker request failed (HTTP error or unreachable)."""
 
 
 class FleetClient:
-    """Synchronous HTTP client for one fleet broker."""
+    """Synchronous HTTP client for one fleet broker.
 
-    def __init__(self, broker_url: str, timeout_s: float = 30.0):
+    Parameters
+    ----------
+    broker_url:
+        ``http://host:port`` of a running ``repro fleet broker``.
+    job_timeout_s:
+        Per-job deadline in seconds, measured from submission, as on the
+        local pool: a task still unsettled past it comes back from
+        :meth:`run` failed with a timeout error (it stays on the broker).
+    poll_s:
+        Seconds between task-state polls in :meth:`run`.
+    """
+
+    def __init__(self, broker_url: str,
+                 job_timeout_s: Optional[float] = None, poll_s: float = 0.2):
         self.broker_url = broker_url.rstrip("/")
         host = self.broker_url.split("://", 1)[-1]
         self.host, _, port = host.partition(":")
         self.port = int(port or 80)
-        self.timeout_s = timeout_s
+        self.job_timeout_s = job_timeout_s
+        self.poll_s = poll_s
 
     # -- transport -------------------------------------------------------------
-    def _request(self, method: str, path: str,
-                 body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    def request(self, method: str, path: str,
+                body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """One JSON request; a :class:`FleetError` on any failure."""
         conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout_s)
+                                          timeout=HTTP_TIMEOUT_S)
         try:
             payload = json.dumps(body).encode() if body is not None else None
             conn.request(method, path, body=payload,
@@ -70,82 +85,63 @@ class FleetClient:
 
     # -- API -------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
-        return self._request("GET", "/healthz")
+        return self.request("GET", "/healthz")
 
     def submit(self, specs: Sequence[TaskSpec]) -> List[int]:
-        out = self._request("POST", "/tasks",
-                            {"specs": [s.to_dict() for s in specs]})
+        out = self.request("POST", "/tasks",
+                           {"specs": [s.to_dict() for s in specs]})
         return [int(i) for i in out["ids"]]
 
     def tasks(self) -> Dict[str, Any]:
-        return self._request("GET", "/tasks")
+        return self.request("GET", "/tasks")
 
     def drain(self) -> None:
-        self._request("POST", "/drain", {})
-
-    def wait(self, task_ids: Sequence[int], timeout_s: float = 600.0,
-             poll_s: float = 0.2,
-             progress: Optional[Callable[[int, int], None]] = None) -> None:
-        """Poll until every task id settles (done or failed)."""
-        wanted = set(task_ids)
-        deadline = time.monotonic() + timeout_s
-        last_done = -1
-        while True:
-            status = self.tasks()
-            done = sum(1 for t in status["tasks"]
-                       if t["id"] in wanted and t["state"] in ("done", "failed"))
-            if progress and done != last_done:
-                progress(done, len(wanted))
-                last_done = done
-            if done == len(wanted):
-                return
-            if time.monotonic() > deadline:
-                pending = [t["id"] for t in status["tasks"]
-                           if t["id"] in wanted
-                           and t["state"] not in ("done", "failed")]
-                raise FleetError(f"{len(pending)} task(s) still unsettled "
-                                 f"after {timeout_s}s: {pending[:10]}")
-            time.sleep(poll_s)
+        self.request("POST", "/drain", {})
 
     def results(self, task_ids: Sequence[int]) -> List[JobResult]:
-        """Ordered :class:`JobResult`\\ s for settled tasks."""
+        """:class:`JobResult`\\ s of settled tasks, in task-id order."""
         ids = ",".join(str(i) for i in sorted(task_ids))
-        out = self._request("GET", f"/results?ids={ids}")
-        results = []
-        for ent in out["results"]:
-            spec = TaskSpec.from_dict(ent["spec"])
-            results.append(result_from_wire(spec.build_job(), ent))
-        return results
-
-    def run(self, specs: Sequence[TaskSpec], timeout_s: float = 600.0,
-            progress: Optional[Callable[[int, int], None]] = None,
-            ) -> List[JobResult]:
-        """Submit, wait, fetch — the fleet twin of ``SweepRunner.run``."""
-        ids = self.submit(specs)
-        self.wait(ids, timeout_s=timeout_s, progress=progress)
-        return self.results(ids)
-
-
-class LocalExecutor:
-    """Run fleet specs through the in-process sweep runner.
-
-    The single-pool reference the fleet is measured against: same specs,
-    same materialization path, same result type.
-    """
-
-    def __init__(self, workers: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 job_timeout_s: Optional[float] = None, retries: int = 1):
-        self.runner = SweepRunner(workers=workers, cache=cache,
-                                  job_timeout_s=job_timeout_s,
-                                  retries=retries)
+        out = self.request("GET", f"/results?ids={ids}")
+        return [result_from_wire(TaskSpec.from_dict(ent["spec"]).build_job(),
+                                 ent)
+                for ent in out["results"]]
 
     def run(self, specs: Sequence[TaskSpec],
-            timeout_s: float = 600.0,
-            progress: Optional[Callable[[int, int], None]] = None,
+            progress: Optional[Callable[[int, int, JobResult], None]] = None,
             ) -> List[JobResult]:
-        del timeout_s                    # bounded by the runner's own deadline
-        if progress:
-            self.runner.progress = (
-                lambda done, total, jr: progress(done, total))
-        return self.runner.run([s.build_job() for s in specs])
+        """Submit ``specs`` and collect each task as it settles.
+
+        Results come back in spec order; ``progress`` sees each one as
+        soon as the broker has it.
+        """
+        ids = self.submit(specs)
+        slot = {tid: i for i, tid in enumerate(ids)}
+        out: List[Optional[JobResult]] = [None] * len(ids)
+        deadline = (None if self.job_timeout_s is None
+                    else time.monotonic() + self.job_timeout_s)
+        done = 0
+
+        def settle(tid: int, jr: JobResult) -> None:
+            nonlocal done
+            out[slot[tid]] = jr
+            done += 1
+            if progress:
+                progress(done, len(ids), jr)
+
+        while True:
+            fresh = sorted(t["id"] for t in self.tasks()["tasks"]
+                           if t["id"] in slot and out[slot[t["id"]]] is None
+                           and t["state"] in ("done", "failed"))
+            if fresh:
+                for tid, jr in zip(fresh, self.results(fresh)):
+                    settle(tid, jr)
+            if done == len(ids):
+                return out
+            if deadline is not None and time.monotonic() > deadline:
+                for tid in ids:
+                    if out[slot[tid]] is None:
+                        settle(tid, JobResult(
+                            job=specs[slot[tid]].build_job(), result=None,
+                            error=f"timeout after {self.job_timeout_s}s"))
+                return out
+            time.sleep(self.poll_s)

@@ -21,8 +21,6 @@ Two layers keep long simulations safe:
 
 from __future__ import annotations
 
-import http.client
-import json
 import os
 import socket
 import threading
@@ -30,9 +28,11 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
-from repro.exec.cache import ResultCache, disk_cache_enabled
+from repro.exec.cache import ResultCache, cache_from_flags
 from repro.exec.runner import JobResult, _simulate_job
-from repro.fleet.protocol import TaskSpec, result_to_wire
+from repro.exec.spec import TaskSpec
+from repro.fleet.client import FleetClient
+from repro.fleet.protocol import result_to_wire
 
 __all__ = ["FleetWorker", "run_worker"]
 
@@ -79,10 +79,8 @@ class FleetWorker:
                  broker_grace_s: float = 30.0,
                  trace_dir: Optional[Path] = None,
                  log: Callable[[str], None] = lambda msg: None):
-        self.broker_url = broker_url.rstrip("/")
-        host = self.broker_url.split("://", 1)[-1]
-        self.host, _, port = host.partition(":")
-        self.port = int(port or 80)
+        self.client = FleetClient(broker_url)
+        self.broker_url = self.client.broker_url
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.cache = cache
         self.poll_s = poll_s
@@ -96,23 +94,8 @@ class FleetWorker:
         self.tasks_failed = 0
         self._stop = threading.Event()
 
-    # -- transport -------------------------------------------------------------
-    def _post(self, path: str, body: Dict[str, Any],
-              timeout: float = 30.0) -> Dict[str, Any]:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=timeout)
-        try:
-            conn.request("POST", path, body=json.dumps(body).encode(),
-                         headers={"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            data = resp.read()
-        finally:
-            conn.close()
-        payload = json.loads(data) if data else {}
-        if resp.status >= 400:
-            raise RuntimeError(f"{path} -> {resp.status}: "
-                               f"{payload.get('error', data[:200])}")
-        return payload
+    def _post(self, path: str, body: Dict[str, Any]) -> Dict[str, Any]:
+        return self.client.request("POST", path, body)
 
     # -- execution -------------------------------------------------------------
     def stop(self) -> None:
@@ -239,11 +222,9 @@ def run_worker(broker_url: str, worker_id: Optional[str], poll_s: float,
     import signal
     import sys
 
-    cache = ResultCache(root=Path(cache_dir) if cache_dir else None,
-                        enabled=not no_cache and disk_cache_enabled())
     worker = FleetWorker(
         broker_url, worker_id=worker_id,
-        cache=cache if cache.enabled else None, poll_s=poll_s,
+        cache=cache_from_flags(cache_dir, no_cache), poll_s=poll_s,
         max_tasks=max_tasks, oneshot=oneshot,
         trace_dir=Path(trace_dir) if trace_dir else None,
         log=lambda msg: print(msg, file=sys.stderr, flush=True))

@@ -5,6 +5,11 @@ the repo), holding a single compact JSON object::
 
     {"case": {...}, "oracle": "diff_kernel", "note": "why this exists"}
 
+The case is a :class:`~repro.exec.spec.TaskSpec` written as exactly its
+five job fields (``base``, ``overrides``, ``workload``, ``ops``,
+``seed``). The corpus owns that format, apart from ``TaskSpec.to_dict``'s
+wire form, because an auto-saved entry's name is a digest of it.
+
 Entries record cases that *failed* when a bug existed; once the bug is
 fixed they must pass forever, replayed two ways:
 
@@ -23,9 +28,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
-from repro.fuzz.gen import FuzzCase
+from repro.exec.spec import SpecError, TaskSpec
 from repro.fuzz.oracles import run_oracle
 
 
@@ -34,31 +39,48 @@ def default_corpus_dir() -> Path:
     return Path(__file__).resolve().parents[3] / "tests" / "corpus"
 
 
+def case_dict(case: TaskSpec) -> Dict[str, Any]:
+    """A fuzz case in the corpus format: exactly its five job fields."""
+    return {"base": case.base, "overrides": dict(case.overrides),
+            "workload": case.workload, "ops": case.ops, "seed": case.seed}
+
+
+def parse_case(payload: Any) -> TaskSpec:
+    """A validated fuzz case from its corpus JSON object; a case needs an
+    op count."""
+    case = TaskSpec.from_dict(payload)
+    if case.ops is None:
+        raise SpecError("'ops': a fuzz case needs an op count")
+    case.build_job()
+    return case
+
+
+def _compact(payload: Dict[str, Any]) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class CorpusEntry:
     """One committed reproducer."""
 
     name: str
-    case: FuzzCase
+    case: TaskSpec
     oracle: str
     note: str = ""
 
     def to_json(self) -> str:
-        return json.dumps({
-            "case": json.loads(self.case.to_json()),
-            "oracle": self.oracle,
-            "note": self.note,
-        }, sort_keys=True, separators=(",", ":"))
+        return _compact({"case": case_dict(self.case), "oracle": self.oracle,
+                         "note": self.note})
 
 
-def entry_name(case: FuzzCase, oracle: str) -> str:
+def entry_name(case: TaskSpec, oracle: str) -> str:
     """Stable content-derived filename stem for a reproducer."""
     digest = hashlib.sha256(
-        (oracle + "|" + case.to_json()).encode()).hexdigest()[:10]
+        (oracle + "|" + _compact(case_dict(case))).encode()).hexdigest()[:10]
     return f"{oracle}-{digest}"
 
 
-def save_entry(case: FuzzCase, oracle: str, note: str = "",
+def save_entry(case: TaskSpec, oracle: str, note: str = "",
                corpus_dir: Optional[Path] = None,
                name: Optional[str] = None) -> Path:
     """Write one reproducer; returns its path (parent dirs are created)."""
@@ -77,11 +99,11 @@ def load_entry(path: Path) -> CorpusEntry:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return CorpusEntry(
             name=Path(path).stem,
-            case=FuzzCase.from_dict(payload["case"]),
+            case=parse_case(payload["case"]),
             oracle=payload["oracle"],
             note=payload.get("note", ""),
         )
-    except (KeyError, TypeError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed corpus entry {path}: {e}") from None
 
 

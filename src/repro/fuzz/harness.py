@@ -16,11 +16,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.exec.runner import PoolRunner
+from repro.exec.spec import TaskSpec
 from repro.fuzz.corpus import save_entry
-from repro.fuzz.gen import FuzzCase, generate_cases
+from repro.fuzz.gen import generate_cases
 from repro.fuzz.oracles import applicable_oracles, run_oracle
 from repro.fuzz.shrink import ShrinkResult, shrink
 
@@ -29,7 +30,7 @@ from repro.fuzz.shrink import ShrinkResult, shrink
 class FuzzFailure:
     """One failed (case, oracle) check, possibly with a shrunk reproducer."""
 
-    case: FuzzCase
+    case: TaskSpec
     oracle: str
     detail: str
     shrunk: Optional[ShrinkResult] = None
@@ -53,10 +54,10 @@ class FuzzReport:
         return not self.failures and not self.errors
 
 
-def _check_worker(item: Tuple[Dict[str, Any], str]) -> Optional[str]:
+def _check_worker(item: Tuple[TaskSpec, str]) -> Optional[str]:
     """Pool worker: run one oracle on one case (module-level: picklable)."""
-    case_dict, oracle = item
-    return run_oracle(oracle, FuzzCase.from_dict(case_dict))
+    case, oracle = item
+    return run_oracle(oracle, case)
 
 
 class FuzzRunner:
@@ -84,7 +85,7 @@ class FuzzRunner:
         t0 = time.perf_counter()
         report = FuzzReport(trials=self.trials)
         cases = generate_cases(self.trials, self.seed)
-        checks: List[Tuple[FuzzCase, str]] = []
+        checks: List[Tuple[TaskSpec, str]] = []
         for case in cases:
             for name in applicable_oracles(case, self.oracles):
                 checks.append((case, name))
@@ -92,7 +93,7 @@ class FuzzRunner:
 
         pool = PoolRunner(_check_worker, workers=self.workers, retries=0)
         batch = max(4, 2 * pool.workers)
-        raw_failures: List[Tuple[FuzzCase, str, str]] = []
+        raw_failures: List[Tuple[TaskSpec, str, str]] = []
         for lo in range(0, len(checks), batch):
             if (self.time_budget_s is not None
                     and time.perf_counter() - t0 >= self.time_budget_s):
@@ -100,8 +101,7 @@ class FuzzRunner:
                 self.log(f"fuzz: time budget hit after {report.checks_run} checks")
                 break
             chunk = checks[lo:lo + batch]
-            items = [(c.to_dict(), name) for c, name in chunk]
-            for out in pool.run(items):
+            for out in pool.run(chunk):
                 case, name = chunk[out.index]
                 report.checks_run += 1
                 if out.error is not None:

@@ -20,7 +20,8 @@ Four oracle classes, per the testing plan:
   wide enough to absorb simulation noise but narrow enough to catch real
   bugs (each tolerance was calibrated against clean-main fuzz runs).
 
-Every oracle is a pure function of a :class:`~repro.fuzz.gen.FuzzCase`:
+Every oracle is a pure function of a fuzz case, a
+:class:`~repro.exec.spec.TaskSpec` with an op count:
 ``check(case)`` returns ``None`` on pass or a human-readable failure
 detail. That makes oracles replayable from one line of corpus JSON and
 shrinkable by delta-debugging the case.
@@ -34,7 +35,8 @@ import tempfile
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Dict, List, Optional
 
-from repro.fuzz.gen import FuzzCase, build_config, with_config_override
+from repro.exec.spec import TaskSpec, build_config
+from repro.system.config import SystemConfig
 from repro.system.stats import SimResult
 from repro.workloads.catalog import get_workload
 
@@ -87,14 +89,18 @@ SSD_HIT_PATH_MIN_COUNT = 20
 READ_HEAVY_WRITE_FRAC = 0.10
 
 
-def _simulate(case: FuzzCase, *, validate: str = "off",
+def _config(case: TaskSpec) -> SystemConfig:
+    return build_config(case.base, case.overrides)
+
+
+def _simulate(case: TaskSpec, *, validate: str = "off",
               kernel: str = "fast", cfg=None,
               ops: Optional[int] = None,
               obs: Optional[str] = None,
               tracing: Optional[str] = None) -> SimResult:
     from repro.system.sim import simulate
 
-    return simulate(cfg if cfg is not None else build_config(case),
+    return simulate(cfg if cfg is not None else _config(case),
                     get_workload(case.workload),
                     ops_per_core=ops if ops is not None else case.ops,
                     seed=case.seed, validate=validate, kernel=kernel,
@@ -113,7 +119,7 @@ def _result_diff(a: SimResult, b: SimResult) -> List[str]:
 
 # -- invariant ----------------------------------------------------------------
 
-def check_invariant(case: FuzzCase) -> Optional[str]:
+def check_invariant(case: TaskSpec) -> Optional[str]:
     r = _simulate(case, validate="on")
     report = r.extras.get("invariant_violations") or {}
     count = int(report.get("count", 0))
@@ -125,7 +131,7 @@ def check_invariant(case: FuzzCase) -> Optional[str]:
 
 # -- differential -------------------------------------------------------------
 
-def check_diff_kernel(case: FuzzCase) -> Optional[str]:
+def check_diff_kernel(case: TaskSpec) -> Optional[str]:
     """The production dispatch loop agrees bit-for-bit with the reference."""
     fast = _simulate(case, kernel="fast")
     ref = _simulate(case, kernel="reference")
@@ -135,11 +141,11 @@ def check_diff_kernel(case: FuzzCase) -> Optional[str]:
     return "fast vs reference kernel diverged: " + "; ".join(diffs[:5])
 
 
-def check_diff_cache(case: FuzzCase) -> Optional[str]:
+def check_diff_cache(case: TaskSpec) -> Optional[str]:
     """Cold ``run_one`` vs the identical job served from the disk cache."""
     from repro.analysis import tables
 
-    cfg = build_config(case)
+    cfg = _config(case)
     saved_disk = tables._disk
     saved_dir = os.environ.get("REPRO_CACHE_DIR")
     saved_no = os.environ.pop("REPRO_NO_DISK_CACHE", None)
@@ -179,14 +185,14 @@ def cache_state(chip) -> Dict[str, list]:
                    for s in arr._sets] for name, arr in arrays.items()}
 
 
-def check_diff_warmup(case: FuzzCase) -> Optional[str]:
+def check_diff_warmup(case: TaskSpec) -> Optional[str]:
     """The set-parallel functional warmup leaves exactly the cache state of
     the scalar per-core replay, on the case's own config and traces."""
     from repro.engine.kernel import Simulator
     from repro.system import sim
     from repro.system.builder import Chip
 
-    cfg = build_config(case)
+    cfg = _config(case)
     spec = get_workload(case.workload)
     traces, _, _ = sim._workload_traces(cfg, spec, case.ops, case.seed)
     warm = [t.split(int(len(t) * 0.25))[0] for t in traces]  # simulate()'s default
@@ -210,13 +216,13 @@ def check_diff_warmup(case: FuzzCase) -> Optional[str]:
 
 # -- metamorphic --------------------------------------------------------------
 
-def _is_cxl(case: FuzzCase) -> bool:
-    return build_config(case).memory_kind == "cxl"
+def _is_cxl(case: TaskSpec) -> bool:
+    return _config(case).memory_kind == "cxl"
 
 
-def check_bw_monotone(case: FuzzCase) -> Optional[str]:
+def check_bw_monotone(case: TaskSpec) -> Optional[str]:
     """Doubling CXL link goodput must not increase memory-side waiting."""
-    cfg = build_config(case)
+    cfg = _config(case)
     boosted = dc_replace(
         cfg.cxl_params,
         rx_goodput_gbps=2 * cfg.cxl_params.rx_goodput_gbps,
@@ -233,7 +239,7 @@ def check_bw_monotone(case: FuzzCase) -> Optional[str]:
             f"{wait_base:.1f} -> {wait_fast:.1f} ns (limit {limit:.1f})")
 
 
-def check_calm_r_bound(case: FuzzCase) -> Optional[str]:
+def check_calm_r_bound(case: TaskSpec) -> Optional[str]:
     """CALM_R: CALM-probe + LLC-filtered read demand stays near R x peak.
 
     The policy's contract (see :class:`repro.calm.policy.CalmR`) is
@@ -241,7 +247,7 @@ def check_calm_r_bound(case: FuzzCase) -> Optional[str]:
     both demand terms from end-of-run counters and allow slack for the
     one-epoch estimator lag and the headroom-certain startup regime.
     """
-    cfg = build_config(case)
+    cfg = _config(case)
     r_fraction = float(cfg.calm_policy.split("_", 1)[1]) / 100.0
     r = _simulate(case, cfg=cfg)
     if r.elapsed_ns < CALM_R_MIN_ELAPSED_NS:
@@ -261,18 +267,19 @@ def check_calm_r_bound(case: FuzzCase) -> Optional[str]:
             f"{limit:.2f} (cap {cap:.2f}, coverage {r.calm_fraction:.2f})")
 
 
-def _is_read_heavy(case: FuzzCase) -> bool:
+def _is_read_heavy(case: TaskSpec) -> bool:
     spec = get_workload(case.workload)
     wf = spec.params.get("write_frac")
     return wf is not None and wf <= READ_HEAVY_WRITE_FRAC
 
 
-def check_asym_read_heavy(case: FuzzCase) -> Optional[str]:
+def check_asym_read_heavy(case: TaskSpec) -> Optional[str]:
     """Asymmetric (wider-RX) lanes never lose IPC on read-heavy mixes."""
     from repro.cxl.link import X8_CXL, X8_CXL_ASYM
 
-    sym = _simulate(case, cfg=with_config_override(case, cxl_params=X8_CXL))
-    asym = _simulate(case, cfg=with_config_override(case, cxl_params=X8_CXL_ASYM))
+    cfg = _config(case)
+    sym = _simulate(case, cfg=dc_replace(cfg, cxl_params=X8_CXL))
+    asym = _simulate(case, cfg=dc_replace(cfg, cxl_params=X8_CXL_ASYM))
     floor = sym.ipc * (1 - ASYM_IPC_REL)
     if asym.ipc >= floor:
         return None
@@ -280,7 +287,7 @@ def check_asym_read_heavy(case: FuzzCase) -> Optional[str]:
             f"{sym.ipc:.4f} -> {asym.ipc:.4f} (floor {floor:.4f})")
 
 
-def check_ops_scaling(case: FuzzCase) -> Optional[str]:
+def check_ops_scaling(case: TaskSpec) -> Optional[str]:
     """Doubling the op count preserves per-op rates within tolerance."""
     r1 = _simulate(case)
     r2 = _simulate(case, ops=2 * case.ops)
@@ -295,7 +302,7 @@ def check_ops_scaling(case: FuzzCase) -> Optional[str]:
     return f"per-op rates drifted at 2x ops: " + "; ".join(probs)
 
 
-def check_channel_balance(case: FuzzCase) -> Optional[str]:
+def check_channel_balance(case: TaskSpec) -> Optional[str]:
     """Interleaved addressing spreads traffic across all DDR channels."""
     r = _simulate(case)
     chan = r.extras.get("channel_bytes") or []
@@ -316,24 +323,24 @@ def check_channel_balance(case: FuzzCase) -> Optional[str]:
     return None
 
 
-def _is_tiered(case: FuzzCase) -> bool:
-    return build_config(case).tiering is not None
+def _is_tiered(case: TaskSpec) -> bool:
+    return _config(case).tiering is not None
 
 
-def _is_ssd_backed(case: FuzzCase) -> bool:
-    cfg = build_config(case)
+def _is_ssd_backed(case: TaskSpec) -> bool:
+    cfg = _config(case)
     return cfg.memory_kind == "cxl" and cfg.cxl_backend == "ssd"
 
 
-def _is_flat_multichannel(case: FuzzCase) -> bool:
+def _is_flat_multichannel(case: TaskSpec) -> bool:
     """channel_balance only applies to untiered systems: a tiered config
     deliberately concentrates hot pages on the small local tier, so its
     channels are imbalanced by design."""
-    cfg = build_config(case)
+    cfg = _config(case)
     return cfg.n_ddr_channels >= 2 and cfg.tiering is None
 
 
-def check_tiering_bound(case: FuzzCase) -> Optional[str]:
+def check_tiering_bound(case: TaskSpec) -> Optional[str]:
     """Tiering never beats the all-local-DRAM twin on mean miss latency.
 
     The twin flattens the case's memory into plain local DDR with the
@@ -343,7 +350,7 @@ def check_tiering_bound(case: FuzzCase) -> Optional[str]:
     tiered mean miss latency meaningfully below the twin's means the
     premium or the migration accounting got lost somewhere.
     """
-    cfg = build_config(case)
+    cfg = _config(case)
     flat = dc_replace(cfg, memory_kind="ddr", n_mem_ports=cfg.n_ddr_channels,
                       ddr_per_cxl=1, tiering=None, cxl_backend="ddr")
     tiered = _simulate(case, cfg=cfg)
@@ -357,7 +364,7 @@ def check_tiering_bound(case: FuzzCase) -> Optional[str]:
             f"(floor {floor:.1f})")
 
 
-def check_migration_identity(case: FuzzCase) -> Optional[str]:
+def check_migration_identity(case: TaskSpec) -> Optional[str]:
     """Epoch migration with a zero budget == static pinning, bit for bit.
 
     Both twins first-touch-pin identically; an epoch policy that never
@@ -366,7 +373,7 @@ def check_migration_identity(case: FuzzCase) -> Optional[str]:
     ``extras["tiering"]`` key set — to plain static placement. Any drift
     means epoch bookkeeping leaked into the simulated timeline.
     """
-    cfg = build_config(case)
+    cfg = _config(case)
     frozen = dc_replace(cfg, tiering=dc_replace(
         cfg.tiering, policy="epoch", migrations_per_epoch=0))
     static = dc_replace(cfg, tiering=dc_replace(cfg.tiering, policy="static"))
@@ -378,7 +385,7 @@ def check_migration_identity(case: FuzzCase) -> Optional[str]:
             + "; ".join(diffs[:5]))
 
 
-def check_ssd_hit_path(case: FuzzCase) -> Optional[str]:
+def check_ssd_hit_path(case: TaskSpec) -> Optional[str]:
     """On-device DRAM cache hits are never slower than misses on average.
 
     A hit serves from the device cache's DRAM; a miss pays the slow-media
@@ -451,7 +458,7 @@ def _trace_payload_problem(payload: dict) -> Optional[str]:
     return None
 
 
-def check_all_observers(case: FuzzCase) -> Optional[str]:
+def check_all_observers(case: TaskSpec) -> Optional[str]:
     """Every observer at once is zero-perturbation on both loops.
 
     A run with ``validate``, ``obs`` and ``tracing`` all on must match the
@@ -483,7 +490,7 @@ def check_all_observers(case: FuzzCase) -> Optional[str]:
 
 # -- regression-only oracles (replayed from the corpus, not fuzzed) -----------
 
-def check_calm_clock(case: FuzzCase) -> Optional[str]:
+def check_calm_clock(case: TaskSpec) -> Optional[str]:
     """An unwired CalmR must raise, not degenerate to AlwaysCalm (PR2 fix)."""
     from repro.calm.policy import CalmR
 
@@ -506,8 +513,8 @@ class Oracle:
     """
 
     name: str
-    check: Callable[[FuzzCase], Optional[str]]
-    applies: Callable[[FuzzCase], bool] = lambda case: True
+    check: Callable[[TaskSpec], Optional[str]]
+    applies: Callable[[TaskSpec], bool] = lambda case: True
     default: bool = True
 
 
@@ -516,10 +523,10 @@ ORACLES: Dict[str, Oracle] = {o.name: o for o in [
     Oracle("diff_kernel", check_diff_kernel),
     Oracle("diff_cache", check_diff_cache),
     Oracle("diff_warmup", check_diff_warmup,
-           applies=lambda c: build_config(c).replacement == "lru"),
+           applies=lambda c: _config(c).replacement == "lru"),
     Oracle("bw_monotone", check_bw_monotone, applies=_is_cxl),
     Oracle("calm_r_bound", check_calm_r_bound,
-           applies=lambda c: build_config(c).calm_policy.startswith("calm_")),
+           applies=lambda c: _config(c).calm_policy.startswith("calm_")),
     Oracle("asym_read_heavy", check_asym_read_heavy,
            applies=lambda c: _is_cxl(c) and _is_read_heavy(c)),
     # Tiered and slow-media systems carry fixed-capacity device state
@@ -539,7 +546,7 @@ ORACLES: Dict[str, Oracle] = {o.name: o for o in [
 ]}
 
 
-def applicable_oracles(case: FuzzCase,
+def applicable_oracles(case: TaskSpec,
                        names: Optional[List[str]] = None) -> List[str]:
     """Oracle names to run for one case (the default set, or ``names``)."""
     pool = ([ORACLES[n] for n in names] if names
@@ -547,6 +554,6 @@ def applicable_oracles(case: FuzzCase,
     return [o.name for o in pool if o.applies(case)]
 
 
-def run_oracle(name: str, case: FuzzCase) -> Optional[str]:
+def run_oracle(name: str, case: TaskSpec) -> Optional[str]:
     """Run one oracle; returns failure detail or ``None``."""
     return ORACLES[name].check(case)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Optional
 
-from repro.fuzz.gen import FuzzCase
+from repro.exec.spec import TaskSpec
 from repro.fuzz.oracles import run_oracle
 
 MIN_OPS = 200
@@ -29,7 +29,7 @@ MIN_OPS = 200
 class ShrinkResult:
     """The minimized case plus search telemetry."""
 
-    case: FuzzCase
+    case: TaskSpec
     oracle: str
     detail: str                 # failure detail of the minimized case
     probes: int                 # oracle runs spent
@@ -37,7 +37,7 @@ class ShrinkResult:
     ops_before: int
 
 
-def _drop_override(case: FuzzCase, key: str) -> FuzzCase:
+def _drop_override(case: TaskSpec, key: str) -> TaskSpec:
     ov = dict(case.overrides)
     del ov[key]
     # active_cores may only exceed n_cores through a stale pairing; when
@@ -46,7 +46,7 @@ def _drop_override(case: FuzzCase, key: str) -> FuzzCase:
     return dc_replace(case, overrides=ov)
 
 
-def shrink(case: FuzzCase, oracle: str, max_probes: int = 48,
+def shrink(case: TaskSpec, oracle: str, max_probes: int = 48,
            log: Optional[Callable[[str], None]] = None) -> Optional[ShrinkResult]:
     """Minimize ``case`` against ``oracle``.
 
@@ -56,7 +56,7 @@ def shrink(case: FuzzCase, oracle: str, max_probes: int = 48,
     """
     probes = 0
 
-    def fails(c: FuzzCase) -> Optional[str]:
+    def fails(c: TaskSpec) -> Optional[str]:
         nonlocal probes
         probes += 1
         try:

@@ -1,10 +1,12 @@
 """Job model for the simulation job server.
 
 A submitted job is a small sweep: the JSON body names configs, workloads,
-ops, and seeds exactly like ``repro sweep`` flags, and expands through
-:func:`repro.exec.runner.expand_grid` into :class:`SweepJob` tasks at
-submission time — so an invalid config or workload is rejected with a 400
-before anything is queued. Each job carries a tenant (for quotas), a
+ops, and seeds exactly like ``repro sweep`` flags. It expands through
+:func:`repro.exec.spec.expand_specs` into task specs, and each spec goes
+through the one validator, :meth:`~repro.exec.spec.TaskSpec.build_job`,
+at submission time — the same checks, with the same messages, as the
+fleet broker's ``POST /tasks`` — so an invalid field is rejected with a
+400 before anything is queued. Each job carries a tenant (for quotas), a
 priority (higher runs first), and an append-only event log that the
 streaming endpoint replays and tails.
 """
@@ -18,8 +20,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.exec.runner import JobResult, SweepJob, expand_grid
-from repro.workloads import workload_names
+from repro.exec.runner import JobResult
+from repro.exec.spec import SpecError, SweepJob, expand_specs
 
 __all__ = ["Job", "JobStore", "parse_job_request",
            "JOB_STATES", "TERMINAL_STATES"]
@@ -44,8 +46,8 @@ def parse_job_request(payload: Dict[str, Any],
     """Validate a submission body into normalized job fields.
 
     Returns ``{"tenant", "priority", "spec", "tasks"}`` where ``tasks`` is
-    the expanded :class:`SweepJob` list. Raises :class:`BadRequest` with a
-    client-facing message on any invalid field.
+    the validated, materialized :class:`SweepJob` list. Raises
+    :class:`BadRequest` with a client-facing message on any invalid field.
     """
     if not isinstance(payload, dict):
         raise BadRequest("job submission must be a JSON object")
@@ -56,12 +58,10 @@ def parse_job_request(payload: Dict[str, Any],
         raise BadRequest(f"unknown field(s): {', '.join(sorted(unknown))}; "
                          f"expected a subset of {sorted(known)}")
 
-    def str_list(key: str, required: bool) -> List[str]:
+    def str_list(key: str) -> List[str]:
         val = payload.get(key)
         if val is None:
-            if required:
-                raise BadRequest(f"missing required field {key!r}")
-            return []
+            raise BadRequest(f"missing required field {key!r}")
         if isinstance(val, str):
             val = [v.strip() for v in val.split(",") if v.strip()]
         if (not isinstance(val, list) or not val
@@ -69,21 +69,12 @@ def parse_job_request(payload: Dict[str, Any],
             raise BadRequest(f"{key!r} must be a non-empty list of strings")
         return val
 
-    configs = str_list("configs", required=True)
-    workloads = str_list("workloads", required=True)
-    valid_workloads = set(workload_names())
-    bad = [w for w in workloads if w not in valid_workloads]
-    if bad:
-        raise BadRequest(f"unknown workload(s): {', '.join(bad)}")
-
-    ops = payload.get("ops")
-    if ops is not None and (not isinstance(ops, int) or ops < 1):
-        raise BadRequest("'ops' must be a positive integer")
+    configs = str_list("configs")
+    workloads = str_list("workloads")
     seeds = payload.get("seeds", [1])
     if isinstance(seeds, int):
         seeds = [seeds]
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+    if not isinstance(seeds, list) or not seeds:
         raise BadRequest("'seeds' must be a non-empty list of integers")
 
     priority = payload.get("priority", 0)
@@ -95,23 +86,18 @@ def parse_job_request(payload: Dict[str, Any],
         raise BadRequest("'tenant' must be a non-empty string")
     tenant = tenant.strip()
 
-    validate = payload.get("validate")
-    if validate is not None and validate not in ("off", "on", "strict"):
-        raise BadRequest("'validate' must be one of off/on/strict")
-    tracing = payload.get("tracing")
-    if tracing is not None and tracing not in ("off", "on", "kernel"):
-        raise BadRequest("'tracing' must be one of off/on/kernel")
-
-    try:
-        tasks = expand_grid(configs, workloads, ops=ops, seeds=seeds,
-                            validate=validate, tracing=tracing)
-    except KeyError as e:
-        raise BadRequest(str(e).strip("'\"")) from None
-    if len(tasks) > MAX_TASKS_PER_JOB:
-        raise BadRequest(f"job expands to {len(tasks)} tasks; the limit is "
+    n_tasks = len(configs) * len(workloads) * len(seeds)
+    if n_tasks > MAX_TASKS_PER_JOB:
+        raise BadRequest(f"job expands to {n_tasks} tasks; the limit is "
                          f"{MAX_TASKS_PER_JOB}")
-    spec = {"configs": configs, "workloads": workloads, "ops": ops,
-            "seeds": seeds, "validate": validate, "tracing": tracing}
+    knobs = {key: payload.get(key) for key in ("ops", "validate", "tracing")}
+    specs = expand_specs(configs, workloads, seeds=seeds, **knobs)
+    try:
+        tasks = [s.build_job() for s in specs]
+    except SpecError as e:
+        raise BadRequest(f"invalid task spec: {e}") from None
+    spec = {"configs": configs, "workloads": workloads, "seeds": seeds,
+            **knobs}
     return {"tenant": tenant, "priority": priority, "spec": spec,
             "tasks": tasks}
 

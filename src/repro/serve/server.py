@@ -26,10 +26,9 @@ import json
 import signal
 import sys
 import time
-from pathlib import Path
 from typing import AsyncIterator, Optional
 
-from repro.exec.cache import ResultCache, disk_cache_enabled
+from repro.exec.cache import ResultCache, cache_from_flags
 from repro.serve.http import (
     HttpError, Request, Response, Router, serve_connection,
 )
@@ -188,13 +187,11 @@ def run_server(host: str, port: int, pool_workers: int,
                no_cache: bool = False, cache_dir: Optional[str] = None,
                drain_s: float = 30.0) -> int:
     """Blocking entry point for ``repro serve`` (returns an exit code)."""
-    cache = ResultCache(
-        root=Path(cache_dir) if cache_dir else None,
-        enabled=not no_cache and disk_cache_enabled())
+    cache = cache_from_flags(cache_dir, no_cache)
     app = ServeApp(pool_workers=pool_workers, job_timeout_s=job_timeout_s,
                    retries=retries, max_active=max_active,
                    max_queue=max_queue, tenant_max_jobs=tenant_max_jobs,
-                   cache=cache if cache.enabled else None)
+                   cache=cache)
 
     async def main() -> int:
         await app.start(host=host, port=port)
@@ -205,7 +202,7 @@ def run_server(host: str, port: int, pool_workers: int,
         print(f"repro serve: listening on http://{host}:{app.port} "
               f"(pool_workers={pool_workers}, max_active={max_active}, "
               f"job_timeout={job_timeout_s}, cache="
-              f"{'off' if not cache.enabled else cache.root})",
+              f"{cache.root if cache else 'off'})",
               flush=True)
         await stop.wait()
         print("repro serve: shutting down ...", flush=True)

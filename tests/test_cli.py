@@ -100,6 +100,43 @@ class TestCommands:
         assert main(["sweep", "--configs", "warpdrive",
                      "--cache-dir", str(tmp_path)]) == 2
 
+    def test_sweep_device_flags_become_overrides(self, capsys, tmp_path):
+        import json
+        argv = ["sweep", "--configs", "coaxial-4x", "--workloads", "mcf",
+                "--ops", "200", "--jobs", "1", "--quiet", "--no-cache",
+                "--tiering", "epoch", "--device-profile", "demystify-b",
+                "--bench-out", str(tmp_path / "BENCH_sweep.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        bench = json.loads((tmp_path / "BENCH_sweep.json").read_text())
+        from repro.exec.cache import config_digest
+        from repro.exec.spec import build_config
+        want = build_config("coaxial-4x", {"tiering": "epoch",
+                                           "device_profile": "demystify-b"})
+        assert bench["config_digests"] == {"coaxial-4x": config_digest(want)}
+        # Flag values the config rejects exit 2 before anything runs.
+        assert main(argv[:-2] + ["--configs", "ddr-baseline"]) == 2
+        assert "requires memory_kind='cxl'" in capsys.readouterr().err
+
+    def test_campaign_tiering_search_scores_finite_ipc(self, capsys,
+                                                       tmp_path):
+        import json
+        import math
+        out = tmp_path / "campaign.json"
+        rc = main(["campaign", "--base", "coaxial-4x", "--search",
+                   "tiering=static,epoch", "--workloads", "mcf",
+                   "--ops0", "50", "--rungs", "1", "--jobs", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        winner = json.loads(out.read_text())["winner"]
+        assert winner["overrides"]["tiering"] in ("static", "epoch")
+        assert math.isfinite(winner["score"]) and winner["score"] > 0
+
+    def test_campaign_bad_search_knob_exits_2(self, capsys):
+        assert main(["campaign", "--search", "tiering=nope",
+                     "--workloads", "mcf", "--jobs", "1"]) == 2
+        assert "'tiering'" in capsys.readouterr().err
+
     def test_run_obs_then_report(self, capsys, tmp_path):
         out_path = tmp_path / "metrics" / "obs.jsonl"
         rc = main(["run", "--workload", "mcf", "--ops", "300",
@@ -192,3 +229,65 @@ class TestAuditedTrace:
         assert err[0].startswith("invariant violation (strict): ")
         assert "Traceback" not in err[0]
         assert not out.exists()
+
+
+class TestSweepOnBroker:
+    """``repro sweep --broker``: the same grid, rows and record on a fleet."""
+
+    GRID = ["--configs", "ddr-baseline,coaxial-4x", "--workloads", "mcf,gcc",
+            "--ops", "200", "--quiet"]
+
+    def test_rows_match_local_sweep(self, capsys, tmp_path):
+        import json
+        import threading
+
+        from repro.exec.cache import ResultCache
+        from repro.fleet import FleetClient, FleetWorker
+        from tests.test_fleet import BrokerHarness
+
+        broker = BrokerHarness(cache=ResultCache(root=tmp_path / "broker"))
+        url = broker.url
+        worker = FleetWorker(url, worker_id="w0", poll_s=0.05)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            fleet_out = tmp_path / "BENCH_fleet.json"
+            assert main(["sweep", "--broker", url, "--tracing", "on",
+                         "--bench-out", str(fleet_out)] + self.GRID) == 0
+            header = capsys.readouterr().out.splitlines()[0]
+            assert f"-> {url} (trace " in header
+        finally:
+            FleetClient(url).drain()
+            thread.join(timeout=30)
+            broker.stop()
+        local_out = tmp_path / "BENCH_sweep.json"
+        assert main(["sweep", "--jobs", "1", "--tracing", "on",
+                     "--cache-dir", str(tmp_path / "fresh"),
+                     "--bench-out", str(local_out)] + self.GRID) == 0
+        capsys.readouterr()
+
+        def rows(path):
+            record = json.loads(path.read_text())
+            return record, [(j["config"], j["workload"], j["seed"], j["ipc"],
+                             j["events"]) for j in record["jobs"]]
+
+        fleet, fleet_rows = rows(fleet_out)
+        local, local_rows = rows(local_out)
+        assert fleet_rows == local_rows and len(fleet_rows) == 4
+        assert fleet["fleet"]["broker"] == url
+        assert fleet["workers"] == 1
+        assert fleet["summary"]["n_failed"] == local["summary"]["n_failed"] == 0
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--retries", "0"],
+                                      ["--no-cache"], ["--clear-cache"],
+                                      ["--cache-dir", "somewhere"]])
+    def test_local_flags_rejected(self, capsys, flag):
+        # Checked before any broker contact: port 9 (discard) never answers.
+        assert main(["sweep", "--broker", "http://127.0.0.1:9"] + flag
+                    + self.GRID) == 2
+        assert "cannot be combined with --broker" in capsys.readouterr().err
+
+    def test_unreachable_broker_exits_2(self, capsys):
+        assert main(["sweep", "--broker", "http://127.0.0.1:9"]
+                    + self.GRID) == 2
+        assert "unreachable" in capsys.readouterr().err

@@ -17,7 +17,7 @@ import dataclasses
 import pytest
 
 from repro.engine.kernel import KERNEL_MODES, Simulator
-from repro.fuzz.gen import FuzzCase
+from repro.exec.spec import TaskSpec
 from repro.fuzz.oracles import run_oracle
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -179,7 +179,7 @@ class TestBatchSimulationEquality:
         # profile sampler draws in request-arrival order, so every
         # scenario config must stay inside the two-loop bit-identity
         # contract; the differential oracle does a full-result asdict diff.
-        case = FuzzCase(base=base, workload="capacity-churn", ops=400, seed=1)
+        case = TaskSpec(base=base, workload="capacity-churn", ops=400, seed=1)
         assert run_oracle("diff_kernel", case) is None
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from repro.exec.cache import ResultCache
 from repro.exec.runner import (
-    PoolRunner, SweepJob, SweepRunner, default_workers, expand_grid,
-    run_sweep,
+    PoolRunner, SweepJob, SweepRunner, default_workers,
 )
+from repro.exec.spec import SpecError, expand_specs
 from repro.system.config import baseline_config
 
 OPS = 250
@@ -27,9 +27,12 @@ def _hang_forever(seconds):
 
 
 class TestExpandGrid:
+    """The one grid expander, :func:`expand_specs`, and its jobs."""
+
     def test_grid_shape_and_order(self):
-        jobs = expand_grid(["ddr-baseline", "coaxial-4x"], ["mcf", "gcc"],
-                           ops=100, seeds=[1, 2])
+        jobs = [s.build_job() for s in expand_specs(
+            ["ddr-baseline", "coaxial-4x"], ["mcf", "gcc"],
+            ops=100, seeds=[1, 2])]
         assert len(jobs) == 8
         assert jobs[0].config.name == "ddr-baseline"
         assert [j.seed for j in jobs[:2]] == [1, 2]
@@ -37,8 +40,8 @@ class TestExpandGrid:
         assert all(j.ops == 100 for j in jobs)
 
     def test_unknown_config_rejected(self):
-        with pytest.raises(KeyError):
-            expand_grid(["nope"], ["mcf"])
+        with pytest.raises(SpecError, match="'base'"):
+            [s.build_job() for s in expand_specs(["nope"], ["mcf"])]
 
 
 class TestDefaultWorkers:
@@ -100,8 +103,9 @@ class TestInlineRunner:
 class TestPoolRunner:
     def test_pool_matches_job_order(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        results = run_sweep(["ddr-baseline"], ["mcf", "BFS", "gcc"], ops=OPS,
-                            workers=2, cache=cache)
+        jobs = [s.build_job() for s in expand_specs(
+            ["ddr-baseline"], ["mcf", "BFS", "gcc"], ops=OPS)]
+        results = SweepRunner(workers=2, cache=cache).run(jobs)
         assert [r.job.workload for r in results] == ["mcf", "BFS", "gcc"]
         assert all(r.result is not None for r in results)
         assert cache.counters() == {"hits": 0, "misses": 3, "stores": 3}

@@ -24,11 +24,13 @@ import time
 import pytest
 
 from repro.exec.cache import ResultCache
-from repro.exec.runner import JobResult, SweepRunner, _simulate_job
+from repro.exec.runner import (
+    JobResult, LocalExecutor, SweepRunner, _simulate_job,
+)
+from repro.exec.spec import SpecError, TaskSpec, build_config, expand_specs
 from repro.fleet import (
-    BrokerApp, Campaign, Candidate, FleetBroker, FleetClient, FleetError,
-    FleetWorker, LocalExecutor, TaskSpec, build_spec_config, expand_specs,
-    parse_search, result_from_wire, result_to_wire,
+    BrokerApp, Campaign, CampaignFailed, Candidate, FleetBroker, FleetClient,
+    FleetError, FleetWorker, parse_search, result_from_wire, result_to_wire,
 )
 from repro.system.config import ALL_CONFIGS
 
@@ -84,20 +86,20 @@ class TestTaskSpec:
         assert job.config.name == "coaxial-4x" and job.ops == 100
 
     def test_overrides_apply(self):
-        cfg = build_spec_config("coaxial-4x",
-                                {"cxl": "asym", "calm_policy": "calm_90"})
+        cfg = build_config("coaxial-4x",
+                           {"cxl": "asym", "calm_policy": "calm_90"})
         assert cfg.cxl_params.lanes_rx != cfg.cxl_params.lanes_tx
         assert cfg.calm_policy == "calm_90"
 
     def test_n_cores_implies_active_cores(self):
-        cfg = build_spec_config("ddr-baseline", {"n_cores": 4})
+        cfg = build_config("ddr-baseline", {"n_cores": 4})
         assert cfg.n_cores == 4 and cfg.active_cores == 4
 
     def test_bad_base_and_override_rejected(self):
-        with pytest.raises(KeyError, match="unknown base config"):
-            build_spec_config("nope", {})
-        with pytest.raises(KeyError, match="unknown cxl params"):
-            build_spec_config("coaxial-4x", {"cxl": "nope"})
+        with pytest.raises(SpecError, match="'base' must name a config"):
+            TaskSpec(base="nope").build_job()
+        with pytest.raises(SpecError, match="'cxl' must be one of"):
+            TaskSpec(base="coaxial-4x", overrides={"cxl": "nope"}).build_job()
 
     def test_result_wire_round_trip(self):
         spec = make_specs(1)[0]
@@ -384,6 +386,20 @@ class BrokerHarness:
         return resp.status, json.loads(data) if data else {}
 
 
+def run_on_fleet(url, specs, workers, progress=None):
+    """Run ``specs`` through a :class:`FleetClient` while ``workers`` serve
+    the broker on threads; drain and join them afterwards."""
+    threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
+    for t in threads:
+        t.start()
+    client = FleetClient(url, job_timeout_s=120.0, poll_s=0.05)
+    results = client.run(specs, progress=progress)
+    client.drain()
+    for t in threads:
+        t.join(timeout=30)
+    return results
+
+
 @pytest.fixture
 def broker_http(tmp_path):
     harness = BrokerHarness(cache=ResultCache(root=tmp_path / "cache"),
@@ -433,23 +449,34 @@ class TestBrokerHttp:
         """The acceptance-criteria identity, at unit scale: a 2-worker
         fleet over HTTP produces results bit-identical to one pool."""
         specs = make_specs(2)
-        client = FleetClient(broker_http.url)
-        ids = client.submit(specs)
         workers = [FleetWorker(broker_http.url, worker_id=f"w{i}",
                                poll_s=0.05) for i in range(2)]
-        threads = [threading.Thread(target=w.run, daemon=True)
-                   for w in workers]
-        for t in threads:
-            t.start()
-        client.wait(ids, timeout_s=120.0)
-        client.drain()
-        for t in threads:
-            t.join(timeout=30)
-        fleet = client.results(ids)
+        fleet = run_on_fleet(broker_http.url, specs, workers)
         pool = SweepRunner(workers=1, cache=ResultCache(
             root=tmp_path / "pool-cache")).run([s.build_job() for s in specs])
         assert ([dataclasses.asdict(r.result) for r in fleet]
                 == [dataclasses.asdict(r.result) for r in pool])
+
+    def test_client_progress_sees_every_settle(self, broker_http):
+        seen = []
+        worker = FleetWorker(broker_http.url, worker_id="wp", poll_s=0.05)
+        specs = make_specs(2)
+        results = run_on_fleet(
+            broker_http.url, specs, [worker],
+            progress=lambda done, total, jr: seen.append(
+                (done, total, jr.job.workload)))
+        assert [(d, t) for d, t, _ in seen] == [(1, 2), (2, 2)]
+        assert ({w for _, _, w in seen}
+                == {r.job.workload for r in results}
+                == {s.workload for s in specs})
+
+    def test_client_deadline_fails_unsettled_tasks(self, broker_http):
+        # No worker ever leases: past the per-job deadline the task comes
+        # back failed with a timeout, as a pool job past its deadline does.
+        client = FleetClient(broker_http.url, job_timeout_s=0.3,
+                             poll_s=0.05)
+        [jr] = client.run(make_specs(1))
+        assert jr.result is None and jr.error == "timeout after 0.3s"
 
     def test_worker_cache_hit_settles_without_simulating(self, broker_http,
                                                          tmp_path):
@@ -458,17 +485,10 @@ class TestBrokerHttp:
         jr, _ = run_and_wire(spec)
         shared.put(jr.job.config, jr.job.workload, jr.job.ops, jr.job.seed,
                    jr.result)
-        client = FleetClient(broker_http.url)
-        ids = client.submit([spec])
         worker = FleetWorker(broker_http.url, worker_id="wc", cache=shared,
                              poll_s=0.05)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        client.wait(ids, timeout_s=60.0)
-        client.drain()
-        thread.join(timeout=10)
+        [result] = run_on_fleet(broker_http.url, [spec], [worker])
         assert worker.tasks_cached == 1 and worker.tasks_run == 0
-        [result] = client.results(ids)
         assert result.cached
         assert (dataclasses.asdict(result.result)
                 == dataclasses.asdict(jr.result))
@@ -503,16 +523,11 @@ class TestBrokerHttp:
         tid = "a" * 32
         specs = expand_specs(["ddr-baseline"], ["mcf"], ops=OPS,
                              tracing="on", trace_id=tid)
-        client = FleetClient(broker_http.url)
-        ids = client.submit(specs)
         worker = FleetWorker(broker_http.url, worker_id="wt", poll_s=0.05,
                              trace_dir=trace_dir)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        client.wait(ids, timeout_s=120.0)
-        client.drain()
-        thread.join(timeout=30)
-        path = trace_dir / f"trace-{tid}-task{ids[0]}.json"
+        run_on_fleet(broker_http.url, specs, [worker])
+        # The broker is fresh, so the grid's one task is task 1.
+        path = trace_dir / f"trace-{tid}-task1.json"
         assert path.exists(), list(trace_dir.glob("*"))
         assert load_trace(path)["trace_id"] == tid
         assert cli_main(["trace", "view", str(path)]) == 0
@@ -521,15 +536,9 @@ class TestBrokerHttp:
     def test_worker_skips_export_for_untraced_tasks(self, broker_http,
                                                     tmp_path):
         trace_dir = tmp_path / "traces"
-        client = FleetClient(broker_http.url)
-        ids = client.submit(make_specs(1))
         worker = FleetWorker(broker_http.url, worker_id="wu", poll_s=0.05,
                              trace_dir=trace_dir)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        client.wait(ids, timeout_s=120.0)
-        client.drain()
-        thread.join(timeout=30)
+        run_on_fleet(broker_http.url, make_specs(1), [worker])
         assert not list(trace_dir.glob("*.json"))
 
     def test_client_error_reporting(self, broker_http):
@@ -547,9 +556,10 @@ class FakeExecutor:
     """Deterministic fake results keyed by (overrides, workload).
 
     ``metric_fn(overrides, workload) -> dict`` of SimResult field
-    overrides; the base result comes from one real tiny simulation so
-    every other field is plausible. Fake search knobs never have to be
-    real config fields because jobs are materialized from the base alone.
+    overrides, or an error string to fail that job; the base result comes
+    from one real tiny simulation so every other field is plausible. Fake
+    search knobs never have to be real config fields because jobs are
+    materialized from the base alone.
     """
 
     _template = None
@@ -558,7 +568,7 @@ class FakeExecutor:
         self.metric_fn = metric_fn
         self.calls = []
 
-    def run(self, specs, timeout_s=0.0, progress=None):
+    def run(self, specs, progress=None):
         if FakeExecutor._template is None:
             jr, _ = run_and_wire(TaskSpec(workload="mcf", ops=50))
             FakeExecutor._template = jr.result
@@ -567,9 +577,12 @@ class FakeExecutor:
         for s in specs:
             job = TaskSpec(base=s.base, workload=s.workload, ops=s.ops,
                            seed=s.seed).build_job()
-            fake = dataclasses.replace(
-                FakeExecutor._template, **self.metric_fn(s.overrides,
-                                                         s.workload))
+            metrics = self.metric_fn(s.overrides, s.workload)
+            if isinstance(metrics, str):
+                out.append(JobResult(job=job, result=None, attempts=1,
+                                     error=metrics))
+                continue
+            fake = dataclasses.replace(FakeExecutor._template, **metrics)
             out.append(JobResult(job=job, result=fake, wall_s=0.01,
                                  events=1, attempts=1))
         return out
@@ -628,7 +641,7 @@ class TestCampaign:
 
     def test_all_failed_candidate_loses(self):
         class Failing:
-            def run(self, specs, timeout_s=0.0, progress=None):
+            def run(self, specs, progress=None):
                 out = []
                 for s in specs:
                     job = TaskSpec(base=s.base, workload=s.workload,
@@ -650,6 +663,18 @@ class TestCampaign:
         bad = [c for c in res.rungs[0]["candidates"]
                if c["label"] == "ddr-baseline[k=bad]"]
         assert bad[0]["score"] is None and not bad[0]["kept"]
+
+    @pytest.mark.parametrize("objective", ["ipc", "miss_latency", "speedup"])
+    def test_every_candidate_failing_names_first_error(self, objective):
+        # No winner when nothing scored: the campaign raises with the
+        # first job error instead of crowning an ipc=-inf candidate.
+        ex = FakeExecutor(lambda ov, w: f"boom {ov.get('k')}/{w}")
+        cands = [Candidate("ddr-baseline", {"k": k}) for k in ("a", "b")]
+        with pytest.raises(CampaignFailed,
+                           match="every candidate failed; first error: "
+                                 "boom a/mcf"):
+            Campaign(ex, cands, ["mcf", "gcc"], objective=objective,
+                     ops0=50, eta=2, max_rungs=2).run()
 
     def test_validates_inputs(self):
         ex = FakeExecutor(lambda ov, w: {"ipc": 1.0})

@@ -12,12 +12,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.exec.spec import SpecError, TaskSpec
 from repro.fuzz.corpus import (
-    entry_name, load_corpus, load_entry, replay_entry, save_entry,
+    case_dict, entry_name, load_corpus, load_entry, parse_case,
+    replay_entry, save_entry,
 )
-from repro.fuzz.gen import (
-    FuzzCase, build_config, generate_case, generate_cases,
-)
+from repro.fuzz.gen import generate_case, generate_cases
 from repro.fuzz.harness import FuzzRunner
 from repro.fuzz.oracles import ORACLES, Oracle, applicable_oracles
 from repro.fuzz import shrink as shrink_mod
@@ -33,15 +33,16 @@ class TestGenerator:
 
     def test_generated_configs_always_valid(self):
         # The generator's domains must satisfy SystemConfig.__post_init__
-        # jointly — build_config never raises over a large sample.
+        # jointly — the validator never rejects a case over a large sample.
         for case in generate_cases(300, seed=11):
-            cfg = build_config(case)
+            cfg = case.build_job().config
             assert 1 <= cfg.active_cores <= cfg.n_cores
             assert cfg.mesh_rows * cfg.mesh_cols >= cfg.n_cores
 
     def test_case_json_round_trip(self):
         for case in generate_cases(25, seed=3):
-            assert FuzzCase.from_json(case.to_json()) == case
+            assert parse_case(json.loads(json.dumps(case_dict(case)))) == case
+            assert TaskSpec.from_dict(case.to_dict()) == case
 
     def test_ddr_base_never_gets_cxl_knobs(self):
         for case in generate_cases(300, seed=5):
@@ -50,11 +51,11 @@ class TestGenerator:
                 assert "ddr_per_cxl" not in case.overrides
 
     def test_unknown_base_rejected(self):
-        with pytest.raises(KeyError):
-            build_config(FuzzCase(base="not-a-config"))
+        with pytest.raises(SpecError, match="'base'"):
+            TaskSpec(base="not-a-config", ops=600).build_job()
 
     def test_n_cores_override_couples_active_cores(self):
-        cfg = build_config(FuzzCase(overrides={"n_cores": 4}))
+        cfg = TaskSpec(overrides={"n_cores": 4}, ops=600).build_job().config
         assert cfg.active_cores == 4
 
 
@@ -64,11 +65,11 @@ class TestApplicability:
         assert "calm_clock" not in applicable_oracles(case)
 
     def test_named_set_is_honored(self):
-        case = FuzzCase()
+        case = TaskSpec(ops=600)
         assert applicable_oracles(case, ["calm_clock"]) == ["calm_clock"]
 
     def test_cxl_oracles_skip_ddr_configs(self):
-        case = FuzzCase(base="ddr-baseline")
+        case = TaskSpec(base="ddr-baseline", ops=600)
         names = applicable_oracles(case)
         assert "bw_monotone" not in names
         assert "asym_read_heavy" not in names
@@ -85,14 +86,14 @@ def _stub_oracle(monkeypatch, fails_when):
 class TestShrinker:
     def test_non_failing_case_returns_none(self, monkeypatch):
         _stub_oracle(monkeypatch, lambda c: False)
-        assert shrink_mod.shrink(FuzzCase(), "stub") is None
+        assert shrink_mod.shrink(TaskSpec(ops=600), "stub") is None
 
     def test_overrides_and_ops_are_minimized(self, monkeypatch):
         # Fails whenever replacement=srrip: everything else is noise.
         _stub_oracle(
             monkeypatch,
             lambda c: c.overrides.get("replacement") == "srrip")
-        bloated = FuzzCase(
+        bloated = TaskSpec(
             overrides={"replacement": "srrip", "mshrs": 32, "l1_kb": 8,
                        "prefetcher": "stride"},
             ops=1200, seed=99)
@@ -111,7 +112,7 @@ class TestShrinker:
             return "always fails"
 
         monkeypatch.setitem(ORACLES, "stub", Oracle("stub", check, default=False))
-        big = FuzzCase(overrides={k: v for k, v in
+        big = TaskSpec(overrides={k: v for k, v in
                                   [("mshrs", 32), ("l1_kb", 8), ("l2_kb", 32),
                                    ("replacement", "random")]}, ops=1200)
         result = shrink_mod.shrink(big, "stub", max_probes=10)
@@ -123,7 +124,7 @@ class TestShrinker:
             raise RuntimeError("boom")
 
         monkeypatch.setitem(ORACLES, "stub", Oracle("stub", check, default=False))
-        result = shrink_mod.shrink(FuzzCase(overrides={"mshrs": 8}), "stub",
+        result = shrink_mod.shrink(TaskSpec(overrides={"mshrs": 8}, ops=600), "stub",
                                    max_probes=8)
         assert result is not None
         assert "RuntimeError" in result.detail
@@ -131,7 +132,7 @@ class TestShrinker:
 
 class TestCorpus:
     def test_save_load_round_trip(self, tmp_path):
-        case = FuzzCase(base="coaxial-4x", overrides={"mshrs": 8},
+        case = TaskSpec(base="coaxial-4x", overrides={"mshrs": 8},
                         workload="gcc", ops=300, seed=2)
         path = save_entry(case, "invariant", note="why", corpus_dir=tmp_path)
         entry = load_entry(path)
@@ -141,7 +142,7 @@ class TestCorpus:
         assert [e.name for e in load_corpus(tmp_path)] == [path.stem]
 
     def test_entry_name_is_content_stable(self):
-        case = FuzzCase()
+        case = TaskSpec(ops=600)
         assert entry_name(case, "invariant") == entry_name(case, "invariant")
         assert entry_name(case, "invariant") != entry_name(case, "diff_kernel")
 
@@ -151,10 +152,20 @@ class TestCorpus:
         with pytest.raises(ValueError):
             load_entry(bad)
 
+    def test_entry_with_invalid_config_raises(self, tmp_path):
+        # Every field is fine on its own; tiering on a DDR base is not.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"case": {
+            "base": "ddr-baseline", "overrides": {"tiering": "epoch"},
+            "workload": "mcf", "ops": 300, "seed": 1},
+            "oracle": "invariant"}))
+        with pytest.raises(ValueError, match="requires memory_kind='cxl'"):
+            load_entry(bad)
+
     def test_replay_uses_entry_oracle(self, tmp_path, monkeypatch):
         _stub_oracle(monkeypatch, lambda c: c.ops == 777)
-        ok = load_entry(save_entry(FuzzCase(ops=300), "stub", corpus_dir=tmp_path))
-        bad = load_entry(save_entry(FuzzCase(ops=777), "stub", corpus_dir=tmp_path))
+        ok = load_entry(save_entry(TaskSpec(ops=300), "stub", corpus_dir=tmp_path))
+        bad = load_entry(save_entry(TaskSpec(ops=777), "stub", corpus_dir=tmp_path))
         assert replay_entry(ok) is None
         assert replay_entry(bad) == "stub failure"
 
@@ -201,19 +212,35 @@ class TestFuzzCli:
 
     def test_replay_reports_regression(self, tmp_path, capsys, monkeypatch):
         # An entry whose oracle now fails must flip the exit code to 1.
-        save_entry(FuzzCase(ops=300), "calm_clock", corpus_dir=tmp_path)
+        save_entry(TaskSpec(ops=300), "calm_clock", corpus_dir=tmp_path)
         from repro.calm.policy import CalmR
         monkeypatch.setattr(CalmR, "decide", lambda self, pc, addr: True)
         assert main(["fuzz", "replay", "--corpus", str(tmp_path)]) == 1
 
     def test_shrink_requires_oracle_for_raw_case(self, tmp_path, capsys):
         raw = tmp_path / "case.json"
-        raw.write_text(FuzzCase().to_json())
+        raw.write_text(json.dumps(case_dict(TaskSpec(ops=600))))
         assert main(["fuzz", "shrink", str(raw)]) == 2
+
+    def test_case_without_ops_rejected(self, tmp_path, capsys):
+        # A fuzz case needs an op count: shrink and replay refuse one
+        # without, naming the field.
+        raw = tmp_path / "case.json"
+        raw.write_text(json.dumps({"base": "ddr-baseline", "workload": "mcf"}))
+        assert main(["fuzz", "shrink", str(raw), "--oracle",
+                     "calm_clock"]) == 2
+        assert "'ops'" in capsys.readouterr().err
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "no-ops.json").write_text(json.dumps(
+            {"case": {"base": "ddr-baseline", "workload": "mcf"},
+             "oracle": "calm_clock"}))
+        assert main(["fuzz", "replay", "--corpus", str(corpus)]) == 2
+        assert "'ops'" in capsys.readouterr().err
 
     def test_shrink_non_failing_exits_1(self, tmp_path, capsys):
         raw = tmp_path / "case.json"
-        raw.write_text(FuzzCase(ops=200).to_json())
+        raw.write_text(json.dumps(case_dict(TaskSpec(ops=200))))
         assert main(["fuzz", "shrink", str(raw), "--oracle", "calm_clock"]) == 1
 
 
@@ -226,6 +253,6 @@ def test_fuzzcase_is_frozen_and_picklable():
         case.ops = 1
 
 def test_corpus_entry_json_is_compact():
-    case = FuzzCase()
-    entry_json = json.dumps({"case": case.to_dict(), "oracle": "invariant"})
+    case = TaskSpec(ops=600)
+    entry_json = json.dumps({"case": case_dict(case), "oracle": "invariant"})
     assert "\n" not in entry_json

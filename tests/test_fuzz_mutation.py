@@ -10,17 +10,20 @@ visible to the oracle runs (a process pool would re-import the clean
 module).
 """
 
+import json
+
 import pytest
 
 from repro.cxl.device import CxlType3Device
-from repro.fuzz.gen import FuzzCase
+from repro.exec.spec import TaskSpec
+from repro.fuzz.corpus import case_dict
 from repro.fuzz.harness import FuzzRunner
 from repro.fuzz.oracles import run_oracle
 from repro.fuzz.shrink import shrink
 
 #: A case the clean tree passes and the skewed decode fails: two DDR
 #: channels behind each CXL port, streaming traffic across all of them.
-SKEW_CASE = FuzzCase(base="coaxial-asym", overrides={}, workload="stream-copy",
+SKEW_CASE = TaskSpec(base="coaxial-asym", overrides={}, workload="stream-copy",
                      ops=600, seed=1)
 
 
@@ -44,7 +47,7 @@ class TestMutationSeededBug:
         assert "no traffic" in detail or "imbalance" in detail
 
     def test_shrinker_minimizes_skew_case(self, skewed_decode):
-        bloated = FuzzCase(
+        bloated = TaskSpec(
             base="coaxial-asym",
             overrides={"l1_kb": 8, "mshrs": 32, "prefetcher": "nextline",
                        "replacement": "srrip"},
@@ -56,7 +59,7 @@ class TestMutationSeededBug:
         assert result.case.overrides == {}
         assert result.case.ops < bloated.ops
         assert result.case.seed == 1
-        assert len(result.case.to_json()) < 200
+        assert len(json.dumps(case_dict(result.case))) < 200
 
     def test_campaign_catches_and_writes_reproducer(self, skewed_decode,
                                                     tmp_path):

@@ -9,7 +9,8 @@ tolerance regression or an oracle crash shows up in CI, not at night.
 
 import pytest
 
-from repro.fuzz.gen import FuzzCase, generate_cases
+from repro.exec.spec import TaskSpec
+from repro.fuzz.gen import generate_cases
 from repro.fuzz.harness import FuzzRunner
 from repro.fuzz.oracles import ORACLES, applicable_oracles, run_oracle
 
@@ -30,7 +31,7 @@ def test_diff_kernel_oracle_on_named_configs():
     # The differential oracle's strongest claim — fast and reference
     # kernels bit-identical — pinned on one DDR and one CXL config.
     for base in ("ddr-baseline", "coaxial-4x"):
-        case = FuzzCase(base=base, workload="mcf", ops=300, seed=1)
+        case = TaskSpec(base=base, workload="mcf", ops=300, seed=1)
         assert run_oracle("diff_kernel", case) is None
 
 
@@ -40,7 +41,7 @@ def test_observers_oracle_on_named_configs():
     # plain run unchanged on both loops: one flat and one tiered config.
     for base, workload in (("coaxial-4x", "mcf"),
                            ("tiered-epoch", "capacity-churn")):
-        case = FuzzCase(base=base, workload=workload, ops=300, seed=1)
+        case = TaskSpec(base=base, workload=workload, ops=300, seed=1)
         assert run_oracle("observers", case) is None
 
 
@@ -49,7 +50,7 @@ def test_diff_warmup_oracle_catches_dropped_victims(monkeypatch):
     # dirty victims down a level must fail it.
     from repro.system import sim
 
-    case = FuzzCase(base="cxl-ssd", workload="lbm", ops=300, seed=1)
+    case = TaskSpec(base="cxl-ssd", workload="lbm", ops=300, seed=1)
     assert run_oracle("diff_warmup", case) is None
     handed_down = sim._next_level
     monkeypatch.setattr(sim, "_next_level", lambda first, second, *rest:

@@ -503,11 +503,12 @@ class TestTraceExport:
 class TestFleetSummary:
     def test_fleet_section_in_bench_record(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        from repro.exec.runner import SweepRunner, expand_grid
+        from repro.exec.runner import LocalExecutor
         from repro.exec.perf import bench_record, fleet_summary
-        jobs = expand_grid(["ddr-baseline"], ["mcf"], seeds=[1, 2],
-                           ops=300, obs="on")
-        results = SweepRunner(workers=1).run(jobs)
+        from repro.exec.spec import expand_specs
+        specs = expand_specs(["ddr-baseline"], ["mcf"], seeds=[1, 2],
+                             ops=300, obs="on")
+        results = LocalExecutor(workers=1).run(specs)
         fleet = fleet_summary(results)
         assert len(fleet["slowest_jobs"]) == 2
         assert fleet["events_per_s"]["max"] >= fleet["events_per_s"]["min"]
@@ -519,8 +520,9 @@ class TestFleetSummary:
     def test_fleet_without_obs_has_no_latency_merge(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        from repro.exec.runner import SweepRunner, expand_grid
+        from repro.exec.runner import LocalExecutor
         from repro.exec.perf import fleet_summary
-        jobs = expand_grid(["ddr-baseline"], ["mcf"], seeds=[1], ops=300)
-        fleet = fleet_summary(SweepRunner(workers=1).run(jobs))
+        from repro.exec.spec import expand_specs
+        specs = expand_specs(["ddr-baseline"], ["mcf"], seeds=[1], ops=300)
+        fleet = fleet_summary(LocalExecutor(workers=1).run(specs))
         assert "miss_latency_ns" not in fleet

@@ -1,0 +1,121 @@
+"""The one job description: ``TaskSpec``'s validator and materializer.
+
+Every front end builds the same spec, so every front end must reject the
+same malformed input with the same message: ``TaskSpec.from_dict`` (the
+wire and corpus parser), the fleet broker's ``POST /tasks`` and, for the
+fields its body accepts, ``repro serve``'s ``POST /jobs``. Each case here
+once slipped through at least one of them.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.exec.runner import _simulate_job
+from repro.exec.spec import SpecError, TaskSpec, build_config, expand_specs
+from repro.system.config import ALL_CONFIGS
+from repro.system.sim import simulate
+from repro.tiering.config import get_tiering
+from repro.workloads import get_workload
+from tests.test_fleet import BrokerHarness
+from tests.test_serve import ServerHarness
+
+#: (bad spec fields, the field name its message must quote)
+BAD = [
+    pytest.param({"workload": "nope"}, "'workload'", id="unknown-workload"),
+    pytest.param({"ops": -5}, "'ops'", id="ops-negative"),
+    pytest.param({"ops": "abc"}, "'ops'", id="ops-string"),
+    pytest.param({"validate": "bogus"}, "'validate'", id="validate-bogus"),
+    pytest.param({"obs": "bogus"}, "'obs'", id="obs-bogus"),
+    pytest.param({"tracing": "bogus"}, "'tracing'", id="tracing-bogus"),
+    pytest.param({"overrides": {"tiering": "nope"}}, "'tiering'",
+                 id="tiering-unknown"),
+    pytest.param({"overrides": {"warp": 9}}, "'overrides'",
+                 id="override-unknown-key"),
+]
+
+#: The spec fields a ``POST /jobs`` body can carry, by body key.
+SERVE_KEYS = {"workload": "workloads", "ops": "ops", "validate": "validate",
+              "tracing": "tracing"}
+
+
+def spec_dict(bad):
+    return {"base": "coaxial-4x", "workload": "mcf", "ops": 100, **bad}
+
+
+@pytest.fixture(scope="module")
+def broker():
+    harness = BrokerHarness()
+    yield harness
+    harness.stop()
+
+
+@pytest.fixture(scope="module")
+def server():
+    harness = ServerHarness(pool_workers=1)
+    yield harness
+    harness.stop()
+
+
+class TestOneValidator:
+    @pytest.mark.parametrize("bad, field", BAD)
+    def test_from_dict_rejects(self, bad, field):
+        with pytest.raises(SpecError, match=field):
+            TaskSpec.from_dict(spec_dict(bad))
+
+    @pytest.mark.parametrize("bad, field", BAD)
+    def test_broker_rejects_with_400(self, broker, bad, field):
+        status, payload = broker.json("POST", "/tasks",
+                                      {"specs": [spec_dict(bad)]})
+        assert status == 400, payload
+        assert field in payload["error"]
+        assert broker.json("GET", "/tasks")[1]["total"] == 0
+
+    @pytest.mark.parametrize("bad, field", [
+        p for p in BAD if set(p.values[0]) <= set(SERVE_KEYS)])
+    def test_serve_gives_the_broker_message(self, broker, server, bad,
+                                            field):
+        body = {"configs": ["coaxial-4x"], "workloads": ["mcf"], "ops": 100}
+        for key, value in bad.items():
+            body[SERVE_KEYS[key]] = [value] if key == "workload" else value
+        status, payload = server.json("POST", "/jobs", body)
+        assert status == 400, payload
+        _, wire = broker.json("POST", "/tasks", {"specs": [spec_dict(bad)]})
+        assert payload["error"] == wire["error"]
+        assert field in payload["error"]
+
+    def test_joint_constraints_rejected_at_submission(self, broker, server):
+        # Each field is fine on its own; the materialized config is not.
+        bad = {"base": "ddr-baseline", "workload": "mcf",
+               "overrides": {"tiering": "epoch"}}
+        assert TaskSpec.from_dict(bad).check()
+        with pytest.raises(SpecError, match="requires memory_kind='cxl'"):
+            TaskSpec.from_dict(bad).build_job()
+        status, payload = broker.json("POST", "/tasks", {"specs": [bad]})
+        assert status == 400 and "'overrides'" in payload["error"]
+
+    def test_valid_specs_pass(self):
+        for spec in expand_specs(list(ALL_CONFIGS), ["mcf"], ops=100):
+            assert spec.build_job().config.name == spec.base
+
+
+class TestMaterializer:
+    def test_tiering_override_simulates_the_preset(self):
+        spec = TaskSpec(base="coaxial-4x", overrides={"tiering": "epoch"},
+                        workload="mcf", ops=200)
+        result, _, _ = _simulate_job(spec.build_job())
+        direct = simulate(
+            ALL_CONFIGS["coaxial-4x"]().replace(tiering=get_tiering("epoch")),
+            get_workload("mcf"), ops_per_core=200, seed=1)
+        assert dataclasses.asdict(result) == dataclasses.asdict(direct)
+
+    def test_null_tiering_is_flat(self):
+        assert build_config("tiered-epoch", {"tiering": None}).tiering is None
+
+    def test_overrides_reach_every_grid_point(self):
+        specs = expand_specs(["coaxial-2x", "coaxial-4x"], ["mcf", "gcc"],
+                             overrides={"cxl": "asym"})
+        assert len(specs) == 4
+        assert all(s.build_job().config.cxl_params
+                   == build_config("coaxial-4x", {"cxl": "asym"}).cxl_params
+                   for s in specs)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cxl.channel import CxlChannel
 from repro.cxl.slowmedia import SsdMediaChannel
-from repro.fuzz.gen import FuzzCase
+from repro.exec.spec import TaskSpec
 from repro.fuzz.oracles import run_oracle
 from repro.request import READ
 from repro.tiering.config import TIERING_PRESETS, TieringConfig, get_tiering
@@ -201,19 +201,19 @@ class TestManagerMigrationIdentity:
 #: Fails under the device-bypass bug: a 2-channel twin the streaming far
 #: tier must not beat (the fixed 128-page local tier is a small fraction
 #: of the footprint at 1200 ops, so the far path dominates the mean).
-BOUND_CASE = FuzzCase(base="coaxial-4x",
+BOUND_CASE = TaskSpec(base="coaxial-4x",
                       overrides={"tiering": "static", "n_mem_ports": 1,
                                  "ddr_per_cxl": 1},
                       workload="stream-copy", ops=1200, seed=1)
 
 #: The epoch preset rolls dozens of 4 us epochs at this trace length, so
 #: the frozen twin exercises the rollover path the leaky bug corrupts.
-MIGRATION_CASE = FuzzCase(base="coaxial-4x", overrides={"tiering": "epoch"},
+MIGRATION_CASE = TaskSpec(base="coaxial-4x", overrides={"tiering": "epoch"},
                           workload="masstree", ops=600, seed=1)
 
 #: Capacity churn against the scaled-down cxl-ssd hierarchy reaches the
 #: device with hundreds of cache hits and thousands of media misses.
-SSD_CASE = FuzzCase(base="cxl-ssd", workload="capacity-churn", ops=1200,
+SSD_CASE = TaskSpec(base="cxl-ssd", workload="capacity-churn", ops=1200,
                     seed=1)
 
 

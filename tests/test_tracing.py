@@ -17,10 +17,10 @@ import pytest
 
 from repro.engine.kernel import KERNEL_MODES
 from repro.exportutil import dispatch_export
-from repro.fleet import TaskSpec, expand_specs
 from repro.obs import ObsCollector
 from repro.serve.jobs import BadRequest, JobStore, parse_job_request
-from repro.exec.runner import SweepJob, _simulate_job, expand_grid
+from repro.exec.runner import SweepJob, _simulate_job
+from repro.exec.spec import TaskSpec, expand_specs
 from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
 from repro.tracing import (
@@ -292,8 +292,10 @@ class TestExporters:
 
 class TestPropagation:
     def test_expand_grid_threads_tracing(self):
-        jobs = expand_grid(["ddr-baseline"], ["mcf"], ops=100,
-                           tracing="on", trace_id="tid1")
+        jobs = [s.build_job() for s in expand_specs(
+            ["ddr-baseline", "coaxial-4x"], ["mcf"], ops=100, seeds=[1, 2],
+            tracing="on", trace_id="tid1")]
+        assert len(jobs) == 4
         assert all(j.tracing == "on" and j.trace_id == "tid1" for j in jobs)
 
     def test_sweep_job_stamps_trace_id_into_result(self):

@@ -8,7 +8,8 @@ unmodified simulator reports zero violations under strict validation.
 import pytest
 
 from repro.dram.controller import _SubChannel
-from repro.exec.runner import SweepJob, SweepRunner, expand_grid
+from repro.exec.runner import SweepJob, SweepRunner
+from repro.exec.spec import expand_specs
 from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
 from repro.validate import InvariantError
@@ -101,8 +102,9 @@ class TestMutationKillsChecker:
 
 class TestSweepPropagation:
     def test_expand_grid_carries_validate(self):
-        jobs = expand_grid(["ddr-baseline"], ["mcf"], ops=OPS, seeds=(1,),
-                          validate="strict")
+        jobs = [s.build_job() for s in expand_specs(
+            ["ddr-baseline"], ["mcf"], ops=OPS, seeds=(1,),
+            validate="strict")]
         assert all(j.validate == "strict" for j in jobs)
 
     def test_sweep_job_runs_validated(self):
