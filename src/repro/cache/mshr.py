@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 
 class MSHRFile:
@@ -10,20 +10,21 @@ class MSHRFile:
 
     Secondary misses to a line already outstanding merge into the existing
     entry; the file refuses new allocations when full (caller must retry
-    once an entry frees).
+    once an entry frees). Each entry lists its waiters: the op indices of
+    the core's accesses to that line (a prefetch allocates with none).
     """
 
     def __init__(self, entries: int) -> None:
         if entries < 1:
             raise ValueError("MSHR file needs at least one entry")
         self.entries = entries
-        self._table: Dict[int, List[Callable]] = {}
+        self._table: Dict[int, List[int]] = {}
         self.n_merges = 0
         self.n_allocations = 0
         self.n_full_rejections = 0
 
-    def allocate(self, line_addr: int, waiter: Optional[Callable] = None) -> Optional[str]:
-        """Try to track a miss for ``line_addr``.
+    def allocate(self, line_addr: int, waiter: Optional[int] = None) -> Optional[str]:
+        """Try to track a miss for ``line_addr``, waited on by op ``waiter``.
 
         Returns ``"primary"`` for a fresh entry, ``"merged"`` when the line
         was already outstanding, or ``None`` when the file is full.
@@ -40,8 +41,8 @@ class MSHRFile:
         self.n_allocations += 1
         return "primary"
 
-    def complete(self, line_addr: int) -> List[Callable]:
-        """Retire the entry; returns the merged waiters to notify."""
+    def complete(self, line_addr: int) -> List[int]:
+        """Retire the entry; returns its waiters' op indices, in order."""
         return self._table.pop(line_addr, [])
 
     def outstanding(self, line_addr: int) -> bool:

@@ -1,8 +1,10 @@
 """CALM decision policies (paper Section IV-C).
 
-Every policy implements ``decide(pc, addr) -> bool`` (perform CALM?) and
-``observe(pc, addr, llc_hit)`` called once the LLC outcome is known, plus
-shared telemetry via :class:`~repro.calm.stats.CalmStats`.
+Every policy implements ``decide(pc, addr) -> bool`` (perform CALM?).
+``observe(pc, addr, llc_hit, was_calm)``, called once the LLC outcome is
+known, is shared: it counts the outcome into
+:class:`~repro.calm.stats.CalmStats` and trains the policy's predictor, if
+it has one, in one call.
 """
 
 from __future__ import annotations
@@ -26,13 +28,27 @@ class CalmPolicy:
         self.n_go = 0
         self.n_suppress_cap = 0
         self.n_suppress_prob = 0
+        #: ``train(pc, was_miss)`` for a policy that learns from outcomes.
+        self.train: Optional[Callable[[int, bool], None]] = None
 
     def decide(self, pc: int, addr: int) -> bool:
         raise NotImplementedError
 
     def observe(self, pc: int, addr: int, llc_hit: bool, was_calm: bool) -> None:
-        """Record the LLC outcome for telemetry and (optionally) training."""
-        self.stats.record(was_calm, llc_hit)
+        """Count the LLC outcome (the one place outcomes are counted) and
+        train the predictor, if any."""
+        s = self.stats
+        if was_calm:
+            if llc_hit:
+                s.calm_llc_hit += 1
+            else:
+                s.calm_llc_miss += 1
+        elif llc_hit:
+            s.serial_llc_hit += 1
+        else:
+            s.serial_llc_miss += 1
+        if self.train is not None:
+            self.train(pc, not llc_hit)
 
     def reset_stats(self) -> None:
         self.stats.reset()
@@ -102,20 +118,26 @@ class CalmR(CalmPolicy):
         self._rng = random.Random(seed)
         self._epoch_start = 0.0
         self._l2_misses_epoch = 0
-        self._llc_misses_epoch = 0
+        # The epoch's LLC misses are the observed ones (self.stats) since
+        # this mark.
+        self._llc_miss_mark = 0
         # Previous-epoch rate estimates (GB/s).
         self.bw_unfiltered = 0.0
         self.bw_filtered = 0.0
 
     def _roll_epoch(self, now: float) -> None:
         elapsed = now - self._epoch_start
-        if elapsed < self.epoch_ns:
-            return
+        llc_misses = self.stats.llc_misses
         self.bw_unfiltered = self._l2_misses_epoch * 64.0 / elapsed
-        self.bw_filtered = self._llc_misses_epoch * 64.0 / elapsed
+        self.bw_filtered = (llc_misses - self._llc_miss_mark) * 64.0 / elapsed
         self._epoch_start = now
         self._l2_misses_epoch = 0
-        self._llc_misses_epoch = 0
+        self._llc_miss_mark = llc_misses
+
+    def reset_stats(self) -> None:
+        # The epoch runs on across the reset: carry its LLC misses.
+        self._llc_miss_mark -= self.stats.llc_misses
+        super().reset_stats()
 
     def decide(self, pc: int, addr: int) -> bool:
         if self.now_fn is None:
@@ -125,7 +147,8 @@ class CalmR(CalmPolicy):
                 "clock never rolls the estimation epoch, so the policy would "
                 "silently degenerate to AlwaysCalm.")
         now = self.now_fn()
-        self._roll_epoch(now)
+        if now - self._epoch_start >= self.epoch_ns:
+            self._roll_epoch(now)
         self._l2_misses_epoch += 1
         cap = self.r_fraction * self.peak_bandwidth_gbps
         if self.bw_filtered >= cap:
@@ -141,11 +164,6 @@ class CalmR(CalmPolicy):
         self.n_suppress_prob += 1
         return False
 
-    def observe(self, pc: int, addr: int, llc_hit: bool, was_calm: bool) -> None:
-        super().observe(pc, addr, llc_hit, was_calm)
-        if not llc_hit:
-            self._llc_misses_epoch += 1
-
 
 class MapICalm(CalmPolicy):
     """CALM driven by the MAP-I LLC hit/miss predictor."""
@@ -155,13 +173,10 @@ class MapICalm(CalmPolicy):
     def __init__(self, table_bits: int = 10) -> None:
         super().__init__()
         self.predictor = MapIPredictor(table_bits=table_bits)
+        self.train = self.predictor.train
 
     def decide(self, pc: int, addr: int) -> bool:
         return self.predictor.predict_miss(pc)
-
-    def observe(self, pc: int, addr: int, llc_hit: bool, was_calm: bool) -> None:
-        super().observe(pc, addr, llc_hit, was_calm)
-        self.predictor.train(pc, not llc_hit)
 
 
 class IdealPredictor(CalmPolicy):

@@ -15,22 +15,13 @@ from dataclasses import dataclass
 
 @dataclass
 class CalmStats:
-    """Aggregated CALM decision counters."""
+    """Aggregated CALM decision counters, counted by
+    :meth:`repro.calm.policy.CalmPolicy.observe`."""
 
     calm_llc_hit: int = 0      # false positives
     calm_llc_miss: int = 0     # true positives
     serial_llc_hit: int = 0    # true negatives
     serial_llc_miss: int = 0   # false negatives
-
-    def record(self, calm: bool, llc_hit: bool) -> None:
-        if calm and llc_hit:
-            self.calm_llc_hit += 1
-        elif calm:
-            self.calm_llc_miss += 1
-        elif llc_hit:
-            self.serial_llc_hit += 1
-        else:
-            self.serial_llc_miss += 1
 
     @property
     def total(self) -> int:

@@ -71,7 +71,8 @@ class Core(Component):
     l2_miss_fn:
         ``l2_miss_fn(core, op_idx, addr, is_write, pc)`` called *at issue
         time* (sim.now is the issue instant) when an access misses the L2.
-        The chip must later call :meth:`complete_miss`.
+        The chip must later call :meth:`complete_miss`. Prefetches call
+        ``l2_miss_fn(core, -1, line, False, pc, prefetch=True)``.
     l2_writeback_fn:
         ``l2_writeback_fn(core, addr)`` for dirty L2 evictions.
     on_done:
@@ -100,6 +101,14 @@ class Core(Component):
         self.on_done = on_done
         self.prefetcher = prefetcher
         self.mshr = MSHRFile(params.mshrs)
+        # Hot-path bindings: the cache arrays, the two hit latencies (the
+        # same products the issue path used to form per access) and the
+        # frontend time per instruction.
+        self._l1a = l1.array
+        self._l2a = l2.array
+        self._l1_lat = params.l1_hit_cyc * params.cycle_ns
+        self._l2_lat = (params.l1_hit_cyc + params.l2_hit_cyc) * params.cycle_ns
+        self._dispatch_ns = params.dispatch_ns
         # Observer slot (repro.observer), set by ``Chip.set_observer`` at
         # the measurement boundary; never reset by _reset_run_state so it
         # survives the warmup -> measurement restart.
@@ -174,44 +183,59 @@ class Core(Component):
     def _advance(self) -> None:
         if self.done or self.rob_stall_on is not None:
             return
-        dispatch_ns = self.params.dispatch_ns
+        # Loop state lives in locals. The calls below (_issue -> _set_comp
+        # -> _maybe_finish) read idx and frontend, so both are stored back
+        # before each op issues; they never touch retire_floor (_set_comp
+        # only does while the ROB is stalled, never inside this loop) and
+        # never rebind the per-run lists (only start() does).
+        dispatch_ns = self._dispatch_ns
         rob = self.params.rob
-        while self.idx < self.n_ops:
-            i = self.idx
-            ino = self.instr_no[i]
+        n = self.n_ops
+        instr_no = self.instr_no
+        gaps = self.gaps
+        writes = self.writes
+        deps = self.deps
+        comp = self.comp
+        q = self.rob_q
+        retire_floor = self.retire_floor
+        frontend = self.frontend
+        i = self.idx
+        while i < n:
+            ino = instr_no[i]
             # ROB gate: instruction `ino` needs instruction `ino - rob` retired.
             target = ino - rob
-            q = self.rob_q
             while q and q[0][0] <= target:
-                h_ino, h_idx = q[0]
-                c = self.comp[h_idx]
+                h_idx = q[0][1]
+                c = comp[h_idx]
                 if c < 0.0:
                     self.rob_stall_on = h_idx
-                    self.bump("rob_stalls")
+                    self.retire_floor = retire_floor
                     return
-                if c > self.retire_floor:
-                    self.retire_floor = c
+                if c > retire_floor:
+                    retire_floor = c
                 q.popleft()
-            self.frontend += (self.gaps[i] + 1) * dispatch_ns
-            if self.retire_floor > self.frontend:
-                self.frontend = self.retire_floor
-            disp = self.frontend
-            is_write = self.writes[i]
-            if not is_write:
+            frontend += (gaps[i] + 1) * dispatch_ns
+            if retire_floor > frontend:
+                frontend = retire_floor
+            self.frontend = disp = frontend
+            if not writes[i]:
                 q.append((ino, i))
-            dep = self.deps[i]
-            self.idx += 1
+            dep = deps[i]
+            self.idx = i + 1
             if dep > 0:
                 j = i - dep
-                cj = self.comp[j]
+                cj = comp[j]
                 if cj < 0.0:
                     # Source still outstanding: issue this op when it lands.
                     self.disp_plan[i] = disp
                     self.dep_waiters.setdefault(j, []).append(i)
+                    i += 1
                     continue
                 if cj > disp:
                     disp = cj
             self._issue(i, disp)
+            i += 1
+        self.retire_floor = retire_floor
         self._maybe_finish()
 
     # -- memory access -----------------------------------------------------------
@@ -219,24 +243,21 @@ class Core(Component):
         """Perform the cache access for op ``i`` issuing at time ``t``."""
         addr = self.addrs[i]
         is_write = self.writes[i]
-        p = self.params
-        if self.l1.array.lookup(addr, is_write):
-            self._set_comp(i, t + p.l1_hit_cyc * p.cycle_ns)
+        if self._l1a.lookup(addr, is_write):
+            self._set_comp(i, t + self._l1_lat)
             return
-        if self.l2.array.lookup(addr, is_write):
-            lat = (p.l1_hit_cyc + p.l2_hit_cyc) * p.cycle_ns
+        if self._l2a.lookup(addr, is_write):
             self._fill_l1(addr, bool(is_write))
-            self._set_comp(i, t + lat)
+            self._set_comp(i, t + self._l2_lat)
             return
         # L2 miss: allocate an MSHR and go off-chip.
         self._miss(i, t)
 
     def _miss(self, i: int, t: float) -> None:
         line = self.addrs[i] & LINE_MASK
-        status = self.mshr.allocate(line, waiter=i)
+        status = self.mshr.allocate(line, i)
         if status is None:
             self.mshr_pending.append(i)
-            self.bump("mshr_stalls")
             if self.observer is not None:
                 self.observer.on_mshr_stall(self.core_id, i, t)
             return
@@ -245,11 +266,10 @@ class Core(Component):
             if self.observer is not None:
                 self.observer.on_mshr_merge(self.core_id, i)
             return  # rides the in-flight request for this line
-        when = max(t, self.sim.now)
-        self.sim.schedule_at(when, self._send_miss, i)
+        now = self.sim.now
+        self.sim.schedule_at(now if now > t else t, self._send_miss, i)
 
     def _send_miss(self, i: int) -> None:
-        self.bump("l2_misses")
         addr = self.addrs[i]
         pc = self.pcs[i]
         self.l2_miss_fn(self, i, addr, bool(self.writes[i]), pc)
@@ -267,10 +287,9 @@ class Core(Component):
             line = target & LINE_MASK
             if self.mshr.full or self.mshr.outstanding(line):
                 continue
-            if self.l1.array.probe(line) or self.l2.array.probe(line):
+            if self._l1a.probe(line) or self._l2a.probe(line):
                 continue
             self.mshr.allocate(line)
-            self.bump("prefetches")
             self.l2_miss_fn(self, -1, line, False, pc, prefetch=True)
 
     def complete_miss(self, op_idx: int, addr: int) -> None:
@@ -278,8 +297,15 @@ class Core(Component):
         t = self.sim.now
         line = addr & LINE_MASK
         waiters = self.mshr.complete(line)
-        dirty = any(self.writes[w] for w in waiters)
-        self._fill_l2(line, dirty)
+        writes = self.writes
+        dirty = False
+        for w in waiters:
+            if writes[w]:
+                dirty = True
+                break
+        victim = self._l2a.fill(line, dirty)
+        if victim is not None and victim[1]:
+            self.l2_writeback_fn(self, victim[0])
         self._fill_l1(line, dirty)
         for w in waiters:
             self.outstanding -= 1
@@ -291,25 +317,20 @@ class Core(Component):
 
     # -- fills and writebacks ----------------------------------------------------
     def _fill_l1(self, addr: int, dirty: bool) -> None:
-        victim = self.l1.array.fill(addr, dirty)
+        victim = self._l1a.fill(addr, dirty)
         if victim is not None and victim[1]:
             # Dirty L1 victim folds into the L2 (write-back hierarchy).
-            if not self.l2.array.set_dirty(victim[0]):
-                v2 = self.l2.array.fill(victim[0], True)
+            if not self._l2a.set_dirty(victim[0]):
+                v2 = self._l2a.fill(victim[0], True)
                 if v2 is not None and v2[1]:
                     self.l2_writeback_fn(self, v2[0])
-
-    def _fill_l2(self, addr: int, dirty: bool) -> None:
-        victim = self.l2.array.fill(addr, dirty)
-        if victim is not None and victim[1]:
-            self.l2_writeback_fn(self, victim[0])
 
     # -- completion plumbing -------------------------------------------------------
     def _set_comp(self, i: int, t: float) -> None:
         self.comp[i] = t
         for w in self.dep_waiters.pop(i, ()):  # dependents now have their data time
             disp = self.disp_plan.pop(w)
-            self._issue(w, max(disp, t))
+            self._issue(w, t if t > disp else disp)
         if self.rob_stall_on == i:
             self.rob_stall_on = None
             if t > self.retire_floor:
@@ -318,7 +339,7 @@ class Core(Component):
             if now > self.frontend:
                 self.frontend = now
             self._advance()
-        else:
+        elif not self.done and self.idx >= self.n_ops:
             self._maybe_finish()
 
     def _maybe_finish(self) -> None:
@@ -326,7 +347,7 @@ class Core(Component):
             return
         if self.outstanding > 0 or self.mshr_pending or self.dep_waiters:
             return
-        last = max((c for c in self.comp if c >= 0.0), default=self.frontend)
+        last = max([c for c in self.comp if c >= 0.0], default=self.frontend)
         self.finish_time = max(self.frontend, last)
         self.done = True
         if self.on_done:

@@ -68,20 +68,22 @@ class CxlChannel(Component):
         """Send a request towards the device over the TX direction."""
         now = self.sim.now
         p = self.params
+        # Counters go straight into stats (Component.bump's expression).
+        st = self.stats
         if req.kind == READ:
             nbytes = p.req_bytes
             is_read = True
-            self.bump("reads")
+            st["reads"] = st.get("reads", 0.0) + 1.0
         else:
             nbytes = 64 + p.header_bytes
             is_read = False
-            self.bump("writes")
+            st["writes"] = st.get("writes", 0.0) + 1.0
         # CPU egress port, TX wire, device ingress port (+ profile extra).
         arrive = self.latency.device_bound_ns(self.tx, now, nbytes, is_read)
         req.cxl_delay += arrive - now
         if self.observer is not None:
             self.observer.on_cxl_tx(req, now, arrive)
-        self.bump("tx_bytes", nbytes)
+        st["tx_bytes"] = st.get("tx_bytes", 0.0) + nbytes
         self.sim.schedule_at(arrive, self.device.submit, req)
 
     # -- device-side response path ---------------------------------------------
@@ -93,7 +95,8 @@ class CxlChannel(Component):
         req.cxl_delay += arrive - now
         if self.observer is not None:
             self.observer.on_cxl_rx(req, now, arrive)
-        self.bump("rx_bytes", nbytes)
+        st = self.stats
+        st["rx_bytes"] = st.get("rx_bytes", 0.0) + nbytes
         self.sim.schedule_at(arrive, self._deliver, req)
 
     def _deliver(self, req: MemRequest) -> None:

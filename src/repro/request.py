@@ -34,12 +34,24 @@ class MemRequest:
         Program counter of the triggering instruction (drives MAP-I).
     callback:
         Invoked as ``callback(req)`` when the response returns to the L2.
+    llc_hit:
+        ``None`` until the LLC lookup finishes, then ``True`` or ``False``.
+
+    The chip's L2-miss state machine keeps its per-miss state in slots:
+    ``core`` (the issuing :class:`~repro.cpu.core.Core`), ``op`` (its op
+    index, ``-1`` for a prefetch), ``prefetch``, ``stile`` (home LLC slice
+    tile), ``port_tile`` (memory port tile), the CALM join's two arrival
+    times at the core tile (``llc_resp_at_core``, ``mem_at_core``; ``None``
+    until known) and ``completed``. Other issuers keep a private payload in
+    ``user``.
     """
 
     __slots__ = (
         "req_id", "addr", "kind", "core_id", "pc", "callback", "calm",
         "t_create", "t_llc_done", "t_mc_enqueue", "t_mc_issue", "t_dram_done",
         "t_complete", "cxl_delay", "llc_hit", "user",
+        "core", "op", "prefetch", "stile", "port_tile", "llc_resp_at_core",
+        "mem_at_core", "completed",
     )
 
     def __init__(
@@ -67,6 +79,15 @@ class MemRequest:
         self.t_complete = -1.0     # response arrived back at the L2
         self.cxl_delay = 0.0       # total time attributable to the CXL interface
         self.user: Any = None      # issuer-private payload
+        # Chip L2-miss state (repro.system.builder).
+        self.core: Any = None
+        self.op = -1
+        self.prefetch = False
+        self.stile = 0
+        self.port_tile = 0
+        self.llc_resp_at_core: Optional[float] = None
+        self.mem_at_core: Optional[float] = None
+        self.completed = False
 
     # -- derived latency components (valid once t_complete is set) ---------
     @property

@@ -87,9 +87,14 @@ class Chip(Component):
         self.port_tiles = self.mesh.default_port_tiles(len(self.ports))
         # Hot-path locals: the dense NoC latency table and tile count are
         # read several times per L2 miss; binding them once here keeps the
-        # miss-path callbacks free of repeated attribute chains.
+        # miss-path callbacks free of repeated attribute chains. Each
+        # port's entry point (``submit`` on a CXL channel, ``enqueue`` on a
+        # DDR channel) is bound once too, as is port_of's channel divisor.
         self._mlat = self.mesh._lat
         self._n_tiles = self.mesh.n_tiles
+        self._port_entry = [p.submit if hasattr(p, "submit") else p.enqueue
+                            for p in self.ports]
+        self._ddr_per_port = cfg.ddr_per_cxl if cfg.memory_kind == "cxl" else 1
 
         # CALM policy, wired to the simulator clock and system bandwidth.
         self.calm = make_calm_policy(
@@ -144,8 +149,7 @@ class Chip(Component):
 
     def port_of(self, addr: int) -> int:
         """Memory port serving this address (global DDR-channel interleave)."""
-        g = (addr >> 6) % self.n_ddr_total
-        return g // self.cfg.ddr_per_cxl if self.cfg.memory_kind == "cxl" else g
+        return (addr >> 6) % self.n_ddr_total // self._ddr_per_port
 
     def _llc_probe(self, addr: int) -> bool:
         return self.llc_slices[self.mesh.llc_slice_of(addr)].probe(addr)
@@ -162,7 +166,8 @@ class Chip(Component):
 
         ``prefetch`` requests take the serial path (no CALM), are excluded
         from latency records and CALM telemetry, and fill the caches like
-        any other line on return.
+        any other line on return. The miss's state rides in the request's
+        slots (see :class:`~repro.request.MemRequest`).
         """
         now = self.sim.now
         line = addr & LINE_MASK
@@ -171,11 +176,10 @@ class Chip(Component):
         n_tiles = self._n_tiles
         lno = line >> 6
         stile = (lno ^ (lno >> 7) ^ (lno >> 13)) % n_tiles
-        req.user = {
-            "core": core, "op": op_idx, "prefetch": prefetch, "stile": stile,
-            "llc_state": "pending",       # pending | hit | miss
-            "llc_resp_at_core": None, "mem_at_core": None, "completed": False,
-        }
+        req.core = core
+        req.op = op_idx
+        req.prefetch = prefetch
+        req.stile = stile
         calm = (not is_write) and (not prefetch) and self.calm.decide(pc, line)
         req.calm = calm
         if self.observer is not None:
@@ -205,44 +209,40 @@ class Chip(Component):
                 req.cxl_delay += extra
         if self.observer is not None:
             self.observer.on_mem_submit(req, self.sim.now, extra)
-        port = self.ports[pidx]
         ptile = self.port_tiles[pidx]
-        req.user["port_tile"] = ptile
+        req.port_tile = ptile
         req.callback = self._mem_response
         t = self.sim.now + self._mlat[from_tile][ptile] + extra
-        self.sim.schedule_at(t, port.submit if hasattr(port, "submit") else port.enqueue, req)
+        self.sim.schedule_at(t, self._port_entry[pidx], req)
 
     def _llc_lookup(self, req: MemRequest, stile: int) -> None:
         now = self.sim.now
-        u = req.user
         hit = self.llc_slices[stile].lookup(req.addr)
         req.llc_hit = hit
         req.t_llc_done = now
-        if not u["prefetch"]:
+        if not req.prefetch:
             self.calm.observe(req.pc, req.addr, hit, req.calm)
         ctile = req.core_id % self._n_tiles
         t_resp_at_core = now + self._mlat[stile][ctile]
         st = self.stats
         if hit:
-            u["llc_state"] = "hit"
             st["llc_hits"] = st.get("llc_hits", 0.0) + 1.0
             self.sim.schedule_at(t_resp_at_core, self._complete, req)
             return
-        u["llc_state"] = "miss"
         st["llc_misses"] = st.get("llc_misses", 0.0) + 1.0
         if not req.calm:
             self._send_to_memory(req, stile)
             return
         # CALM join: LLC missed; wait for (or use already-arrived) memory data.
-        u["llc_resp_at_core"] = t_resp_at_core
-        mem_t = u["mem_at_core"]
+        req.llc_resp_at_core = t_resp_at_core
+        mem_t = req.mem_at_core
         if mem_t is not None:
             self._fill_llc(req.addr, stile)
             self.sim.schedule_at(max(mem_t, t_resp_at_core), self._complete, req)
 
     def _mem_response(self, req: MemRequest) -> None:
         """Memory data arrived at the port (CPU side); cross the NoC home."""
-        ptile = req.user.get("port_tile", 0)
+        ptile = req.port_tile
         ctile = req.core_id % self._n_tiles
         t = self.sim.now + self._mlat[ptile][ctile]
         self.sim.schedule_at(t, self._mem_at_core, req)
@@ -251,46 +251,43 @@ class Chip(Component):
         now = self.sim.now
         if self.observer is not None:
             self.observer.on_mem_response(req)
-        u = req.user
-        state = u["llc_state"]
         if req.calm:
-            if state == "hit":
+            hit = req.llc_hit
+            if hit:
                 # False positive: memory fetch wasted; LLC already served it.
                 st = self.stats
                 st["calm_wasted_bytes"] = st.get("calm_wasted_bytes", 0.0) + 64.0
                 return
-            if state == "pending":
-                u["mem_at_core"] = now
+            if hit is None:
+                # LLC lookup still pending: it completes the join.
+                req.mem_at_core = now
                 return
             # LLC miss already known: complete once the LLC response is in.
-            stile = u["stile"]
-            self._fill_llc(req.addr, stile)
-            t_done = max(now, u["llc_resp_at_core"])
+            self._fill_llc(req.addr, req.stile)
+            t_done = max(now, req.llc_resp_at_core)
             self.sim.schedule_at(t_done, self._complete, req)
             return
         # Serial path: fill LLC and hand the line to the core.
-        self._fill_llc(req.addr, u["stile"])
+        self._fill_llc(req.addr, req.stile)
         self._complete(req)
 
     def _complete(self, req: MemRequest) -> None:
-        u = req.user
-        if u["completed"]:
+        if req.completed:
             if self.observer is not None:
                 self.observer.on_double_complete(req)
             return
-        u["completed"] = True
+        req.completed = True
         now = self.sim.now
         req.t_complete = now
         if self.observer is not None:
             self.observer.on_complete(req)
-        core: Core = u["core"]
         if (self.measuring and req.t_create >= self.meas_start
-                and not u["prefetch"]):
+                and not req.prefetch):
             total = now - req.t_create
             if req.llc_hit:
                 # Served on chip: the whole latency is on-chip time, even if
                 # a (wasted) CALM memory fetch is still in flight.
-                self.lat.record_hit(total)
+                self.lat.record(total, total, 0.0, 0.0, 0.0)
             else:
                 # Inlined MemRequest latency properties (hot path).
                 t_issue = req.t_mc_issue
@@ -301,7 +298,7 @@ class Chip(Component):
                 cxl = req.cxl_delay
                 onchip = max(0.0, total - queuing - dram - cxl)
                 self.lat.record(total, onchip, queuing, dram, cxl)
-        core.complete_miss(u["op"], req.addr)
+        req.core.complete_miss(req.op, req.addr)
 
     # -- writeback path ------------------------------------------------------------
     def l2_writeback(self, core: Core, addr: int) -> None:
@@ -332,10 +329,9 @@ class Chip(Component):
             pidx = self.port_of(line)
         else:
             pidx, extra = self.tiers.route(line, self.sim.now)
-        port = self.ports[pidx]
         req = MemRequest(line, WRITE)
         t = self.sim.now + self._mlat[from_tile][self.port_tiles[pidx]] + extra
-        self.sim.schedule_at(t, port.submit if hasattr(port, "submit") else port.enqueue, req)
+        self.sim.schedule_at(t, self._port_entry[pidx], req)
 
     # -- measurement control ----------------------------------------------------------
     def begin_measurement(self) -> None:

@@ -129,7 +129,8 @@ class LatencyBreakdown:
 
     def record(self, total: float, onchip: float, queuing: float,
                dram: float, cxl: float) -> None:
-        """Add one measured access (hot path)."""
+        """Add one measured access (hot path). An LLC hit records its
+        whole latency as on-chip time: ``record(t, t, 0.0, 0.0, 0.0)``."""
         self.n += 1
         self.sum_total += total
         self.sum_onchip += onchip
@@ -137,10 +138,6 @@ class LatencyBreakdown:
         self.sum_dram += dram
         self.sum_cxl += cxl
         self.hist.record(total)
-
-    def record_hit(self, total: float) -> None:
-        """An LLC hit: the whole latency is on-chip."""
-        self.record(total, total, 0.0, 0.0, 0.0)
 
     def summary(self) -> Dict[str, float]:
         """Component means plus total-latency quantiles (ns)."""

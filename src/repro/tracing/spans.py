@@ -125,14 +125,13 @@ class SpanTracer(Observer):
 
     def on_l2_miss(self, req) -> None:
         """A demand miss left the L2 (``req.t_create`` just stamped)."""
-        u = req.user
-        if u["prefetch"]:
+        if req.prefetch:
             # Prefetches are excluded from latency records (same guard as
             # the breakdown); don't track them.
-            self._mshr.pop((req.core_id, u["op"]), None)
+            self._mshr.pop((req.core_id, req.op), None)
             return
         self._live[req.req_id] = [
-            self._mshr.pop((req.core_id, u["op"]), -1.0),  # _M_MSHR
+            self._mshr.pop((req.core_id, req.op), -1.0),   # _M_MSHR
             -1.0, 0.0,                                     # submit, migration
             -1.0, -1.0, -1.0, -1.0,                        # cxl tx/rx windows
         ]
@@ -164,16 +163,15 @@ class SpanTracer(Observer):
         """Response arrived back at the L2; close out the request."""
         marks = self._live.pop(req.req_id, None)
         chip = self.chip
-        u = req.user
         # Mirror of Chip._complete's measurement guard, term for term.
         if (chip is None or not chip.measuring
-                or req.t_create < chip.meas_start or u["prefetch"]):
+                or req.t_create < chip.meas_start or req.prefetch):
             return
         now = req.t_complete
         total = now - req.t_create
         self.n += 1
         if req.llc_hit:
-            # record_hit: the whole latency is on-chip time.
+            # An LLC hit: the whole latency is on-chip time.
             self.hits += 1
             self.sum_total += total
             self.sum_onchip += total

@@ -26,6 +26,25 @@ class TestEpochRollover:
         assert p.bw_unfiltered == pytest.approx(50 * 64 / 101.0, rel=0.05)
         assert p.bw_filtered == pytest.approx(25 * 64 / 101.0, rel=0.05)
 
+    def test_epoch_spans_the_stats_reset(self):
+        """The measurement boundary resets the outcome counters, not the
+        epoch: LLC misses observed before the reset still count in it."""
+        clk = FakeClock()
+        p = CalmR(0.7, peak_bandwidth_gbps=100.0, epoch_ns=100.0, now_fn=clk)
+        for i in range(40):
+            if i == 30:
+                p.reset_stats()
+            p.decide(0, 0)
+            p.observe(0, 0, llc_hit=(i % 4 == 0), was_calm=False)
+        assert p.stats.serial_llc_miss == 8
+        clk.t = 100.0
+        p.decide(0, 0)  # triggers the roll
+        assert p.bw_unfiltered == 40 * 64.0 / 100.0
+        assert p.bw_filtered == 30 * 64.0 / 100.0
+        clk.t = 200.0
+        p.decide(0, 0)
+        assert p.bw_filtered == 0.0
+
     def test_estimates_decay_when_traffic_stops(self):
         clk = FakeClock()
         p = CalmR(0.7, peak_bandwidth_gbps=10.0, epoch_ns=100.0, now_fn=clk)

@@ -1,9 +1,11 @@
 """Unit tests for CALM policies and telemetry."""
 
+import dataclasses
+
 import pytest
 
 from repro.calm import (
-    AlwaysCalm, CalmR, CalmStats, IdealPredictor, MapIPredictor, NeverCalm,
+    AlwaysCalm, CalmR, IdealPredictor, MapIPredictor, NeverCalm,
     make_calm_policy,
 )
 from repro.calm.policy import MapICalm
@@ -127,12 +129,15 @@ class TestIdeal:
 
 
 class TestCalmStats:
+    """Outcomes are counted by ``observe``, the same for every policy."""
+
     def test_classification(self):
-        s = CalmStats()
-        s.record(calm=True, llc_hit=True)    # false positive
-        s.record(calm=True, llc_hit=False)   # true positive
-        s.record(calm=False, llc_hit=True)   # true negative
-        s.record(calm=False, llc_hit=False)  # false negative
+        p = NeverCalm()
+        p.observe(0, 0, llc_hit=True, was_calm=True)    # false positive
+        p.observe(0, 0, llc_hit=False, was_calm=True)   # true positive
+        p.observe(0, 0, llc_hit=True, was_calm=False)   # true negative
+        p.observe(0, 0, llc_hit=False, was_calm=False)  # false negative
+        s = p.stats
         assert s.calm_llc_hit == 1
         assert s.calm_llc_miss == 1
         assert s.serial_llc_hit == 1
@@ -140,20 +145,31 @@ class TestCalmStats:
         assert s.total == 4
 
     def test_rates(self):
-        s = CalmStats()
+        p = AlwaysCalm()
         for _ in range(3):
-            s.record(True, False)
-        s.record(True, True)
-        s.record(False, False)
+            p.observe(0, 0, llc_hit=False, was_calm=True)
+        p.observe(0, 0, llc_hit=True, was_calm=True)
+        p.observe(0, 0, llc_hit=False, was_calm=False)
+        s = p.stats
         # fp rate: 1 wasted fetch / (4 misses + 1 wasted) accesses
         assert s.false_positive_rate == pytest.approx(1 / 5)
         assert s.false_negative_rate == pytest.approx(1 / 4)
 
     def test_reset(self):
-        s = CalmStats()
-        s.record(True, True)
-        s.reset()
-        assert s.total == 0
+        p = NeverCalm()
+        p.observe(0, 0, llc_hit=True, was_calm=True)
+        p.reset_stats()
+        assert p.stats.total == 0
+
+    @pytest.mark.parametrize("make", [NeverCalm, AlwaysCalm, MapICalm,
+                                      IdealPredictor,
+                                      lambda: CalmR(0.7, now_fn=lambda: 0.0)])
+    def test_every_policy_counts_alike(self, make):
+        p = make()
+        for hit, calm in ((True, True), (False, True), (False, True),
+                          (True, False), (False, False)):
+            p.observe(0x40, 0, llc_hit=hit, was_calm=calm)
+        assert dataclasses.astuple(p.stats) == (1, 2, 1, 1)
 
 
 class TestCalmRClockWiring:

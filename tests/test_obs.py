@@ -473,7 +473,6 @@ class TestTraceExport:
         tracer = SpanTracer(span_capacity=8)
         tracer.attach(None, SimpleNamespace(measuring=True, meas_start=0.0))
         req = MemRequest(64, READ, core_id=0)
-        req.user = {"prefetch": False}
         req.t_create = 0.0
         req.t_complete = 10.0
         tracer.on_complete(req)

@@ -218,7 +218,6 @@ def audit_trace(reqs, capacity=512):
     tracer = SpanTracer(span_capacity=capacity)
     tracer.attach(None, SimpleNamespace(measuring=True, meas_start=0.0))
     for req in reqs:
-        req.user = {"prefetch": False}
         tracer.on_complete(req)
     return tracer.finish(None, 0.0)
 
