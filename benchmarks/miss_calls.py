@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """Deterministic host cost of the simulated L2-miss path: calls per miss.
 
-For each point, one ``simulate()`` runs with a ``sys.setprofile`` counter
-live during every ``Simulator.run`` (the timed warmup and the measured
-phase; functional warmup and result aggregation are outside). It counts
-``call`` events (Python functions, generator resumptions included) and
-``c_call`` events (builtins and C methods), and divides each count by the
-run's measured L2 misses (``extras["l2_misses"]``). The cyclic garbage
-collector is flushed before and paused during each run, so finalizers of
-objects left behind by earlier work in the process never count.
+For each point, one ``simulate()`` at ``OPS`` ops per core and seed ``SEED``
+runs with a ``sys.setprofile`` counter live during every ``Simulator.run``
+(the timed warmup and the measured phase; functional warmup and result
+aggregation are outside). It counts ``call`` events (Python functions,
+generator resumptions included) and ``c_call`` events (builtins and C
+methods), and divides each count by the run's measured L2 misses
+(``extras["l2_misses"]``). The cyclic garbage collector is flushed before
+and paused during each run, so finalizers of objects left behind by
+earlier work in the process never count.
 
 The counts depend on the Python version (3.12 inlines comprehensions, for
 one), not on host speed, so CI can ratchet them exactly. The ceilings in
@@ -46,12 +47,15 @@ POINTS = (("ddr-baseline", "stream-copy"), ("coaxial-4x", "stream-copy"),
           ("coaxial-4x", "mcf"))
 #: The point whose observer delta is reported.
 OBSERVED = ("coaxial-4x", "mcf")
+#: Ops per core and seed of every counted run; the ceilings hold for these.
+OPS = 1000
+SEED = 1
 CEILINGS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "miss_calls.json")
 
 
-def calls_per_miss(config: str, workload: str, ops: int = 1000,
-                   seed: int = 1, obs: str = "off",
+def calls_per_miss(config: str, workload: str, ops: int = OPS,
+                   seed: int = SEED, obs: str = "off",
                    tracing: str = "off") -> Tuple[float, float]:
     """(Python calls, builtin calls) per measured L2 miss for one run."""
     counts = [0, 0]
@@ -85,11 +89,11 @@ def calls_per_miss(config: str, workload: str, ops: int = 1000,
     return counts[0] / misses, counts[1] / misses
 
 
-def measure(ops: int = 1000, seed: int = 1) -> Dict[str, Tuple[float, float]]:
+def measure() -> Dict[str, Tuple[float, float]]:
     """Counts per point, plus the observer delta, keyed by row name."""
-    rows = {f"{c}/{w}": calls_per_miss(c, w, ops, seed) for c, w in POINTS}
+    rows = {f"{c}/{w}": calls_per_miss(c, w) for c, w in POINTS}
     key = "/".join(OBSERVED)
-    on = calls_per_miss(*OBSERVED, ops, seed, obs="on", tracing="on")
+    on = calls_per_miss(*OBSERVED, obs="on", tracing="on")
     rows[f"{key} observer delta"] = (on[0] - rows[key][0],
                                      on[1] - rows[key][1])
     return rows
@@ -97,19 +101,16 @@ def measure(ops: int = 1000, seed: int = 1) -> Dict[str, Tuple[float, float]]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--ops", type=int, default=1000, help="ops per core")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--check", action="store_true",
                     help=f"fail when a count exceeds {os.path.basename(CEILINGS)}")
     ap.add_argument("--record", action="store_true",
                     help=f"write the counts to {os.path.basename(CEILINGS)}")
     args = ap.parse_args(argv)
 
-    rows = measure(args.ops, args.seed)
+    rows = measure()
     if args.record:
         with open(CEILINGS, "w") as fh:
-            json.dump({"ops": args.ops, "seed": args.seed,
-                       "python": "%d.%d" % sys.version_info[:2],
+            json.dump({"python": "%d.%d" % sys.version_info[:2],
                        "rows": {k: [math.ceil(v * 100) / 100 for v in pair]
                                 for k, pair in rows.items()}},
                       fh, indent=1)
@@ -118,9 +119,6 @@ def main(argv=None) -> int:
     if args.check:
         with open(CEILINGS) as fh:
             ceilings = json.load(fh)
-        if (args.ops, args.seed) != (ceilings["ops"], ceilings["seed"]):
-            ap.error(f"ceilings are for --ops {ceilings['ops']} "
-                     f"--seed {ceilings['seed']}")
     print(f"{'point':<40s} {'python/miss':>12s} {'builtin/miss':>13s}")
     failed = []
     for name, (py, c) in rows.items():

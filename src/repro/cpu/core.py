@@ -183,59 +183,43 @@ class Core(Component):
     def _advance(self) -> None:
         if self.done or self.rob_stall_on is not None:
             return
-        # Loop state lives in locals. The calls below (_issue -> _set_comp
-        # -> _maybe_finish) read idx and frontend, so both are stored back
-        # before each op issues; they never touch retire_floor (_set_comp
-        # only does while the ROB is stalled, never inside this loop) and
-        # never rebind the per-run lists (only start() does).
         dispatch_ns = self._dispatch_ns
         rob = self.params.rob
-        n = self.n_ops
-        instr_no = self.instr_no
-        gaps = self.gaps
-        writes = self.writes
-        deps = self.deps
-        comp = self.comp
-        q = self.rob_q
-        retire_floor = self.retire_floor
-        frontend = self.frontend
-        i = self.idx
-        while i < n:
-            ino = instr_no[i]
+        while self.idx < self.n_ops:
+            i = self.idx
+            ino = self.instr_no[i]
             # ROB gate: instruction `ino` needs instruction `ino - rob` retired.
             target = ino - rob
+            q = self.rob_q
             while q and q[0][0] <= target:
-                h_idx = q[0][1]
-                c = comp[h_idx]
+                h_ino, h_idx = q[0]
+                c = self.comp[h_idx]
                 if c < 0.0:
                     self.rob_stall_on = h_idx
-                    self.retire_floor = retire_floor
                     return
-                if c > retire_floor:
-                    retire_floor = c
+                if c > self.retire_floor:
+                    self.retire_floor = c
                 q.popleft()
-            frontend += (gaps[i] + 1) * dispatch_ns
-            if retire_floor > frontend:
-                frontend = retire_floor
-            self.frontend = disp = frontend
-            if not writes[i]:
+            self.frontend += (self.gaps[i] + 1) * dispatch_ns
+            if self.retire_floor > self.frontend:
+                self.frontend = self.retire_floor
+            disp = self.frontend
+            is_write = self.writes[i]
+            if not is_write:
                 q.append((ino, i))
-            dep = deps[i]
-            self.idx = i + 1
+            dep = self.deps[i]
+            self.idx += 1
             if dep > 0:
                 j = i - dep
-                cj = comp[j]
+                cj = self.comp[j]
                 if cj < 0.0:
                     # Source still outstanding: issue this op when it lands.
                     self.disp_plan[i] = disp
                     self.dep_waiters.setdefault(j, []).append(i)
-                    i += 1
                     continue
                 if cj > disp:
                     disp = cj
             self._issue(i, disp)
-            i += 1
-        self.retire_floor = retire_floor
         self._maybe_finish()
 
     # -- memory access -----------------------------------------------------------

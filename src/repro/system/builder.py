@@ -190,7 +190,7 @@ class Chip(Component):
 
         ctile = core.core_id % n_tiles
         t_lookup = now + self._mlat[ctile][stile] + self.llc_hit_ns
-        self.sim.schedule_at(t_lookup, self._llc_lookup, req, stile)
+        self.sim.schedule_at(t_lookup, self._llc_lookup, req)
 
         if calm:
             self._send_to_memory(req, ctile)
@@ -215,8 +215,9 @@ class Chip(Component):
         t = self.sim.now + self._mlat[from_tile][ptile] + extra
         self.sim.schedule_at(t, self._port_entry[pidx], req)
 
-    def _llc_lookup(self, req: MemRequest, stile: int) -> None:
+    def _llc_lookup(self, req: MemRequest) -> None:
         now = self.sim.now
+        stile = req.stile
         hit = self.llc_slices[stile].lookup(req.addr)
         req.llc_hit = hit
         req.t_llc_done = now

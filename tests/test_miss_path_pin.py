@@ -9,13 +9,16 @@ chip's counters in insertion order, the CALM counters, the event count and
 the final clock. The digests were recorded before the miss path was
 restructured for speed, so they hold it to the old behaviour bit for bit.
 
-The catalog workloads barely hit the LLC at this scale, so the setups that
-need LLC hits (CALM false positives, the on-chip latency record) run
-:func:`shared_ring`, where every core walks one ring of lines from its own
-offset and finds the lines its neighbours already fetched. ``req_id`` is
-left out (it comes from a process-global counter). Prefetch fills complete
-in the measured window too and are hashed along with the demand misses.
-Re-record a digest only for a deliberate change to the modelled behaviour.
+Every setup runs synthetic per-core traces built by integer arithmetic,
+never the catalog generators, so the digests do not depend on numpy's
+random streams. :func:`shared_ring` gives LLC hits (CALM false positives,
+the on-chip latency record): every core walks one ring of lines from its
+own offset and finds the lines its neighbours already fetched.
+:func:`walks` streams two private regions per core for memory bandwidth
+and page migration. ``req_id`` is left out (it comes from a process-global
+counter). Prefetch fills complete in the measured window too and are
+hashed along with the demand misses. Re-record a digest only for a
+deliberate change to the modelled behaviour.
 """
 
 from __future__ import annotations
@@ -31,73 +34,18 @@ import repro.system.sim as sim_mod
 from repro.cpu.trace import TRACE_DTYPE, Trace
 from repro.exec.spec import build_config
 from repro.system.builder import Chip
-from repro.workloads import get_workload
 
-OPS = 500
-RING = "shared-ring"
-
-#: name -> (base config, overrides, workload, simulate() keyword arguments).
-#: A slow LLC (``llc_hit_cyc``) lets CALM memory data beat the LLC verdict;
-#: CALM_50 on the DDR baseline's lbm suppresses some misses by its epochs'
-#: bandwidth estimates.
-SETUPS = {
-    "calm-always": ("coaxial-4x", {"calm_policy": "always"}, RING, {}),
-    "calm-mapi": ("coaxial-4x", {"calm_policy": "mapi"}, RING, {}),
-    "calm-ideal": ("ddr-baseline", {"calm_policy": "ideal",
-                                    "llc_hit_cyc": 300}, "BFS", {}),
-    "calm-regulated": ("ddr-baseline", {"calm_policy": "calm_50"}, "lbm", {}),
-    "pf-nextline": ("ddr-baseline", {"prefetcher": "nextline"}, "lbm", {}),
-    "pf-stride": ("coaxial-4x", {"prefetcher": "stride",
-                                 "calm_policy": "calm_70"},
-                  "stream-copy", {}),
-    "repl-srrip": ("coaxial-4x", {"replacement": "srrip"}, "masstree", {}),
-    "repl-random": ("ddr-baseline", {"replacement": "random"}, RING, {}),
-    "tiered-lru": ("tiered-lru", {}, "phase-flip", {}),
-    "active-4": ("coaxial-asym", {"active_cores": 4,
-                                  "calm_policy": "calm_70"},
-                 "omnetpp", {}),
-    "obs-tracing": ("coaxial-4x", {"calm_policy": "calm_70"}, RING,
-                    {"obs": "on", "tracing": "on"}),
-}
-
-#: Recorded at the parent of the call-light miss-path change.
-DIGESTS = {
-    "calm-always": "11b477142c3db2c3fb008be04fdb8556"
-                   "73b457516c113c4e2c78551154dbf0ba",
-    "calm-mapi": "cb513efa4b91cc9aabed10541a0d3641"
-                 "cfc5ce13154b880cf02b355cf2e09b7a",
-    "calm-ideal": "b842e9546fab559794d278c65e63422f"
-                  "a74a3676193f3553b9b73316834878b7",
-    "calm-regulated": "b5ad2b4af8ed49a8cc80d4227f05f5d7"
-                      "9f497026286fb0cb49fac9af5396d450",
-    "pf-nextline": "b618edf468c8d6c8c03622be3e3a4087"
-                   "0498eac9cb5a13e7d104bc451ce8c9e7",
-    "pf-stride": "1f5d95075e6a0fad82262c8d5142de7b"
-                 "83f9efdcadaa274d443caca65742e904",
-    "repl-srrip": "a2443fd78b41fae8f9f02617f279516c"
-                  "fa263bc668b9b064937ef3ce6e6eb1a6",
-    "repl-random": "f4f1397275a5268541eccf13e7901e70"
-                   "57f190cecdbb2c23454f1404546299ea",
-    "tiered-lru": "4d424d628cd131e3d9d8a939ec0d0cce"
-                  "f56ea53cf6faad1ef27fb91abe7668b2",
-    "active-4": "316b3c5050a55c4a40cc364febcb605c"
-                "217e259ccd4baf904cec417a132eac2b",
-    "obs-tracing": "85b3fa20d47b7ed8fa0df7626f003811"
-                   "37f9f0ee2d53f1e3e4029047cc40f5a8",
-}
-
-_REQ_FIELDS = ("core_id", "addr", "calm", "llc_hit", "t_create",
-               "t_llc_done", "t_mc_enqueue", "t_mc_issue", "t_dram_done",
-               "t_complete", "cxl_delay")
+OPS = 1000
 
 
 def shared_ring(n_cores: int, ops: int, lines: int = 1536,
-                stride: int = 97) -> list:
+                stride: int = 97, gap: int = 3) -> list:
     """Per-core traces over one shared ring of ``lines`` cache lines.
 
     Core ``c`` starts ``c * stride`` lines in, so most of its L2 misses hit
     lines another core already brought into the LLC. Every seventh op is a
-    store and some loads depend on the load before them.
+    store and some loads depend on the load before them. Each PC's loads
+    step 13 lines, a stride the stride prefetcher learns.
     """
     i = np.arange(ops)
     writes = i % 7 == 3
@@ -105,13 +53,98 @@ def shared_ring(n_cores: int, ops: int, lines: int = 1536,
     traces = []
     for c in range(n_cores):
         arr = np.zeros(ops, dtype=TRACE_DTYPE)
-        arr["gap"] = 3 + i % 5
+        arr["gap"] = gap + i % 5
         arr["addr"] = 0x4000000 + ((c * stride + i) % lines) * 64
         arr["is_write"] = writes
         arr["pc"] = 0x400 + (i % 13) * 4
         arr["dep"] = deps
         traces.append(Trace(arr, f"ring{c}"))
     return traces
+
+
+def spaced_ring(n_cores: int, ops: int) -> list:
+    """:func:`shared_ring` with four times the compute between ops, so the
+    MSHRs have free slots for prefetches."""
+    return shared_ring(n_cores, ops, gap=12)
+
+
+def walks(n_cores: int, ops: int) -> list:
+    """Per-core traces of two private sequential walks that never reuse a line.
+
+    Even ops load from one region and odd ops store to another, one line
+    further on each time. Regions start a prime number of lines apart, so
+    the walks spread over the DRAM banks.
+    """
+    i = np.arange(ops)
+    k = i % 2
+    traces = []
+    for c in range(n_cores):
+        arr = np.zeros(ops, dtype=TRACE_DTYPE)
+        arr["gap"] = 1 + i % 3
+        arr["addr"] = 0x4000000 + (c * 24593 + k * 6151 + i // 2) * 64
+        arr["is_write"] = k
+        arr["pc"] = 0x800 + k * 4
+        traces.append(Trace(arr, f"walk{c}"))
+    return traces
+
+
+#: name -> (base config, overrides, traces(n_cores, ops), simulate()
+#: keyword arguments). A slow LLC (``llc_hit_cyc``) lets CALM memory data
+#: beat the LLC verdict, or land between the verdict and its arrival at the
+#: core; CALM_50 on the DDR baseline's walks suppresses some
+#: misses by its epochs' bandwidth estimates; a 16 KB/core LLC makes the
+#: replacement policies pick ring lines as victims; the tiered walks
+#: promote far pages.
+SETUPS = {
+    "calm-always": ("coaxial-4x", {"calm_policy": "always"}, shared_ring, {}),
+    "calm-mapi": ("coaxial-4x", {"calm_policy": "mapi"}, shared_ring, {}),
+    "calm-ideal": ("ddr-baseline", {"calm_policy": "ideal",
+                                    "llc_hit_cyc": 80}, shared_ring, {}),
+    "calm-regulated": ("ddr-baseline", {"calm_policy": "calm_50"}, walks, {}),
+    "pf-nextline": ("ddr-baseline", {"prefetcher": "nextline"}, spaced_ring,
+                    {}),
+    "pf-stride": ("coaxial-4x", {"prefetcher": "stride",
+                                 "calm_policy": "calm_70"}, spaced_ring, {}),
+    "repl-srrip": ("coaxial-4x", {"replacement": "srrip",
+                                  "llc_kb_per_core": 16}, shared_ring, {}),
+    "repl-random": ("ddr-baseline", {"replacement": "random",
+                                     "llc_kb_per_core": 16}, shared_ring, {}),
+    "tiered-lru": ("tiered-lru", {}, walks, {}),
+    "active-4": ("coaxial-asym", {"active_cores": 4,
+                                  "calm_policy": "calm_70"}, shared_ring, {}),
+    "obs-tracing": ("coaxial-4x", {"calm_policy": "calm_70"}, shared_ring,
+                    {"obs": "on", "tracing": "on"}),
+}
+
+#: Recorded at the parent of the call-light miss-path change.
+DIGESTS = {
+    "calm-always": "9e680f92d06b26339c66e4688cf22784"
+                   "35faea9142f416e85523f4cbbe59b0bb",
+    "calm-mapi": "33bb3c2ddfaa5db8419c683fb8f56bc7"
+                 "efa7d05a7e1a94075b2b923550ca721b",
+    "calm-ideal": "34947b5eae7db08d1b537cb71fc768f1"
+                  "c0f34ebfd681be832437b188c5e51733",
+    "calm-regulated": "ca0c5ced173449067812e6fe8c4daf35"
+                      "c73ad14ebee5146797758519dc95012c",
+    "pf-nextline": "93a88d5ed46cedf4a16fcb42d0cf3d45"
+                   "70262e8b3f0ba6d1e3bddde2ad2ba1f7",
+    "pf-stride": "495f1dcf7ca8bda3679a2a1d44110cfd"
+                 "b0bb3e5f7f865c9e41066555439f632c",
+    "repl-srrip": "f2535683e4ca8903db581d79c31045ea"
+                  "2ec1a17f50e060a576bfb6aece6c3448",
+    "repl-random": "81a51f5999f96a401f42c15859d52b81"
+                   "ae893ab4c37f22a70ab323999c8467b1",
+    "tiered-lru": "ea0707374d8e4c49b1ea5e811cabe49b"
+                  "038440d31ae3c0dafd57b455602823ed",
+    "active-4": "865996ab4f10821ea4a6631eb10970c6"
+                "65e0ac7cd5e03dda9cdfcf23c016312a",
+    "obs-tracing": "a3289623c50c884bfcd0001b4bc0a9a4"
+                   "b610a52a324f7ea8469983570907fc72",
+}
+
+_REQ_FIELDS = ("core_id", "addr", "calm", "llc_hit", "t_create",
+               "t_llc_done", "t_mc_enqueue", "t_mc_issue", "t_dram_done",
+               "t_complete", "cxl_delay")
 
 
 def _scrub(obj):
@@ -132,7 +165,7 @@ def _calm_counters(calm) -> list:
 
 def run_digest(setup: str, monkeypatch, mutate=None) -> str:
     """The setup's digest; ``mutate(chip)`` runs right after the build."""
-    base, overrides, workload, kwargs = SETUPS[setup]
+    base, overrides, traces, kwargs = SETUPS[setup]
     built = []
     done = []
     build = sim_mod.build_system
@@ -153,11 +186,8 @@ def run_digest(setup: str, monkeypatch, mutate=None) -> str:
     monkeypatch.setattr(sim_mod, "build_system", capture_build)
     monkeypatch.setattr(Chip, "_complete", capture_complete)
     cfg = build_config(base, overrides)
-    if workload == RING:
-        wl = shared_ring(cfg.active_cores, OPS)
-    else:
-        wl = get_workload(workload)
-    result = sim_mod.simulate(cfg, wl, ops_per_core=OPS, seed=1,
+    result = sim_mod.simulate(cfg, traces(cfg.active_cores, OPS),
+                              ops_per_core=OPS, seed=1,
                               validate="off",
                               obs=kwargs.get("obs", "off"),
                               tracing=kwargs.get("tracing", "off"))
@@ -200,16 +230,16 @@ def _drop_writebacks(chip) -> None:
 
 
 def _skew_home_slice(chip) -> None:
-    """Look one miss in 32 up in the next slice over, by a seeded coin."""
+    """Fill one line in 32 into the next slice over, by a seeded coin."""
     rng = random.Random(11)
-    lookup = chip._llc_lookup
+    fill = chip._fill_llc
     n = len(chip.llc_slices)
 
-    def skewed(req, stile):
+    def skewed(line, stile, dirty=False):
         if rng.random() < 1 / 32:
             stile = (stile + 1) % n
-        lookup(req, stile)
-    chip._llc_lookup = skewed
+        fill(line, stile, dirty)
+    chip._fill_llc = skewed
 
 
 MUTATIONS = {
