@@ -32,6 +32,12 @@ from repro.cxl.slowmedia import DEFAULT_SSD, SsdParams
 from repro.tiering.config import TieringConfig, get_tiering
 
 
+#: Cache sizes, associativities and port counts: a zero here divides by
+#: zero mid-run or (a zero-sized LLC) quietly simulates a one-set cache.
+_AT_LEAST_ONE = ("l1_kb", "l1_ways", "l2_kb", "l2_ways", "llc_kb_per_core",
+                 "llc_ways", "n_mem_ports", "ddr_per_cxl")
+
+
 @dataclass
 class SystemConfig:
     """Everything needed to build one simulated server."""
@@ -89,6 +95,10 @@ class SystemConfig:
     prefetch_degree: int = 2
 
     def __post_init__(self) -> None:
+        for name in _AT_LEAST_ONE:
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         if self.active_cores is None:
             self.active_cores = self.n_cores
         if not 1 <= self.active_cores <= self.n_cores:

@@ -44,7 +44,7 @@ Streams = List[Tuple[int, Trace]]
 #: The set-parallel warmup pass runs only while every cache level's busiest
 #: set holds at most this share of the level's events; otherwise the scalar
 #: per-core loop runs. See docs/performance.md for the measurement.
-MAX_SET_SHARE = 1 / 64
+MAX_SET_SHARE = 1 / 48
 
 
 def _replay_functional(chip: Chip, streams: Streams) -> None:
@@ -215,42 +215,47 @@ def _replay_lru_sets(chip: Chip, streams: Streams,
 
     n_sets = len(cores) * l1.sets
     sets = (core * l1.sets + (line & l1._mask)).astype(np.int32)
-    if busiest_share(sets, n_sets) > max_share:
+    counts = np.bincount(sets, minlength=n_sets)
+    if busiest_share(counts) > max_share:
         return False
-    r1 = lru_pass(sets, line, write, n_sets, l1.ways)
+    r1 = lru_pass(sets, line, write, counts, l1.ways)
     del sets
     rows1 = r1.rows
     # L2 stream: per L1 miss, its touch, then the set_dirty of the dirty
     # L1 victim the miss evicted.
     miss = ~r1.hit
-    src, mark, line = _next_level(miss, miss & r1.victim_dirty, line,
-                                  r1.victim)
+    dirty_victim, victim = miss & r1.victim_dirty, r1.victim
+    del r1
+    src, mark, line = _next_level(miss, dirty_victim, line, victim)
     write, core = write[src], core[src]
-    del r1, miss, src
+    del miss, dirty_victim, victim, src
 
     n_sets = len(cores) * l2.sets
     sets = (core * l2.sets + (line & l2._mask)).astype(np.int32)
     del core
-    if busiest_share(sets, n_sets) > max_share:
+    counts = np.bincount(sets, minlength=n_sets)
+    if busiest_share(counts) > max_share:
         return False
-    r2 = lru_pass(sets, line, write, n_sets, l2.ways, set_dirty=mark)
+    r2 = lru_pass(sets, line, write, counts, l2.ways, set_dirty=mark)
     del sets, write
     rows2 = r2.rows
     # LLC stream: per L2 miss, its clean touch, then the dirty install of
     # the dirty L2 victim the miss evicted.
     miss = ~(r2.hit | mark)
-    write, line = _next_level(miss, miss & r2.victim_dirty, line,
-                              r2.victim)[1:]
-    del r2, miss, mark
+    dirty_victim, victim = miss & r2.victim_dirty, r2.victim
+    del r2, mark
+    write, line = _next_level(miss, dirty_victim, line, victim)[1:]
+    del miss, dirty_victim, victim
 
     n_sets = len(slices) * llc.sets
     tile = chip.mesh.llc_slice_of(line.astype(np.uint64) << 6)
     sets = (tile.astype(np.int32) * llc.sets
             + (line & llc._mask).astype(np.int32))
     del tile
-    if busiest_share(sets, n_sets) > max_share:
+    counts = np.bincount(sets, minlength=n_sets)
+    if busiest_share(counts) > max_share:
         return False
-    rows3 = lru_pass(sets, line, write, n_sets, llc.ways).rows
+    rows3 = lru_pass(sets, line, write, counts, llc.ways).rows
     del sets, line, write
 
     for arrays, rows in ((l1s, rows1), (l2s, rows2), (slices, rows3)):

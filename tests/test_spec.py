@@ -34,6 +34,16 @@ BAD = [
                  id="override-unknown-key"),
 ]
 
+#: Overrides each field accepts on its own that no config may hold: a zero
+#: cache size, associativity or port count (the field's message names it).
+BAD_CONFIG = [
+    pytest.param({"overrides": {name: value}}, f"{name} must be >= 1",
+                 id=f"{name}={value}")
+    for name, value in [("n_mem_ports", 0), ("ddr_per_cxl", 0), ("l1_kb", 0),
+                        ("l1_ways", 0), ("l2_kb", 0), ("l2_ways", 0),
+                        ("llc_kb_per_core", 0), ("llc_kb_per_core", -4),
+                        ("llc_ways", 0)]]
+
 #: The spec fields a ``POST /jobs`` body can carry, by body key.
 SERVE_KEYS = {"workload": "workloads", "ops": "ops", "validate": "validate",
               "tracing": "tracing"}
@@ -63,7 +73,13 @@ class TestOneValidator:
         with pytest.raises(SpecError, match=field):
             TaskSpec.from_dict(spec_dict(bad))
 
-    @pytest.mark.parametrize("bad, field", BAD)
+    @pytest.mark.parametrize("bad, field", BAD_CONFIG)
+    def test_build_job_rejects(self, bad, field):
+        spec = TaskSpec.from_dict(spec_dict(bad))
+        with pytest.raises(SpecError, match=field):
+            spec.build_job()
+
+    @pytest.mark.parametrize("bad, field", BAD + BAD_CONFIG)
     def test_broker_rejects_with_400(self, broker, bad, field):
         status, payload = broker.json("POST", "/tasks",
                                       {"specs": [spec_dict(bad)]})

@@ -6,6 +6,8 @@ time. The contract is exact: every set of every L1, L2 and LLC slice holds
 the same ``(tag, dirty)`` items in the same insertion (LRU) order, with
 Python ``int`` tags and ``bool`` dirty bits. ``_replay_functional_lru``
 picks between the two from the busiest-set share of each level's stream.
+One level's pass, ``lru_pass``, is also checked on its own against a
+dict-per-set reference, every per-event output included.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cache.cache import CacheArray
+from repro.cache.warmup import lru_pass
 from repro.cpu.trace import TRACE_DTYPE, Trace
 from repro.engine.kernel import Simulator
 from repro.fuzz.oracles import cache_state
@@ -134,6 +137,66 @@ def small_chips(draw):
 @given(small_chips())
 def test_random_geometry_matches_scalar(case):
     assert_exact(*case)
+
+
+def dict_pass(sets, lines, writes, n_sets, ways, set_dirty=None):
+    """``lru_pass`` one event at a time: a dict per set, least recent first."""
+    state = [{} for _ in range(n_sets)]
+    marks = [False] * len(sets) if set_dirty is None else set_dirty.tolist()
+    events = []
+    for s, x, w, mark in zip(sets.tolist(), lines.tolist(), writes.tolist(),
+                             marks):
+        d = state[s]
+        if x in d:
+            events.append((True, x, d[x]))
+            d[x] = True if mark else (d.pop(x) or w)
+            continue
+        v = next(iter(d)) if len(d) >= ways else -1
+        events.append((False, v, d.get(v, False)))
+        if not mark:
+            d.pop(v, None)
+            d[x] = w
+    hit, victim, vdirty = zip(*events) if events else ((), (), ())
+    rows = [item for d in state for item in d.items()]
+    return dict(hit=np.array(hit, bool), victim=np.array(victim, np.int64),
+                victim_dirty=np.array(vdirty, bool),
+                counts=np.array([len(d) for d in state], np.intp),
+                lines=np.array([x for x, _ in rows], np.int64),
+                dirty=np.array([v for _, v in rows], bool))
+
+
+@st.composite
+def level_streams(draw):
+    """One level's events: uneven set loads, idle sets, tags in a narrow
+    range (hits and evictions), and set_dirty marks on present and absent
+    lines."""
+    n_sets = draw(st.integers(1, 8))
+    ways = draw(st.integers(1, 16))
+    base = draw(st.sampled_from([0, 1 << 30, 1 << 57]))
+    # A few busy sets, so the busiest-first labels really permute them.
+    busy = draw(st.lists(st.integers(0, n_sets - 1), min_size=1, max_size=3))
+    n = draw(st.integers(0, 120))
+    sets = draw(st.lists(st.sampled_from(busy) | st.integers(0, n_sets - 1),
+                         min_size=n, max_size=n))
+    tags = draw(st.lists(st.integers(0, ways + 2), min_size=n, max_size=n))
+    writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    marks = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    sets = np.array(sets, np.int32)
+    lines = base + np.array(tags, np.int64) * n_sets + sets
+    return (sets, lines, np.array(writes, bool), n_sets, ways,
+            None if marks is None else np.array(marks, bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_streams())
+def test_lru_pass_matches_dict_reference(case):
+    sets, lines, writes, n_sets, ways, marks = case
+    counts = np.bincount(sets, minlength=n_sets)
+    got = lru_pass(sets, lines, writes, counts, ways, set_dirty=marks)
+    for name, want in dict_pass(*case).items():
+        have = getattr(got, name)
+        assert have.dtype == want.dtype, name
+        assert np.array_equal(have, want), name
 
 
 class TestPathSelection:
