@@ -6,7 +6,7 @@ pass and the scalar per-core loop from each cache level's busiest-set
 share. This script times both paths on the streams the cut-off was chosen
 from: ``ACCESSES`` accesses per core on the ``ddr-baseline`` geometry,
 uniform or piled into a few sets, each path on a fresh chip, best of
-``--reps``. "Busiest" is the largest share over the three levels. Both
+``REPS``. "Busiest" is the largest share over the three levels. Both
 paths leave the same caches (``tests/test_warmup.py``), so only time is
 compared.
 
@@ -17,7 +17,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import time
 
 import numpy as np
@@ -29,6 +28,7 @@ from repro.system.builder import Chip
 from repro.system.config import ALL_CONFIGS
 
 ACCESSES = 12_000
+REPS = 3
 
 
 def trace_of(lines, writes) -> Trace:
@@ -54,9 +54,9 @@ def streams(cores: int, kind: str, rng) -> list:
     return out
 
 
-def best_of(reps: int, run, cfg, stream) -> float:
+def best_of(run, cfg, stream) -> float:
     times = []
-    for _ in range(reps):
+    for _ in range(REPS):
         chip = Chip(Simulator(), cfg)
         t0 = time.perf_counter()
         run(chip, stream)
@@ -76,7 +76,7 @@ def set_parallel(chip, stream) -> None:
 def busiest(cfg, stream) -> float:
     shares = []
     real = sim.busiest_share
-    sim.busiest_share = lambda counts: shares.append(real(counts)) or 0.0
+    sim.busiest_share = lambda ev: shares.append(real(ev)) or 0.0
     try:
         sim._replay_lru_sets(Chip(Simulator(), cfg), stream)
     finally:
@@ -85,9 +85,6 @@ def busiest(cfg, stream) -> float:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--reps", type=int, default=3)
-    args = ap.parse_args()
     cfg = ALL_CONFIGS["ddr-baseline"]()
     rows = [(n, "uniform") for n in (1, 2, 4, 8, 12)]
     rows += [(2, f"hot 1/{n}") for n in (16, 32, 64, 128)]
@@ -96,8 +93,8 @@ def main() -> None:
     print("|---|---|---|---|---|---|")
     for cores, kind in rows:
         stream = streams(cores, kind, np.random.default_rng(cores))
-        t_s = best_of(args.reps, scalar, cfg, stream)
-        t_p = best_of(args.reps, set_parallel, cfg, stream)
+        t_s = best_of(scalar, cfg, stream)
+        t_p = best_of(set_parallel, cfg, stream)
         print(f"| {cores} | {kind} | 1/{1 / busiest(cfg, stream):.0f} "
               f"| {t_s * 1e3:.0f} ms | {t_p * 1e3:.0f} ms "
               f"| {t_p / t_s:.2f}x |")

@@ -83,25 +83,26 @@ class LevelResult:
         return self.counts, self.lines, self.dirty
 
 
-def busiest_share(counts: np.ndarray) -> float:
+def busiest_share(set_events: np.ndarray) -> float:
     """Share of a level's events that land in its busiest set, from the
     per-set event counts (``np.bincount`` of the stream's sets).
 
     The set-parallel pass takes as many steps as the busiest set has
     events, so ``1 / busiest_share`` is the mean work per step.
     """
-    n = int(counts.sum())
-    return int(counts.max()) / n if n else 0.0
+    n = int(set_events.sum())
+    return int(set_events.max()) / n if n else 0.0
 
 
 def lru_pass(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
-             counts: np.ndarray, ways: int,
+             set_events: np.ndarray, ways: int,
              set_dirty: Optional[np.ndarray] = None) -> LevelResult:
     """Replay one LRU level's events from empty sets, one event per set a step.
 
     ``sets`` (int32), ``lines`` (int64, non-negative) and ``writes`` (bool)
-    describe each event in stream order; ``counts`` is the level's
-    ``np.bincount(sets, minlength=n_sets)``. An ordinary event is an
+    describe each event in stream order; ``set_events`` is the level's
+    ``np.bincount(sets, minlength=n_sets)``, events per set (not the lines
+    per set of :attr:`LevelResult.counts`). An ordinary event is an
     access: on a hit the line becomes most recent and its dirty bit ORs in
     the write; on a miss it fills the least recent slot with
     ``dirty=write``. Where ``set_dirty`` is true the event dirties its line
@@ -111,13 +112,13 @@ def lru_pass(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
     changes no set's event order, and the result is the one a replay in
     the caller's set numbering gives.
     """
-    n, n_sets = len(sets), len(counts)
+    n, n_sets = len(sets), len(set_events)
     # Busiest-first labels: label j is set busiest[j], and the sets with a
     # k-th event are the labels [0, live[k]).
-    busiest = np.argsort(-counts, kind="stable")
+    busiest = np.argsort(-set_events, kind="stable")
     label = np.empty(n_sets, np.int32)
     label[busiest] = np.arange(n_sets, dtype=np.int32)
-    ranked = counts[busiest]
+    ranked = set_events[busiest]
     steps = int(ranked[0]) if n else 0
     live = n_sets - np.cumsum(np.bincount(ranked, minlength=steps + 1))
     live = live[:steps]
@@ -128,12 +129,13 @@ def lru_pass(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
     # (the 16-bit keys take numpy's radix sort), in stream order.
     by_set = np.argsort(_narrow(sets, n_sets), kind="stable").astype(np.int32)
     rank = np.arange(n, dtype=np.int32)
-    rank -= np.repeat((np.cumsum(counts) - counts).astype(np.int32), counts)
-    step_pos = np.repeat(label, counts)
+    first = np.cumsum(set_events) - set_events
+    rank -= np.repeat(first.astype(np.int32), set_events)
+    step_pos = np.repeat(label, set_events)
     step_pos += bounds.take(rank)
     order = np.empty(n, np.int32)
     order[step_pos] = by_set
-    del by_set, rank, step_pos
+    del by_set, first, rank, step_pos
     x_at, w_at = lines.take(order), writes.take(order)
     d_at = None if set_dirty is None else set_dirty.take(order)
 
@@ -179,7 +181,7 @@ def lru_pass(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
     del x_at, w_at, d_at, found
 
     # Rows in the caller's set numbering, each least recent first.
-    touched = np.flatnonzero(counts)
+    touched = np.flatnonzero(set_events)
     cols = label[touched]
     lru_first = key[:, cols].T.argsort(1)
     line = np.take_along_axis(line[:, cols].T, lru_first, 1)

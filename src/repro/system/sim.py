@@ -215,10 +215,10 @@ def _replay_lru_sets(chip: Chip, streams: Streams,
 
     n_sets = len(cores) * l1.sets
     sets = (core * l1.sets + (line & l1._mask)).astype(np.int32)
-    counts = np.bincount(sets, minlength=n_sets)
-    if busiest_share(counts) > max_share:
+    set_events = np.bincount(sets, minlength=n_sets)
+    if busiest_share(set_events) > max_share:
         return False
-    r1 = lru_pass(sets, line, write, counts, l1.ways)
+    r1 = lru_pass(sets, line, write, set_events, l1.ways)
     del sets
     rows1 = r1.rows
     # L2 stream: per L1 miss, its touch, then the set_dirty of the dirty
@@ -233,10 +233,10 @@ def _replay_lru_sets(chip: Chip, streams: Streams,
     n_sets = len(cores) * l2.sets
     sets = (core * l2.sets + (line & l2._mask)).astype(np.int32)
     del core
-    counts = np.bincount(sets, minlength=n_sets)
-    if busiest_share(counts) > max_share:
+    set_events = np.bincount(sets, minlength=n_sets)
+    if busiest_share(set_events) > max_share:
         return False
-    r2 = lru_pass(sets, line, write, counts, l2.ways, set_dirty=mark)
+    r2 = lru_pass(sets, line, write, set_events, l2.ways, set_dirty=mark)
     del sets, write
     rows2 = r2.rows
     # LLC stream: per L2 miss, its clean touch, then the dirty install of
@@ -252,10 +252,10 @@ def _replay_lru_sets(chip: Chip, streams: Streams,
     sets = (tile.astype(np.int32) * llc.sets
             + (line & llc._mask).astype(np.int32))
     del tile
-    counts = np.bincount(sets, minlength=n_sets)
-    if busiest_share(counts) > max_share:
+    set_events = np.bincount(sets, minlength=n_sets)
+    if busiest_share(set_events) > max_share:
         return False
-    rows3 = lru_pass(sets, line, write, counts, llc.ways).rows
+    rows3 = lru_pass(sets, line, write, set_events, llc.ways).rows
     del sets, line, write
 
     for arrays, rows in ((l1s, rows1), (l2s, rows2), (slices, rows3)):

@@ -191,8 +191,8 @@ def level_streams(draw):
 @given(level_streams())
 def test_lru_pass_matches_dict_reference(case):
     sets, lines, writes, n_sets, ways, marks = case
-    counts = np.bincount(sets, minlength=n_sets)
-    got = lru_pass(sets, lines, writes, counts, ways, set_dirty=marks)
+    set_events = np.bincount(sets, minlength=n_sets)
+    got = lru_pass(sets, lines, writes, set_events, ways, set_dirty=marks)
     for name, want in dict_pass(*case).items():
         have = getattr(got, name)
         assert have.dtype == want.dtype, name
