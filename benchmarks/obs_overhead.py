@@ -11,9 +11,11 @@ Runs the same job in three modes and compares events/s:
 * ``obs+trace`` — the same obs collector plus the causal span tracer
   (``tracing="on"``), the full always-on observability stack.
 
-Each mode gets a warmup run and then ``--reps`` timed runs; the best
-rep per mode is compared so scheduler noise on shared CI runners
-doesn't trip the gate.
+After one warmup run per mode, the modes run interleaved in one process,
+one timed run of each per round, and each mode keeps its best of
+``REPS`` rounds. Timing the modes in blocks (every ``off`` run, then
+every ``obs`` run, ...) let host drift between the blocks read as
+overhead; interleaved, drift lands on every mode alike.
 
 Exit status: 0 when both observed modes stay within ``--gate`` of the
 bare throughput (default 10%), 1 otherwise.
@@ -29,45 +31,46 @@ from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
 from repro.workloads import get_workload
 
+CONFIG = "coaxial-4x"
+WORKLOAD = "mcf"
+OPS = 6000
+SEED = 1
+REPS = 5
 
-def best_events_per_s(cfg, wl, ops: int, seed: int, obs, tracing,
-                      reps: int) -> float:
-    simulate(cfg, wl, ops_per_core=ops // 2, seed=seed, obs=obs,
-             tracing=tracing)  # warmup
-    best = 0.0
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        r = simulate(cfg, wl, ops_per_core=ops, seed=seed, obs=obs,
-                     tracing=tracing)
-        wall = time.perf_counter() - t0
-        best = max(best, r.extras["events_fired"] / wall)
+#: mode -> (obs, tracing) as simulate() takes them.
+MODES = {"off": ("off", "off"), "obs": ("on", "off"),
+         "obs+trace": ("on", "on")}
+
+
+def best_events_per_s() -> dict:
+    """Best events/s of each mode over ``REPS`` interleaved rounds."""
+    cfg = ALL_CONFIGS[CONFIG]()
+    wl = get_workload(WORKLOAD)
+    for obs, tracing in MODES.values():     # warmup
+        simulate(cfg, wl, ops_per_core=OPS // 2, seed=SEED, obs=obs,
+                 tracing=tracing)
+    best = dict.fromkeys(MODES, 0.0)
+    for _ in range(REPS):
+        for name, (obs, tracing) in MODES.items():
+            t0 = time.perf_counter()
+            r = simulate(cfg, wl, ops_per_core=OPS, seed=SEED, obs=obs,
+                         tracing=tracing)
+            wall = time.perf_counter() - t0
+            best[name] = max(best[name], r.extras["events_fired"] / wall)
     return best
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--config", default="coaxial-4x")
-    ap.add_argument("--workload", default="mcf")
-    ap.add_argument("--ops", type=int, default=6000)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--gate", type=float, default=0.10,
                     help="max tolerated fractional slowdown per observed mode")
     args = ap.parse_args(argv)
 
-    cfg = ALL_CONFIGS[args.config]()
-    wl = get_workload(args.workload)
-    off = best_events_per_s(cfg, wl, args.ops, args.seed, "off", "off",
-                            args.reps)
-    modes = {
-        "obs": best_events_per_s(cfg, wl, args.ops, args.seed, "on", "off",
-                                 args.reps),
-        "obs+trace": best_events_per_s(cfg, wl, args.ops, args.seed, "on",
-                                       "on", args.reps),
-    }
+    best = best_events_per_s()
+    off = best.pop("off")
     print(f"{'off':<10s}: {off:12.0f} events/s")
     failed = []
-    for name, eps in modes.items():
+    for name, eps in best.items():
         slowdown = 1.0 - eps / off
         print(f"{name:<10s}: {eps:12.0f} events/s  "
               f"({100.0 * slowdown:+.2f}% vs off, "

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis import format_table, geomean
@@ -35,7 +37,8 @@ from repro.dram import load_latency_curve
 from repro.power import energy_report, system_power
 from repro.cxl.profiles import PROFILES
 from repro.exec.runner import ExecutorError
-from repro.exec.spec import SpecError, TaskSpec
+from repro.exec.spec import SpecError, TaskSpec, expand_specs
+from repro.exportutil import GoldenError, write_json
 from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
 from repro.tiering.config import TIERING_PRESETS
@@ -43,7 +46,17 @@ from repro.workloads import REPRESENTATIVE, SUITES, get_workload, workload_names
 
 
 class UsageError(Exception):
-    """A flag combination the parser cannot reject by itself (exit 2)."""
+    """Input the parser cannot reject by itself (exit 2)."""
+
+
+@contextmanager
+def _user_input():
+    """Reading a file, literal or variable the user named: one that is
+    unreadable, malformed or missing a field is bad input, not a bug."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError) as e:
+        raise UsageError(str(e)) from None
 
 
 def _parse_list(text: str) -> List[str]:
@@ -103,39 +116,24 @@ def cmd_run(args: argparse.Namespace) -> int:
                    seed=args.seed).build_job()
     cfg = job.config
     wl = get_workload(job.workload)
+    # Output paths are checked before simulating, not after: a bad one
+    # shouldn't cost the user the whole run.
     collector = None
     if args.obs:
-        from repro.obs import ObsCollector, known_export_suffixes
-        from pathlib import Path
-        if Path(args.obs).suffix.lower() not in known_export_suffixes():
-            # Fail before simulating, not after: a bad output path
-            # shouldn't cost the user the whole run.
-            print(f"error: unknown metrics export format "
-                  f"{Path(args.obs).suffix!r} for {args.obs}; expected one "
-                  f"of: {', '.join(known_export_suffixes())}",
-                  file=sys.stderr)
-            return 2
+        from repro.obs import ObsCollector, check_export_path
+        with _user_input():
+            check_export_path(args.obs)
         # The exported file should answer "where did the time go", so an
         # explicit --obs run collects the kernel profile as well.
         collector = ObsCollector(mode=args.obs_mode)
     tracing = args.tracing
     if args.trace_out:
-        from pathlib import Path
-        if Path(args.trace_out).suffix.lower() not in (".json", ".jsonl",
-                                                       ".npy"):
-            print(f"error: unknown span trace format "
-                  f"{Path(args.trace_out).suffix!r} for {args.trace_out}; "
-                  f"use a .json (Perfetto), .jsonl or .npy path",
-                  file=sys.stderr)
-            return 2
+        from repro.tracing import check_trace_path
+        with _user_input():
+            check_trace_path(args.trace_out)
         tracing = tracing or "on"
-    from repro.validate import InvariantError
-    try:
-        r = simulate(cfg, wl, ops_per_core=args.ops, seed=args.seed,
-                     validate=args.validate, obs=collector, tracing=tracing)
-    except InvariantError as e:
-        print(f"invariant violation (strict): {e}", file=sys.stderr)
-        return 1
+    r = simulate(cfg, wl, ops_per_core=args.ops, seed=args.seed,
+                 validate=args.validate, obs=collector, tracing=tracing)
     print(r.summary())
     print(f"  miss latency     : p50 {r.p50_miss_latency:.1f} / "
           f"p90 {r.p90_miss_latency:.1f} / p99 {r.p99_miss_latency:.1f} / "
@@ -176,11 +174,8 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     """Render exported metrics JSONL as a terminal run report."""
     from repro.obs import load_jsonl, render_report
 
-    try:
+    with _user_input():
         runs = load_jsonl(args.file)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     if not runs:
         print(f"{args.file}: no runs recorded", file=sys.stderr)
         return 1
@@ -195,11 +190,8 @@ def cmd_trace_view(args: argparse.Namespace) -> int:
     """Summarize an exported span trace: attribution + slowest requests."""
     from repro.tracing import attribution_table, load_trace, slowest
 
-    try:
+    with _user_input():
         snap = load_trace(args.file)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     print(f"trace: {args.file}")
     print(f"  schema {snap.get('schema')}  mode {snap.get('mode')}  "
           f"trace_id {snap.get('trace_id') or '-'}")
@@ -227,16 +219,13 @@ def cmd_trace_critpath(args: argparse.Namespace) -> int:
     """Print per-request critical-path blocking chains from a trace."""
     from repro.tracing import format_critical_path, load_trace, slowest
 
-    try:
+    with _user_input():
         snap = load_trace(args.file)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     rows = snap.get("spans") or []
     if args.req is not None:
         rows = [r for r in rows if r["req_id"] == args.req]
         if not rows:
-            print(f"error: request {args.req} is not in the retained ring "
+            print(f"request {args.req} is not in the retained ring "
                   f"({len(snap.get('spans') or [])} row(s))", file=sys.stderr)
             return 1
     else:
@@ -251,20 +240,18 @@ def cmd_trace_critpath(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     workloads = _parse_list(args.workloads)
     configs = _parse_list(args.configs)
-    for c in configs:
-        if c not in ALL_CONFIGS:
-            print(f"unknown config {c!r}; choose from {list(ALL_CONFIGS)}",
-                  file=sys.stderr)
-            return 2
-    base_cfg = ALL_CONFIGS[args.baseline]()
+    # The whole grid is valid before anything runs.
+    cfgs = {spec.base: spec.build_job().config
+            for spec in expand_specs([args.baseline] + configs, workloads,
+                                     ops=args.ops, seeds=[args.seed])}
     rows = []
     chart = {}
     for w in workloads:
         wl = get_workload(w)
-        base = simulate(base_cfg, wl, ops_per_core=args.ops, seed=args.seed)
+        base = simulate(cfgs[args.baseline], wl, ops_per_core=args.ops,
+                        seed=args.seed)
         for c in configs:
-            r = simulate(ALL_CONFIGS[c](), wl, ops_per_core=args.ops,
-                         seed=args.seed)
+            r = simulate(cfgs[c], wl, ops_per_core=args.ops, seed=args.seed)
             sp = r.speedup_over(base)
             chart[f"{w} ({c})"] = sp
             rows.append([w, c, base.ipc, r.ipc, sp,
@@ -276,6 +263,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"\ngeomean speedup: {geomean(speedups):.2f}x\n")
     print(bar_chart(chart, title="speedup vs baseline", unit="x", reference=1.0))
     return 0
+
+
+def _workers(jobs: Optional[int]) -> int:
+    """A ``--jobs`` style flag, else ``$REPRO_JOBS`` or the CPU count."""
+    from repro.exec.runner import default_workers
+
+    with _user_input():
+        return jobs or default_workers()
 
 
 #: The sweep flags that configure this host's pool and cache, which a
@@ -296,14 +291,10 @@ def _executor(args: argparse.Namespace, cache=None):
         from repro.fleet.client import FleetClient
 
         return FleetClient(args.broker, job_timeout_s=args.timeout)
-    from repro.exec.runner import LocalExecutor, default_workers
+    from repro.exec.runner import LocalExecutor
 
-    try:
-        workers = args.jobs or default_workers()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     retries = getattr(args, "retries", None)
-    return LocalExecutor(workers=workers, cache=cache,
+    return LocalExecutor(workers=_workers(args.jobs), cache=cache,
                          job_timeout_s=args.timeout,
                          retries=1 if retries is None else retries)
 
@@ -315,15 +306,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import uuid
 
     from repro.exec.cache import cache_from_flags
-    from repro.exec.perf import (
-        BaselineProtectedError, bench_record, format_summary, write_bench,
-    )
+    from repro.exec.perf import bench_record, format_summary, write_bench
     from repro.exec.runner import print_progress
-    from repro.exec.spec import expand_specs
 
     configs = _parse_list(args.configs)
     workloads = _workload_list(args.workloads)
-    seeds = [int(s) for s in _parse_list(args.seeds)]
+    with _user_input():
+        seeds = [int(s) for s in _parse_list(args.seeds)]
     # One trace id per sweep: the root of the causal chain, recoverable
     # from every traced result and every worker-side span export.
     trace_id = (uuid.uuid4().hex if args.tracing not in (None, "off")
@@ -347,14 +336,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           + (f" (trace {trace_id})" if trace_id else ""))
 
     t0 = time.perf_counter()
-    try:
-        results = executor.run(
-            specs, progress=None if args.quiet else print_progress)
-        workers = (executor.health()["workers"] if args.broker
-                   else executor.runner.workers)
-    except ExecutorError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    results = executor.run(
+        specs, progress=None if args.quiet else print_progress)
+    workers = (executor.health()["workers"] if args.broker
+               else executor.runner.workers)
     total_wall = time.perf_counter() - t0
 
     rows = [[r.job.config.name, r.job.workload, r.job.seed,
@@ -373,11 +358,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print()
     for line in format_summary(record):
         print(line)
-    try:
-        out = write_bench(record, args.bench_out, force=args.force)
-    except BaselineProtectedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    out = write_bench(record, args.bench_out, force=args.force)
     print(f"benchmark record written to {out}")
 
     failed = [r for r in results if r.result is None]
@@ -395,16 +376,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the async simulation job server (see docs/serving.md)."""
-    from repro.exec.runner import default_workers
     from repro.serve import run_server
 
-    try:
-        pool_workers = args.pool_workers or default_workers()
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     return run_server(
-        host=args.host, port=args.port, pool_workers=pool_workers,
+        host=args.host, port=args.port,
+        pool_workers=_workers(args.pool_workers),
         job_timeout_s=args.job_timeout, retries=args.retries,
         max_active=args.max_active, max_queue=args.max_queue,
         tenant_max_jobs=args.tenant_quota, no_cache=args.no_cache,
@@ -432,92 +408,64 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Successive-halving config-space search (local pool or fleet)."""
-    import json
-
-    from repro.fleet import CampaignFailed, run_campaign
+    from repro.fleet import run_campaign
 
     workloads = _workload_list(args.workloads)
     executor = _executor(args)
     where = args.broker or f"local pool ({executor.runner.workers} workers)"
     print(f"campaign: base={args.base} search={args.search!r} "
           f"objective={args.objective} on {where}")
-    try:
-        res = run_campaign(
-            executor, args.base, args.search, workloads,
-            objective=args.objective, ops0=args.ops0, eta=args.eta,
-            max_rungs=args.rungs, seed=args.seed, obs=args.obs, log=print)
-    except CampaignFailed as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, ExecutorError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    res = run_campaign(
+        executor, args.base, args.search, workloads,
+        objective=args.objective, ops0=args.ops0, eta=args.eta,
+        max_rungs=args.rungs, seed=args.seed, obs=args.obs, log=print)
     print(f"\nwinner: {res.winner.label()} "
           f"({res.objective}={res.winner_score:.4f}) "
           f"after {res.total_jobs} job(s), "
           f"{res.total_sim_wall_s:.1f}s simulated, "
           f"{res.cache_hits} cache hit(s)")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(res.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, res.to_dict(), indent=1)
         print(f"campaign report written to {args.out}")
     return 0
 
 
-def _parity_registry(args: argparse.Namespace):
-    """(registry, default_golden_path) for the selected metric family."""
-    if getattr(args, "scenarios", False):
-        from repro.parity.scenarios import SCENARIO_GOLDEN_PATH, SCENARIO_REGISTRY
-        return SCENARIO_REGISTRY, str(SCENARIO_GOLDEN_PATH)
-    from repro.parity import REGISTRY
-    from repro.parity.golden import DEFAULT_GOLDEN_PATH
-    return REGISTRY, str(DEFAULT_GOLDEN_PATH)
+def _parity_suite(args: argparse.Namespace, family):
+    """The family's blessed suite with the ``--workloads/--ops/--seed``
+    flags applied."""
+    from dataclasses import replace
 
-
-def _parity_suite(args: argparse.Namespace):
-    """Build a ParitySuite from CLI flags (paper or scenario config grid)."""
-    from repro.parity import ParitySuite
-    from repro.parity.registry import DEFAULT_OPS, DEFAULT_SEED, DEFAULT_WORKLOADS
-
-    if getattr(args, "scenarios", False):
-        from repro.parity.scenarios import scenario_suite, SCENARIO_OPS, SCENARIO_SEED
-
-        base = scenario_suite(
-            ops=args.ops if args.ops is not None else SCENARIO_OPS,
-            seed=args.seed if args.seed is not None else SCENARIO_SEED)
-        if args.workloads.lower() != "default":
-            base = ParitySuite(configs=base.configs,
-                               workloads=tuple(_parse_list(args.workloads)),
-                               ops=base.ops, seed=base.seed)
-        return base
-    if args.workloads.lower() == "default":
-        workloads = DEFAULT_WORKLOADS
-    else:
+    suite = family.suite
+    if args.workloads.lower() != "default":
         workloads = tuple(_parse_list(args.workloads))
-    return ParitySuite(
-        workloads=workloads,
-        ops=args.ops if args.ops is not None else DEFAULT_OPS,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED)
+        for spec in expand_specs(suite.configs, workloads):
+            spec.check()        # names are checked where they enter
+        suite = replace(suite, workloads=workloads)
+    return replace(suite, ops=suite.ops if args.ops is None else args.ops,
+                   seed=suite.seed if args.seed is None else args.seed)
 
 
-def _parity_progress(msg: str) -> None:
+def _progress(msg: str) -> None:
     print(f"  {msg}", file=sys.stderr)
+
+
+def _evaluate(args: argparse.Namespace, family, suite):
+    """The family's metrics over ``suite`` (``--jobs``, ``--quiet``)."""
+    from repro.parity import evaluate
+
+    return evaluate(suite, workers=args.jobs, registry=family.registry,
+                    progress=None if args.quiet else _progress)
 
 
 def cmd_parity_run(args: argparse.Namespace) -> int:
     """Evaluate every registry metric; gate only on the sanity bands."""
-    import json as _json
+    from repro.parity import FAMILIES
 
-    from repro.parity import evaluate
-
-    registry, _ = _parity_registry(args)
-    suite = _parity_suite(args)
-    measured = evaluate(suite, workers=args.jobs, registry=registry,
-                        progress=None if args.quiet else _parity_progress)
+    family = FAMILIES[args.family]
+    measured = _evaluate(args, family, _parity_suite(args, family))
     rows = []
     out_of_band = []
-    for m in registry:
+    for m in family.registry:
         v = measured[m.id]
         ok = m.in_band(v)
         if not ok:
@@ -527,9 +475,7 @@ def cmd_parity_run(args: argparse.Namespace) -> int:
                      m.unit, "ok" if ok else "OUT OF BAND"])
     print(format_table(["metric", "measured", "paper", "unit", "band"], rows))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(measured, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, measured, indent=2)
         print(f"measured values written to {args.json}")
     if out_of_band:
         print(f"{len(out_of_band)} metric(s) outside their sanity band: "
@@ -541,27 +487,24 @@ def cmd_parity_run(args: argparse.Namespace) -> int:
 def cmd_parity_bless(args: argparse.Namespace) -> int:
     """Regenerate the golden file from a fresh evaluation (intentional)."""
     from repro.parity import (
-        GoldenError, compare, evaluate, golden_payload, load_golden,
-        write_golden,
+        FAMILIES, compare, golden_payload, load_golden, write_golden,
     )
 
-    registry, default_golden = _parity_registry(args)
-    golden_path = args.golden or default_golden
-    suite = _parity_suite(args)
-    measured = evaluate(suite, workers=args.jobs, registry=registry,
-                        progress=None if args.quiet else _parity_progress)
+    family = FAMILIES[args.family]
+    golden_path = args.golden or family.golden_path
+    suite = _parity_suite(args, family)
+    measured = _evaluate(args, family, suite)
     try:
-        previous = load_golden(golden_path)
-    except GoldenError:
-        previous = None
-    if previous is not None:
-        drifted = [v for v in compare(measured, previous, registry=registry)
-                   if v.status not in ("pass", "stale")]
-        for v in drifted:
+        previous = compare(measured, load_golden(golden_path),
+                           registry=family.registry)
+    except GoldenError:         # nothing usable blessed there yet
+        previous = []
+    for v in previous:
+        if v.status not in ("pass", "stale"):
             print(f"  re-blessing {v.id}: {v.golden} -> "
                   f"{v.measured:.6g} ({v.status})")
-    out = write_golden(golden_payload(measured, suite, registry=registry),
-                       golden_path)
+    out = write_golden(golden_payload(measured, suite,
+                                      registry=family.registry), golden_path)
     print(f"blessed {len(measured)} metrics -> {out}")
     return 0
 
@@ -569,27 +512,18 @@ def cmd_parity_bless(args: argparse.Namespace) -> int:
 def cmd_parity_compare(args: argparse.Namespace) -> int:
     """Gate a fresh evaluation against the committed golden file."""
     from repro.parity import (
-        GoldenError, compare, evaluate, load_golden, render_report,
-        worst_status,
+        FAMILIES, compare, load_golden, render_report, worst_status,
     )
     from repro.parity.golden import golden_suite
 
-    registry, default_golden = _parity_registry(args)
-    try:
-        payload = load_golden(args.golden or default_golden)
-    except GoldenError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    family = FAMILIES[args.family]
+    payload = load_golden(args.golden or family.golden_path)
     # Always evaluate at the scale the golden was blessed at — drift
     # verdicts are meaningless across scales.
     suite = golden_suite(payload)
-    measured = evaluate(suite, workers=args.jobs, registry=registry,
-                        progress=None if args.quiet else _parity_progress)
-    verdicts = compare(measured, payload, registry=registry)
-    report = render_report(verdicts, suite,
-                           title="Scenario drift report"
-                           if getattr(args, "scenarios", False)
-                           else "Parity drift report")
+    measured = _evaluate(args, family, suite)
+    verdicts = compare(measured, payload, registry=family.registry)
+    report = render_report(verdicts, suite, title=family.title)
     print(report)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -604,17 +538,14 @@ def cmd_parity_compare(args: argparse.Namespace) -> int:
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     """Perf gate: fresh sweep events/s versus the committed baseline."""
     from repro.parity import (
-        GoldenError, compare_bench, load_bench_baseline, load_bench_record,
+        compare_bench, load_bench_baseline, load_bench_record,
     )
 
-    try:
-        fresh = load_bench_record(args.bench)
-        baseline = load_bench_baseline(args.golden)
+    fresh = load_bench_record(args.bench)
+    baseline = load_bench_baseline(args.golden)
+    with _user_input():         # the --warn/--fail bands
         verdict = compare_bench(fresh, baseline,
                                 warn=args.warn, fail=args.fail)
-    except (GoldenError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     print(verdict.summary())
     if verdict.status == "fail":
         return 1
@@ -625,14 +556,10 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 def cmd_bench_bless(args: argparse.Namespace) -> int:
     """Commit a sweep record as the new perf baseline (intentional)."""
-    from repro.parity import GoldenError, bless_bench, load_bench_record
+    from repro.parity import bless_bench, load_bench_record
 
-    try:
-        record = load_bench_record(args.bench)
-        out = bless_bench(record, args.golden, force=args.force)
-    except GoldenError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    out = bless_bench(load_bench_record(args.bench), args.golden,
+                      force=args.force)
     print(f"perf baseline blessed -> {out}")
     return 0
 
@@ -640,7 +567,7 @@ def cmd_bench_bless(args: argparse.Namespace) -> int:
 def cmd_bench_run(args: argparse.Namespace) -> int:
     """Measure whole-simulate() throughput in events/s; optional ratio gate."""
     from repro.exec.perf import kernel_bench_record, write_bench
-    from repro.parity import GoldenError, load_bench_baseline, record_events_per_s
+    from repro.parity import load_bench_baseline, record_events_per_s
 
     baseline_eps = None
     if args.golden:
@@ -649,15 +576,12 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
                 load_bench_baseline(args.golden), args.golden)
         except GoldenError as e:
             if args.min_ratio is not None:
-                print(f"error: {e}", file=sys.stderr)
-                return 2
+                raise
             print(f"note: no usable baseline ({e}); ratios omitted",
                   file=sys.stderr)
-    progress = (None if args.quiet
-                else (lambda msg: print(f"  {msg}", file=sys.stderr)))
     record = kernel_bench_record(
         ops=args.ops, seed=args.seed, repeats=args.repeats,
-        baseline_eps=baseline_eps, progress=progress)
+        baseline_eps=baseline_eps, progress=None if args.quiet else _progress)
     ratio = record["ratio_vs_baseline"]
     print(format_table(
         ["events", "wall s", "events/s", "vs baseline"],
@@ -677,19 +601,19 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz_run(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.fuzz.harness import FuzzRunner
+    from repro.fuzz.oracles import check_oracle
 
     log = ((lambda msg: None) if args.quiet
            else (lambda msg: print(msg, file=sys.stderr)))
     runner = FuzzRunner(
         trials=args.trials, seed=args.seed,
-        oracles=_parse_list(args.oracles) if args.oracles else None,
-        workers=args.jobs, time_budget_s=args.time_budget,
+        oracles=([check_oracle(n) for n in _parse_list(args.oracles)]
+                 if args.oracles else None),
+        workers=_workers(args.jobs), time_budget_s=args.time_budget,
         shrink_failures=not args.no_shrink,
         max_shrink_probes=args.max_shrink_probes,
-        corpus_dir=Path(args.corpus) if args.corpus else None,
+        corpus_dir=args.corpus,
         log=log,
     )
     report = runner.run()
@@ -709,16 +633,10 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz_replay(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.fuzz.corpus import load_corpus, replay_entry
 
-    corpus_dir = Path(args.corpus) if args.corpus else None
-    try:
-        entries = list(load_corpus(corpus_dir))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with _user_input():
+        entries = list(load_corpus(args.corpus))
     if args.only:
         wanted = set(_parse_list(args.only))
         entries = [e for e in entries if e.name in wanted]
@@ -739,27 +657,24 @@ def cmd_fuzz_replay(args: argparse.Namespace) -> int:
 
 def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     import json as _json
-    from pathlib import Path
 
     from repro.fuzz.corpus import case_dict, parse_case, save_entry
+    from repro.fuzz.oracles import check_oracle
     from repro.fuzz.shrink import shrink
 
     src = Path(args.case)
-    try:
+    with _user_input():
         payload = _json.loads(src.read_text(encoding="utf-8")
                               if src.exists() else args.case)
-        if isinstance(payload, dict) and "case" in payload:   # corpus entry
-            case = parse_case(payload["case"])
-            oracle = args.oracle or payload.get("oracle")
-        else:
-            case, oracle = parse_case(payload), args.oracle
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if isinstance(payload, dict) and "case" in payload:   # corpus entry
+        case = parse_case(payload["case"])
+        oracle = args.oracle or payload.get("oracle")
+    else:
+        case, oracle = parse_case(payload), args.oracle
     if not oracle:
-        print("error: --oracle is required unless the file is a corpus entry",
-              file=sys.stderr)
-        return 2
+        raise UsageError("--oracle is required unless the file is a corpus "
+                         "entry")
+    check_oracle(oracle)
     result = shrink(case, oracle, max_probes=args.max_probes,
                     log=lambda msg: print(msg, file=sys.stderr))
     if result is None:
@@ -772,13 +687,14 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     print(f"still fails: {result.detail}")
     if args.save:
         path = save_entry(result.case, oracle, note=result.detail,
-                          corpus_dir=Path(args.corpus) if args.corpus else None)
+                          corpus_dir=args.corpus)
         print(f"saved reproducer: {path}")
     return 0
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    loads = [float(x) for x in _parse_list(args.loads)]
+    with _user_input():
+        loads = [float(x) for x in _parse_list(args.loads)]
     pts = load_latency_curve(loads, n_requests=args.requests)
     rows = [[f"{p.target_utilization:.0%}", f"{p.achieved_utilization:.0%}",
              p.mean_latency, p.p50_latency, p.p90_latency, p.p99_latency]
@@ -1076,14 +992,15 @@ def build_parser() -> argparse.ArgumentParser:
         "parity", help="paper-parity golden metrics: run / compare / bless")
     psub = pp.add_subparsers(dest="parity_command", required=True)
 
-    def _add_parity_suite_args(sp, with_suite=True):
+    def _add_parity_suite_args(sp, with_suite=True, golden=True):
         if with_suite:
             sp.add_argument("--workloads", default="default",
                             help="comma list, or 'default' (the registry suite)")
             sp.add_argument("--ops", type=int, default=None,
                             help="memory ops per core (default: registry scale)")
             sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--scenarios", action="store_true",
+        sp.add_argument("--scenarios", action="store_const", dest="family",
+                        const="scenarios", default="paper",
                         help="use the tiering/device-realism scenario "
                              "registry and golden (goldens/scenarios.json) "
                              "instead of the paper registry")
@@ -1091,10 +1008,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="process-pool workers for uncached runs")
         sp.add_argument("--quiet", action="store_true",
                         help="suppress per-config progress on stderr")
+        if golden:
+            sp.add_argument("--golden", default=None,
+                            help="golden file (default: goldens/parity.json, "
+                                 "or goldens/scenarios.json with --scenarios)")
 
     ppr = psub.add_parser(
         "run", help="measure every registry metric (sanity-band gate only)")
-    _add_parity_suite_args(ppr)
+    _add_parity_suite_args(ppr, golden=False)
     ppr.add_argument("--json", default=None,
                      help="also dump measured values as JSON to this path")
     ppr.set_defaults(fn=cmd_parity_run)
@@ -1102,9 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
     ppc = psub.add_parser(
         "compare", help="gate a fresh evaluation against the committed golden")
     _add_parity_suite_args(ppc, with_suite=False)
-    ppc.add_argument("--golden", default=None,
-                     help="golden file (default: goldens/parity.json, or "
-                          "goldens/scenarios.json with --scenarios)")
     ppc.add_argument("--strict", action="store_true",
                      help="treat warn/new/stale verdicts as failures")
     ppc.add_argument("--report", default=None,
@@ -1114,9 +1032,6 @@ def build_parser() -> argparse.ArgumentParser:
     ppb = psub.add_parser(
         "bless", help="regenerate the golden file (intentional recalibration)")
     _add_parity_suite_args(ppb)
-    ppb.add_argument("--golden", default=None,
-                     help="golden file (default: goldens/parity.json, or "
-                          "goldens/scenarios.json with --scenarios)")
     ppb.set_defaults(fn=cmd_parity_bless)
 
     pb = sub.add_parser(
@@ -1237,13 +1152,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point, and the one place an error becomes an exit code: 0 on
+    success, 1 when a check failed (a gate, an invariant, a campaign or
+    the fuzzer), 2 on bad input. A command that ends on a failed check
+    prints its own verdict; any other error it raises. An error this
+    table does not name is a bug, so it keeps its traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, SpecError, UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        # Imported on an error only: most commands load neither module.
+        from repro.fleet.campaign import CampaignFailed
+        from repro.validate import InvariantError
+
+        for types, code, prefix in (
+                ((SpecError, UsageError, GoldenError, ExecutorError), 2,
+                 "error"),
+                ((CampaignFailed,), 1, "error"),
+                ((InvariantError,), 1, "invariant violation (strict)")):
+            if isinstance(e, types):
+                print(f"{prefix}: {e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

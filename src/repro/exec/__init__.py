@@ -11,7 +11,6 @@ CLI subcommand exposes grid runs directly.
 """
 
 from repro.exec.cache import ResultCache, cache_from_flags, job_key
-from repro.exec.perf import BaselineProtectedError, is_committed_baseline
 from repro.exec.runner import (
     ExecutorError, JobResult, LocalExecutor, PoolRunner, SweepRunner,
     TaskOutcome,
@@ -26,5 +25,4 @@ __all__ = [
     "SweepJob", "JobResult", "SweepRunner",
     "ExecutorError", "LocalExecutor",
     "SpecError", "TaskSpec", "build_config", "expand_specs",
-    "BaselineProtectedError", "is_committed_baseline",
 ]

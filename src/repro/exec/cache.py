@@ -24,11 +24,11 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
+from repro.exportutil import write_json
 from repro.system.config import SystemConfig
 from repro.system.stats import SimResult
 
@@ -195,8 +195,6 @@ class ResultCache:
         if not self.enabled:
             return
         digest = job_digest(cfg, workload, ops, seed, self.salt)
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "digest": digest,
             "schema": CACHE_SCHEMA_VERSION,
@@ -205,17 +203,7 @@ class ResultCache:
                     "ops": ops, "seed": seed},
             "result": dataclasses.asdict(result),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json(self._path(digest), payload)
         self.stores += 1
 
     def counters(self) -> Dict[str, int]:

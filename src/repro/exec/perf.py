@@ -30,23 +30,19 @@ bucket-wise histogram merge; see :mod:`repro.obs.metrics`).
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import __version__
 from repro.exec.cache import ResultCache
 from repro.exec.runner import JobResult
+from repro.exportutil import GoldenError, read_json_object, write_json
 
 BENCH_SCHEMA_VERSION = 1
 
 #: Default output file name for sweep benchmarks.
 BENCH_FILENAME = "BENCH_sweep.json"
-
-#: Default output file name for the simulation throughput benchmark.
-KERNEL_BENCH_FILENAME = "BENCH_kernel.json"
 
 #: Default measurement suite for the throughput benchmark: the same
 #: config families and representative workloads the blessed sweep
@@ -56,23 +52,21 @@ KERNEL_BENCH_WORKLOADS = ("mcf", "stream-copy", "gcc")
 KERNEL_BENCH_OPS = 800
 
 
-class BaselineProtectedError(RuntimeError):
+class BaselineProtectedError(GoldenError):
     """Refusing to overwrite a committed perf baseline without force.
 
     Baseline files (written by ``repro bench bless``) carry a
-    ``"baseline": true`` marker; a plain sweep must never silently
-    replace one — the perf trajectory would lose its reference point.
+    ``"baseline": true`` marker; neither a sweep nor a re-bless may
+    silently replace one — the perf trajectory would lose its reference.
     """
 
 
 def is_committed_baseline(path: os.PathLike) -> bool:
     """Whether ``path`` holds a blessed baseline (``"baseline": true``)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        return bool(read_json_object(path, "bench record").get("baseline"))
+    except (GoldenError, OSError):
         return False
-    return isinstance(payload, dict) and bool(payload.get("baseline"))
 
 
 def _git_sha() -> Optional[str]:
@@ -268,30 +262,17 @@ def kernel_bench_record(configs: Sequence[str] = KERNEL_BENCH_CONFIGS,
 
 def write_bench(record: Dict[str, Any], path: Optional[os.PathLike] = None,
                 force: bool = False) -> Path:
-    """Atomically write the benchmark record; returns the file path.
+    """Atomically write a benchmark record or baseline; returns the path.
 
     Refuses to overwrite a committed baseline (a file blessed by
     ``repro bench bless``) unless ``force`` is set.
     """
     out = Path(path) if path is not None else Path(BENCH_FILENAME)
-    if not force and out.exists() and is_committed_baseline(out):
+    if not force and is_committed_baseline(out):
         raise BaselineProtectedError(
-            f"{out} is a committed perf baseline; use --force to overwrite "
-            f"it, or write the sweep record elsewhere (--bench-out)")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, out)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return out
+            f"{out} is a committed perf baseline; pass --force to "
+            f"overwrite it")
+    return write_json(out, record, indent=2)
 
 
 def format_summary(record: Dict[str, Any]) -> List[str]:

@@ -140,7 +140,6 @@ class FleetBroker:
         self._queue: List[int] = []      # FIFO of queued task ids (lazy skip)
         self._next_id = 1
         self._workers: Set[str] = set()
-        self._changed: Optional[asyncio.Event] = None
 
     # -- submission ------------------------------------------------------------
     def submit(self, specs: Sequence[TaskSpec]) -> List[int]:
@@ -171,7 +170,6 @@ class FleetBroker:
             else:
                 self._queue.append(task.id)
         self._refresh_gauges()
-        self._notify()
         return ids
 
     # -- leasing ---------------------------------------------------------------
@@ -226,7 +224,6 @@ class FleetBroker:
                 self.metrics.tasks_requeued.inc()
         if moved:
             self._refresh_gauges()
-            self._notify()
         return moved
 
     # -- settlement ------------------------------------------------------------
@@ -262,7 +259,6 @@ class FleetBroker:
                 raise ValueError("settle needs a result payload or an error")
             disposition = self._settle_ok(task, worker, payload)
         self._refresh_gauges()
-        self._notify()
         return disposition
 
     def _settle_ok(self, task: Task, worker: str,
@@ -344,19 +340,6 @@ class FleetBroker:
     def drain(self) -> None:
         """Tell workers (via lease responses) to exit once the queue is dry."""
         self.closing = True
-        self._notify()
-
-    # -- change signalling (HTTP facade wait endpoints) ------------------------
-    def _notify(self) -> None:
-        if self._changed is not None:
-            self._changed.set()
-            self._changed = None
-
-    def changed_event(self) -> asyncio.Event:
-        """An event set on the next state change (loop-thread callers only)."""
-        if self._changed is None:
-            self._changed = asyncio.Event()
-        return self._changed
 
     def _refresh_gauges(self) -> None:
         counts = self.counts()

@@ -40,7 +40,7 @@ from itertools import product
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exec.runner import JobResult
-from repro.exec.spec import TaskSpec
+from repro.exec.spec import SpecError, TaskSpec
 
 __all__ = ["Campaign", "CampaignFailed", "CampaignResult", "Candidate",
            "OBJECTIVES", "parse_search", "run_campaign"]
@@ -90,8 +90,8 @@ def parse_search(search: str) -> List[Candidate]:
     for clause in filter(None, (c.strip() for c in search.split(";"))):
         knob, sep, raw = clause.partition("=")
         if not sep or not knob.strip() or not raw.strip():
-            raise ValueError(f"bad search clause {clause!r} "
-                             "(want knob=v1,v2,...)")
+            raise SpecError(f"bad search clause {clause!r} "
+                            "(want knob=v1,v2,...)")
         vals: List[Any] = []
         for tok in filter(None, (t.strip() for t in raw.split(","))):
             try:
@@ -101,7 +101,7 @@ def parse_search(search: str) -> List[Candidate]:
         knobs.append(knob.strip())
         values.append(vals)
     if not knobs:
-        raise ValueError("empty search space")
+        raise SpecError("empty search space")
     return [Candidate(base="", overrides=dict(zip(knobs, combo)))
             for combo in product(*values)]
 
@@ -145,12 +145,12 @@ class Campaign:
                  seed: int = 1, obs: Optional[str] = None,
                  log: Any = lambda msg: None):
         if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}; "
-                             f"valid: {list(OBJECTIVES)}")
+            raise SpecError(f"unknown objective {objective!r}; "
+                            f"valid: {list(OBJECTIVES)}")
         if not candidates:
-            raise ValueError("campaign needs at least one candidate")
+            raise SpecError("campaign needs at least one candidate")
         if eta < 2:
-            raise ValueError("eta must be >= 2")
+            raise SpecError("eta must be >= 2")
         # miss-latency scoring reads avg_miss_latency from SimResult
         # directly; obs histograms are only needed for fleet quantile
         # reporting, so campaigns don't force obs on.
@@ -264,8 +264,8 @@ def run_campaign(executor: Any, base: str, search: str,
                  log: Any = lambda msg: None) -> CampaignResult:
     """Parse a search string and drive a campaign over ``executor``.
 
-    Every search point is validated before any rung runs: a
-    :class:`~repro.exec.spec.SpecError` names the bad knob.
+    Every input is validated before any rung runs: a
+    :class:`~repro.exec.spec.SpecError` names the bad one.
     """
     candidates = attach_base(parse_search(search), base)
     for cand in candidates:

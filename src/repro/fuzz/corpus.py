@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
 from repro.exec.spec import SpecError, TaskSpec
-from repro.fuzz.oracles import run_oracle
+from repro.fuzz.oracles import check_oracle, run_oracle
 
 
 def default_corpus_dir() -> Path:
@@ -100,7 +100,7 @@ def load_entry(path: Path) -> CorpusEntry:
         return CorpusEntry(
             name=Path(path).stem,
             case=parse_case(payload["case"]),
-            oracle=payload["oracle"],
+            oracle=check_oracle(payload["oracle"]),
             note=payload.get("note", ""),
         )
     except (KeyError, TypeError, ValueError) as e:

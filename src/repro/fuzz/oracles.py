@@ -35,7 +35,7 @@ import tempfile
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Dict, List, Optional
 
-from repro.exec.spec import TaskSpec, build_config
+from repro.exec.spec import SpecError, TaskSpec, build_config
 from repro.system.config import SystemConfig
 from repro.system.stats import SimResult
 from repro.workloads.catalog import get_workload
@@ -195,7 +195,7 @@ def check_diff_warmup(case: TaskSpec) -> Optional[str]:
     cfg = _config(case)
     spec = get_workload(case.workload)
     traces, _, _ = sim._workload_traces(cfg, spec, case.ops, case.seed)
-    warm = [t.split(int(len(t) * 0.25))[0] for t in traces]  # simulate()'s default
+    warm = [t.split(int(len(t) * sim.WARMUP_FRAC))[0] for t in traces]
     fast, ref = Chip(Simulator(), cfg), Chip(Simulator(), cfg)
     streams = sim._warmup_streams(fast, spec, traces, warm, case.seed)
     sim._replay_lru_sets(fast, streams)
@@ -544,6 +544,15 @@ ORACLES: Dict[str, Oracle] = {o.name: o for o in [
     Oracle("observers", check_all_observers),
     Oracle("calm_clock", check_calm_clock, default=False),
 ]}
+
+
+def check_oracle(name: str) -> str:
+    """``name`` if it names an oracle, else a :class:`SpecError` listing
+    them: oracle names are checked where they enter (flags, corpus)."""
+    if name not in ORACLES:
+        raise SpecError(f"unknown oracle {name!r}; valid: "
+                        f"{', '.join(ORACLES)}")
+    return name
 
 
 def applicable_oracles(case: TaskSpec,

@@ -10,9 +10,9 @@ with ``repro run --obs metrics.jsonl`` and render with
 """
 
 from repro.obs.collect import DEFAULT_SAMPLE_INTERVAL_NS, ObsCollector
-from repro.obs.export import (export_csv, export_jsonl, export_prometheus,
-                              export_snapshot, known_export_suffixes,
-                              load_jsonl, parse_prometheus, prometheus_text)
+from repro.obs.export import (check_export_path, export_csv, export_jsonl,
+                              export_prometheus, export_snapshot, load_jsonl,
+                              parse_prometheus, prometheus_text)
 from repro.obs.metrics import Counter, Gauge, StreamingHistogram, TimeSeries
 from repro.obs.profiler import KernelProfiler
 from repro.obs.registry import MetricRegistry
@@ -24,5 +24,5 @@ __all__ = [
     "KernelProfiler", "ObsCollector", "DEFAULT_SAMPLE_INTERVAL_NS",
     "prometheus_text", "parse_prometheus",
     "export_jsonl", "export_csv", "export_prometheus", "export_snapshot",
-    "known_export_suffixes", "load_jsonl", "render_report", "sparkline",
+    "check_export_path", "load_jsonl", "render_report", "sparkline",
 ]

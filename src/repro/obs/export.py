@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
+
+from repro.exportutil import ensure_parent
 
 __all__ = [
     "prometheus_text", "parse_prometheus",
     "export_jsonl", "export_csv", "export_prometheus",
-    "export_snapshot", "load_jsonl",
+    "check_export_path", "export_snapshot", "load_jsonl",
 ]
 
 
@@ -173,8 +175,7 @@ def export_jsonl(path: Union[str, Path], snapshot: Dict,
     per time-series window. The format is append-friendly: multiple runs
     can share one file and :func:`load_jsonl` returns them in order.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = ensure_parent(path)
     metrics = snapshot.get("metrics", {})
     series = snapshot.get("series", {})
     with path.open("a", encoding="utf-8") as fh:
@@ -254,8 +255,7 @@ def load_jsonl(path: Union[str, Path]) -> List[Dict]:
 
 def export_csv(path: Union[str, Path], snapshot: Dict) -> Path:
     """Write the time series as CSV: ``t_ns`` plus one column per signal."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = ensure_parent(path)
     series = snapshot.get("series", {})
     t = series.get("t", [])
     cols = sorted(series.get("columns", {}).items())
@@ -269,8 +269,7 @@ def export_csv(path: Union[str, Path], snapshot: Dict) -> Path:
 
 def export_prometheus(path: Union[str, Path], snapshot: Dict) -> Path:
     """Write the snapshot in Prometheus text exposition format."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = ensure_parent(path)
     path.write_text(prometheus_text(snapshot), encoding="utf-8")
     return path
 
@@ -284,9 +283,17 @@ _EXPORTERS = {
 }
 
 
-def known_export_suffixes() -> Tuple[str, ...]:
-    """The file suffixes :func:`export_snapshot` can dispatch on."""
-    return tuple(sorted(_EXPORTERS))
+def check_export_path(path: Union[str, Path]) -> Callable[..., Path]:
+    """The exporter :func:`export_snapshot` picks for ``path``'s suffix;
+    ``ValueError`` naming the known ones, before there is anything to write."""
+    path = Path(path)
+    exporter = _EXPORTERS.get(path.suffix.lower())
+    if exporter is None:
+        known = ", ".join(sorted(_EXPORTERS))
+        raise ValueError(
+            f"unknown metrics export format {path.suffix!r} for {path}; "
+            f"expected one of: {known}")
+    return exporter
 
 
 def export_snapshot(path: Union[str, Path], snapshot: Dict,
@@ -296,13 +303,7 @@ def export_snapshot(path: Union[str, Path], snapshot: Dict,
     ``.jsonl`` → line-delimited JSON (the ``repro obs report`` input),
     ``.csv`` → time-series CSV, ``.prom``/``.txt`` → Prometheus text.
     """
-    path = Path(path)
-    exporter = _EXPORTERS.get(path.suffix.lower())
-    if exporter is None:
-        known = ", ".join(sorted(_EXPORTERS))
-        raise ValueError(
-            f"unknown metrics export format {path.suffix!r} for {path}; "
-            f"expected one of: {known}")
+    exporter = check_export_path(path)
     if exporter is export_jsonl:
         return export_jsonl(path, snapshot, meta=meta)
     return exporter(path, snapshot)

@@ -12,19 +12,16 @@ baseline can be re-blessed when the simulator genuinely gets faster.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict
 
 from repro import __version__
-from repro.parity.golden import GoldenError, write_golden
+from repro.exec.perf import write_bench
+from repro.exportutil import GoldenError, read_json_object
 
 BENCH_GOLDEN_SCHEMA_VERSION = 1
-
-#: Default location of the committed perf baseline (repo-relative).
-DEFAULT_BENCH_GOLDEN_PATH = Path("goldens") / "bench.json"
 
 #: Default slowdown bands for the perf gate.
 DEFAULT_WARN_SLOWDOWN = 0.20
@@ -33,17 +30,7 @@ DEFAULT_FAIL_SLOWDOWN = 0.35
 
 def load_bench_record(path: os.PathLike) -> Dict[str, Any]:
     """Load a ``BENCH_sweep.json`` record; GoldenError on any problem."""
-    p = Path(path)
-    try:
-        with open(p, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise GoldenError(f"bench record {p} not found") from None
-    except json.JSONDecodeError as e:
-        raise GoldenError(f"bench record {p} is not valid JSON: {e}") from None
-    if not isinstance(payload, dict):
-        raise GoldenError(f"bench record {p}: top level must be an object")
-    return payload
+    return read_json_object(path, "bench record")
 
 
 def record_events_per_s(record: Dict[str, Any], path: str = "") -> float:
@@ -95,18 +82,7 @@ def load_bench_baseline(path: os.PathLike) -> Dict[str, Any]:
 def bless_bench(record: Dict[str, Any], path: os.PathLike,
                 force: bool = False) -> Path:
     """Write a committed baseline; refuses to overwrite one without force."""
-    out = Path(path)
-    if out.exists() and not force:
-        try:
-            existing = load_bench_baseline(out)
-        except GoldenError:
-            existing = None
-        if existing is not None:
-            raise GoldenError(
-                f"{out} is a committed perf baseline "
-                f"({existing['events_per_s']:,.0f} events/s); "
-                f"pass --force to re-bless it")
-    return write_golden(bench_baseline_payload(record), out)
+    return write_bench(bench_baseline_payload(record), path, force=force)
 
 
 @dataclass

@@ -23,24 +23,19 @@ behave like ``warn``.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import __version__
+from repro.exportutil import GoldenError, read_json_object, write_json
 from repro.parity.registry import REGISTRY, ParityMetric, ParitySuite
 
 GOLDEN_SCHEMA_VERSION = 1
 
 #: Default location of the committed parity golden (repo-relative).
 DEFAULT_GOLDEN_PATH = Path("goldens") / "parity.json"
-
-
-class GoldenError(Exception):
-    """The golden file is missing, malformed, or schema-incompatible."""
 
 
 @dataclass
@@ -93,21 +88,7 @@ def golden_payload(values: Dict[str, float], suite: ParitySuite,
 
 def write_golden(payload: Dict[str, Any], path: os.PathLike) -> Path:
     """Atomically write a golden payload; returns the file path."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, out)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return out
+    return write_json(path, payload, indent=2)
 
 
 def load_golden(path: os.PathLike) -> Dict[str, Any]:
@@ -118,16 +99,8 @@ def load_golden(path: os.PathLike) -> Dict[str, Any]:
     from a scientific drift failure).
     """
     p = Path(path)
-    try:
-        with open(p, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise GoldenError(
-            f"golden file {p} not found; run `repro parity bless` first") from None
-    except json.JSONDecodeError as e:
-        raise GoldenError(f"golden file {p} is not valid JSON: {e}") from None
-    if not isinstance(payload, dict):
-        raise GoldenError(f"golden file {p}: top level must be an object")
+    payload = read_json_object(p, "golden file",
+                               "; run `repro parity bless` first")
     if payload.get("schema") != GOLDEN_SCHEMA_VERSION:
         raise GoldenError(
             f"golden file {p}: schema {payload.get('schema')!r} != "

@@ -25,7 +25,7 @@ The registry is ordered; reports and goldens preserve this order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.report import geomean
 from repro.analysis.tables import SuiteResult
@@ -363,6 +363,3 @@ def get_metric(metric_id: str) -> ParityMetric:
         raise KeyError(f"unknown parity metric {metric_id!r}; "
                        f"known: {sorted(METRICS)}") from None
 
-
-def registry_ids(registry: Sequence[ParityMetric] = REGISTRY) -> List[str]:
-    return [m.id for m in registry]

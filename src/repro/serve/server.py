@@ -24,7 +24,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import sys
 import time
 from typing import AsyncIterator, Optional
 
@@ -216,8 +215,3 @@ def run_server(host: str, port: int, pool_workers: int,
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
         return 0
 
-
-def main(argv=None) -> int:  # pragma: no cover - thin CLI shim
-    """Allow ``python -m repro.serve.server`` for debugging."""
-    from repro.cli import main as cli_main
-    return cli_main(["serve"] + list(argv or sys.argv[1:]))

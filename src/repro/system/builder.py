@@ -144,9 +144,6 @@ class Chip(Component):
                 port.observer = observer
 
     # -- topology helpers ---------------------------------------------------------
-    def core_tile(self, core_id: int) -> int:
-        return core_id % self.mesh.n_tiles
-
     def port_of(self, addr: int) -> int:
         """Memory port serving this address (global DDR-channel interleave)."""
         return (addr >> 6) % self.n_ddr_total // self._ddr_per_port

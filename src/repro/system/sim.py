@@ -38,6 +38,12 @@ def _parse_scale(raw: str) -> float:
 #: rather than on every ``simulate()`` call.
 _SCALE: float = _parse_scale(os.environ.get("REPRO_SCALE", "1"))
 
+#: Leading fraction of each trace used to warm caches and predictors.
+WARMUP_FRAC = 0.25
+
+#: Simulated ns the warmup phase may take to drain (measurement: twice this).
+MAX_NS = 5e8
+
 #: Functional-warmup input: ``(core index, trace)`` pairs in replay order.
 Streams = List[Tuple[int, Trace]]
 
@@ -393,9 +399,7 @@ def simulate(
     cfg: SystemConfig,
     workload: Union["object", Sequence[Trace]],
     ops_per_core: Optional[int] = None,
-    warmup_frac: float = 0.25,
     seed: int = 1,
-    max_ns: float = 5e8,
     validate: Union[bool, str, None] = None,
     kernel: str = "fast",
     obs: Union[bool, str, None, "object"] = None,
@@ -413,9 +417,8 @@ def simulate(
         of traces (mixed workloads).
     ops_per_core:
         Memory operations per core (defaults to the workload's default,
-        scaled by ``REPRO_SCALE``).
-    warmup_frac:
-        Leading fraction of each trace used to warm caches/predictors.
+        scaled by ``REPRO_SCALE``). The first :data:`WARMUP_FRAC` of
+        each trace warms caches and predictors.
     validate:
         Invariant auditing (see :mod:`repro.validate`): ``True``/"on"
         collects violations into ``extras["invariant_violations"]``,
@@ -456,7 +459,7 @@ def simulate(
     n_active = cfg.active_cores
     traces, wl_name, spec = _workload_traces(cfg, workload, ops_per_core,
                                              seed)
-    warm, meas = zip(*(t.split(int(len(t) * warmup_frac)) for t in traces))
+    warm, meas = zip(*(t.split(int(len(t) * WARMUP_FRAC)) for t in traces))
 
     # Phase 0: functional warmup — establish steady-state cache contents
     # (and dirty bits) without timing, as ChampSim's warmup phase does.
@@ -478,9 +481,9 @@ def simulate(
         core = chip.cores[c]
         core.on_done = _warm_done
         core.start(warm[c])
-    sim.run(until=max_ns)
+    sim.run(until=MAX_NS)
     if remaining[0] != 0:
-        raise RuntimeError(f"warmup did not drain within {max_ns} ns")
+        raise RuntimeError(f"warmup did not drain within {MAX_NS} ns")
 
     # Phase B: measurement. The warmup phase drained completely above, so
     # this is a clean boundary to attach observers: every request created
@@ -505,9 +508,9 @@ def simulate(
         core = chip.cores[c]
         core.on_done = _meas_done
         core.start(meas[c])
-    sim.run(until=max_ns * 2)
+    sim.run(until=MAX_NS * 2)
     if remaining[0] != 0:
-        raise RuntimeError(f"measurement did not drain within {max_ns} ns")
+        raise RuntimeError(f"measurement did not drain within {MAX_NS} ns")
     elapsed = sim.now - t0
 
     # Aggregate.

@@ -18,6 +18,7 @@ from repro.tracing.critpath import (
     slowest,
 )
 from repro.tracing.export import (
+    check_trace_path,
     export_perfetto,
     export_spans_jsonl,
     export_trace,
@@ -30,6 +31,7 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "SpanTracer",
     "attribution_table",
+    "check_trace_path",
     "critical_path",
     "export_perfetto",
     "export_spans_jsonl",

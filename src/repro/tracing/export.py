@@ -14,11 +14,14 @@ to slice in analysis code.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.exportutil import dispatch_export, ensure_parent
+from repro.exportutil import (
+    dispatch_export, ensure_parent, pick_format, write_json,
+)
 
 #: ``trace_event`` timestamps are microseconds; simulation time is ns.
 _NS_PER_US = 1000.0
@@ -26,7 +29,6 @@ _NS_PER_US = 1000.0
 
 def export_perfetto(snapshot: dict, path: Union[str, Path]) -> Path:
     """Write one snapshot as Chrome/Perfetto ``trace_event`` JSON."""
-    path = ensure_parent(path)
     events = [{"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
                "args": {"name": "repro-sim"}}]
     cores_seen = set()
@@ -75,9 +77,7 @@ def export_perfetto(snapshot: dict, path: Union[str, Path]) -> Path:
     }
     if "kernel_events" in snapshot:
         doc["otherData"]["kernel_events"] = snapshot["kernel_events"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    return path
+    return write_json(path, doc)
 
 
 def export_spans_jsonl(snapshot: dict, path: Union[str, Path]) -> Path:
@@ -120,14 +120,24 @@ def export_npy(snapshot: dict, path: Union[str, Path]) -> Path:
     return path if path.suffix == ".npy" else path.with_suffix(path.suffix + ".npy")
 
 
+#: The span-trace writers by format; format ``f`` claims the suffix ``.f``.
+_WRITERS = {"json": export_perfetto, "jsonl": export_spans_jsonl,
+            "npy": export_npy}
+
+
+def check_trace_path(path: Union[str, Path]) -> str:
+    """The format :func:`export_trace` infers from ``path``'s suffix;
+    ``ValueError`` naming the valid ones, before there is anything to write."""
+    return pick_format(path, None, _WRITERS, kind="span trace")
+
+
 def export_trace(snapshot: dict, path: Union[str, Path],
                  fmt: Optional[str] = None) -> Path:
     """Export by explicit format (``json``/``jsonl``/``npy``) or by suffix."""
     return dispatch_export(
         path, fmt,
-        {"json": lambda p: export_perfetto(snapshot, p),
-         "jsonl": lambda p: export_spans_jsonl(snapshot, p),
-         "npy": lambda p: export_npy(snapshot, p)},
+        {name: functools.partial(write, snapshot)
+         for name, write in _WRITERS.items()},
         kind="span trace",
     )
 

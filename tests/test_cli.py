@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import UsageError, build_parser, main
+from repro.exec.perf import BaselineProtectedError
+from repro.exec.runner import ExecutorError
+from repro.exec.spec import SpecError
+from repro.exportutil import GoldenError
+from repro.fleet.campaign import CampaignFailed
 
 
 class TestParser:
@@ -189,6 +194,98 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "unknown metrics export format" in err
         assert not (tmp_path / "metrics.xml").exists()
+
+    def test_run_trace_out_unknown_suffix_rejected_before_run(
+            self, capsys, monkeypatch, tmp_path):
+        import repro.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before checking --trace-out")
+
+        monkeypatch.setattr(repro.cli, "simulate", never)
+        rc = main(["run", "--workload", "mcf", "--ops", "200",
+                   "--trace-out", str(tmp_path / "trace.xml")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "span trace format" in err
+        assert ".json/.jsonl/.npy" in err
+
+    def test_keyerror_from_simulate_is_a_bug_not_bad_input(self, monkeypatch):
+        import repro.cli
+
+        def buggy(*args, **kwargs):
+            raise KeyError("internal_bug")
+
+        monkeypatch.setattr(repro.cli, "simulate", buggy)
+        with pytest.raises(KeyError, match="internal_bug"):
+            main(["run", "--workload", "mcf", "--ops", "100"])
+
+    def test_compare_unknown_workload(self, capsys):
+        assert main(["compare", "--workloads", "mcf,nope",
+                     "--configs", "coaxial-4x"]) == 2
+        assert "'workload'" in capsys.readouterr().err
+
+    def test_campaign_bad_eta_exits_2(self, capsys):
+        assert main(["campaign", "--search", "calm_policy=calm_50",
+                     "--workloads", "mcf", "--jobs", "1", "--eta", "1"]) == 2
+        assert "error: eta must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seeds", "x", "--no-cache"], ["curve", "--loads", "abc"]])
+    def test_malformed_number_list_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--configs", "ddr-baseline", "--workloads", "mcf"],
+        ["campaign", "--search", "calm_policy=calm_50", "--workloads", "mcf"],
+        ["serve", "--port", "0"],
+        ["fuzz", "run", "--trials", "1", "--oracles", "calm_clock"]])
+    def test_malformed_repro_jobs_exits_2(self, capsys, monkeypatch, argv):
+        import repro.serve
+
+        def never(**kwargs):
+            raise AssertionError("served despite a malformed REPRO_JOBS")
+
+        monkeypatch.setattr(repro.serve, "run_server", never)
+        monkeypatch.setenv("REPRO_JOBS", "many")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: REPRO_JOBS must be an integer" in err
+
+    def test_obs_report_malformed_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"kind": "run"}\n{"kind": "metric", "name": "x"}\n')
+        assert main(["obs", "report", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestExitCodes:
+    """``main`` is the one place an error becomes an exit code."""
+
+    @pytest.fixture
+    def failing_list(self, monkeypatch):
+        import repro.cli
+
+        def install(exc):
+            def cmd(args):
+                raise exc
+            monkeypatch.setattr(repro.cli, "cmd_list", cmd)
+        return install
+
+    @pytest.mark.parametrize("exc, code", [
+        (SpecError, 2), (UsageError, 2), (GoldenError, 2),
+        (BaselineProtectedError, 2), (ExecutorError, 2), (CampaignFailed, 1),
+    ])
+    def test_error_table(self, failing_list, capsys, exc, code):
+        failing_list(exc("boom"))
+        assert main(["list"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_unknown_error_keeps_its_traceback(self, failing_list):
+        failing_list(ValueError("a bug"))
+        with pytest.raises(ValueError, match="a bug"):
+            main(["list"])
 
 
 class TestAuditedTrace:

@@ -244,6 +244,47 @@ class TestFuzzCli:
         assert main(["fuzz", "shrink", str(raw), "--oracle", "calm_clock"]) == 1
 
 
+class TestUnknownOracle:
+    """An oracle name is checked where it enters, and the error lists the
+    valid names (exit 2), instead of reading as a failing check."""
+
+    @staticmethod
+    def _lists_valid_names(err):
+        assert "unknown oracle 'nope'" in err
+        assert all(name in err for name in ORACLES)
+
+    def test_shrink_saves_nothing(self, tmp_path, capsys):
+        raw = tmp_path / "case.json"
+        raw.write_text(json.dumps(case_dict(TaskSpec(ops=200))))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        assert main(["fuzz", "shrink", str(raw), "--oracle", "nope",
+                     "--save", "--corpus", str(corpus)]) == 2
+        self._lists_valid_names(capsys.readouterr().err)
+        assert list(corpus.iterdir()) == []
+
+    def test_shrink_corpus_entry_oracle(self, tmp_path, capsys):
+        entry = tmp_path / "entry.json"
+        entry.write_text(json.dumps(
+            {"case": case_dict(TaskSpec(ops=200)), "oracle": "nope"}))
+        assert main(["fuzz", "shrink", str(entry)]) == 2
+        self._lists_valid_names(capsys.readouterr().err)
+
+    def test_replay_rejects_entry(self, tmp_path, capsys):
+        (tmp_path / "nope-0.json").write_text(json.dumps(
+            {"case": case_dict(TaskSpec(ops=200)), "oracle": "nope"}))
+        with pytest.raises(ValueError, match="unknown oracle 'nope'"):
+            load_entry(tmp_path / "nope-0.json")
+        assert main(["fuzz", "replay", "--corpus", str(tmp_path)]) == 2
+        self._lists_valid_names(capsys.readouterr().err)
+
+    def test_run_oracles_flag(self, tmp_path, capsys):
+        assert main(["fuzz", "run", "--trials", "1", "--oracles",
+                     "calm_clock,nope", "--jobs", "1", "--quiet",
+                     "--corpus", str(tmp_path)]) == 2
+        self._lists_valid_names(capsys.readouterr().err)
+
+
 def test_fuzzcase_is_frozen_and_picklable():
     import pickle
 

@@ -44,7 +44,7 @@ def trace_of(lines, writes=None) -> Trace:
 def phase0(cfg: SystemConfig, workload, ops: int, seed: int = 1):
     """The streams ``simulate()`` replays in phase 0, for a fresh chip."""
     traces, _, spec = sim._workload_traces(cfg, workload, ops, seed)
-    warm = [t.split(int(len(t) * 0.25))[0] for t in traces]
+    warm = [t.split(int(len(t) * sim.WARMUP_FRAC))[0] for t in traces]
     return sim._warmup_streams(Chip(Simulator(), cfg), spec, traces, warm,
                                seed)
 
