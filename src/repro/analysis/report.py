@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 from repro.system.stats import SimResult
 
@@ -56,15 +56,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     for r in srows:
         out.append(sep.join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(out)
-
-
-def breakdown_rows(results: Mapping[str, SimResult]) -> List[List[object]]:
-    """Rows of [workload, total, onchip, queuing, dram, cxl, bw%] for tables."""
-    rows = []
-    for name in sorted(results):
-        r = results[name]
-        rows.append([
-            name, r.avg_miss_latency, r.avg_onchip, r.avg_queuing,
-            r.avg_dram, r.avg_cxl, 100.0 * r.bandwidth_utilization,
-        ])
-    return rows

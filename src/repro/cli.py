@@ -24,6 +24,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -38,7 +39,7 @@ from repro.power import energy_report, system_power
 from repro.cxl.profiles import PROFILES
 from repro.exec.runner import ExecutorError
 from repro.exec.spec import SpecError, TaskSpec, expand_specs
-from repro.exportutil import GoldenError, write_json
+from repro.exportutil import GoldenError
 from repro.system.config import ALL_CONFIGS
 from repro.system.sim import simulate
 from repro.tiering.config import TIERING_PRESETS
@@ -425,7 +426,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
           f"{res.total_sim_wall_s:.1f}s simulated, "
           f"{res.cache_hits} cache hit(s)")
     if args.out:
-        write_json(args.out, res.to_dict(), indent=1)
+        with open(args.out, "w") as fh:
+            json.dump(res.to_dict(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
         print(f"campaign report written to {args.out}")
     return 0
 
@@ -475,7 +478,9 @@ def cmd_parity_run(args: argparse.Namespace) -> int:
                      m.unit, "ok" if ok else "OUT OF BAND"])
     print(format_table(["metric", "measured", "paper", "unit", "band"], rows))
     if args.json:
-        write_json(args.json, measured, indent=2)
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(measured, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         print(f"measured values written to {args.json}")
     if out_of_band:
         print(f"{len(out_of_band)} metric(s) outside their sanity band: "
@@ -656,16 +661,14 @@ def cmd_fuzz_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.fuzz.corpus import case_dict, parse_case, save_entry
     from repro.fuzz.oracles import check_oracle
     from repro.fuzz.shrink import shrink
 
     src = Path(args.case)
     with _user_input():
-        payload = _json.loads(src.read_text(encoding="utf-8")
-                              if src.exists() else args.case)
+        payload = json.loads(src.read_text(encoding="utf-8")
+                             if src.exists() else args.case)
     if isinstance(payload, dict) and "case" in payload:   # corpus entry
         case = parse_case(payload["case"])
         oracle = args.oracle or payload.get("oracle")
@@ -683,7 +686,7 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     print(f"minimized after {result.probes} probes "
           f"(-{result.removed_overrides} overrides, "
           f"ops {result.ops_before} -> {result.case.ops}):")
-    print(_json.dumps(case_dict(result.case), indent=2, sort_keys=True))
+    print(json.dumps(case_dict(result.case), indent=2, sort_keys=True))
     print(f"still fails: {result.detail}")
     if args.save:
         path = save_entry(result.case, oracle, note=result.detail,

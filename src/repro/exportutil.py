@@ -9,7 +9,8 @@ suffix. This module keeps that policy in one place:
 - an unknown explicit ``fmt`` is an error naming the valid formats;
 - the parent directory is created before the writer runs.
 
-It also holds the one atomic JSON writer and the one JSON-object loader.
+It also holds the one atomic JSON writer (goldens, baselines, cache
+entries) and the one JSON-object loader.
 """
 
 from __future__ import annotations

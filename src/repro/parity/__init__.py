@@ -30,7 +30,7 @@ from repro.parity.registry import (
     get_metric,
 )
 from repro.parity.scenarios import (
-    SCENARIO_GOLDEN_PATH, SCENARIO_REGISTRY, scenario_suite,
+    SCENARIO_GOLDEN_PATH, SCENARIO_REGISTRY, SCENARIO_SUITE,
 )
 
 
@@ -50,7 +50,7 @@ FAMILIES: Dict[str, ParityFamily] = {
     "paper": ParityFamily(REGISTRY, DEFAULT_GOLDEN_PATH, ParitySuite(),
                           "Parity drift report"),
     "scenarios": ParityFamily(SCENARIO_REGISTRY, SCENARIO_GOLDEN_PATH,
-                              scenario_suite(), "Scenario drift report"),
+                              SCENARIO_SUITE, "Scenario drift report"),
 }
 
 __all__ = [

@@ -39,15 +39,9 @@ SCENARIO_CONFIGS: Tuple[str, ...] = (
 SCENARIO_WORKLOADS: Tuple[str, ...] = (
     "bursty-web", "phase-flip", "capacity-churn",
 )
-SCENARIO_OPS = 1500
-SCENARIO_SEED = 1
-
-
-def scenario_suite(ops: int = SCENARIO_OPS,
-                   seed: int = SCENARIO_SEED) -> ParitySuite:
-    """The (configs x workloads) grid the scenario golden is blessed at."""
-    return ParitySuite(configs=SCENARIO_CONFIGS, workloads=SCENARIO_WORKLOADS,
-                       ops=ops, seed=seed)
+#: The (configs x workloads) grid the scenario golden is blessed at.
+SCENARIO_SUITE = ParitySuite(configs=SCENARIO_CONFIGS,
+                             workloads=SCENARIO_WORKLOADS, ops=1500, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.exportutil import (
-    dispatch_export, ensure_parent, pick_format, write_json,
-)
+from repro.exportutil import dispatch_export, ensure_parent, pick_format
 
 #: ``trace_event`` timestamps are microseconds; simulation time is ns.
 _NS_PER_US = 1000.0
@@ -29,6 +27,7 @@ _NS_PER_US = 1000.0
 
 def export_perfetto(snapshot: dict, path: Union[str, Path]) -> Path:
     """Write one snapshot as Chrome/Perfetto ``trace_event`` JSON."""
+    path = ensure_parent(path)
     events = [{"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
                "args": {"name": "repro-sim"}}]
     cores_seen = set()
@@ -77,7 +76,9 @@ def export_perfetto(snapshot: dict, path: Union[str, Path]) -> Path:
     }
     if "kernel_events" in snapshot:
         doc["otherData"]["kernel_events"] = snapshot["kernel_events"]
-    return write_json(path, doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+    return path
 
 
 def export_spans_jsonl(snapshot: dict, path: Union[str, Path]) -> Path:
@@ -127,8 +128,14 @@ _WRITERS = {"json": export_perfetto, "jsonl": export_spans_jsonl,
 
 def check_trace_path(path: Union[str, Path]) -> str:
     """The format :func:`export_trace` infers from ``path``'s suffix;
-    ``ValueError`` naming the valid ones, before there is anything to write."""
-    return pick_format(path, None, _WRITERS, kind="span trace")
+    ``ValueError`` naming the valid ones, before there is anything to write.
+    The message names only paths: a command line has no ``fmt`` to pass."""
+    try:
+        return pick_format(path, None, _WRITERS, kind="span trace")
+    except ValueError:
+        raise ValueError(
+            f"unknown span trace format {Path(path).suffix!r} for "
+            f"{path}; use a .json (Perfetto), .jsonl or .npy path") from None
 
 
 def export_trace(snapshot: dict, path: Union[str, Path],

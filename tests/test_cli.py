@@ -203,12 +203,13 @@ class TestCommands:
             raise AssertionError("simulated before checking --trace-out")
 
         monkeypatch.setattr(repro.cli, "simulate", never)
+        out = tmp_path / "trace.xml"
         rc = main(["run", "--workload", "mcf", "--ops", "200",
-                   "--trace-out", str(tmp_path / "trace.xml")])
+                   "--trace-out", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "span trace format" in err
-        assert ".json/.jsonl/.npy" in err
+        assert capsys.readouterr().err == (
+            f"error: unknown span trace format '.xml' for {out}; "
+            f"use a .json (Perfetto), .jsonl or .npy path\n")
 
     def test_keyerror_from_simulate_is_a_bug_not_bad_input(self, monkeypatch):
         import repro.cli

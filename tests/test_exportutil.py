@@ -10,9 +10,9 @@ import json
 import pytest
 
 from repro.exec.cache import ResultCache
-from repro.exec.perf import BaselineProtectedError, write_bench
+from repro.exec.perf import write_bench
 from repro.exportutil import GoldenError, read_json_object, write_json
-from repro.parity import bless_bench, write_golden
+from repro.parity import write_golden
 from repro.system.config import baseline_config
 from tests.test_exec_cache import _result
 
@@ -55,29 +55,7 @@ class TestWriterBytes:
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
-class TestLoader:
-    def test_errors_name_the_file_kind(self, tmp_path):
-        with pytest.raises(GoldenError, match="bench record .* not found$"):
-            read_json_object(tmp_path / "none.json", "bench record")
-        with pytest.raises(GoldenError, match="not found; hint"):
-            read_json_object(tmp_path / "none.json", "golden file", "; hint")
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        with pytest.raises(GoldenError, match="must be an object"):
-            read_json_object(bad, "golden file")
-
-    def test_round_trip(self, tmp_path):
-        out = write_json(tmp_path / "x.json", PAYLOAD, indent=2)
-        assert read_json_object(out, "golden file") == PAYLOAD
-
-
-class TestBaselineGuard:
-    def test_one_error_type_for_both_writers(self, tmp_path):
-        record = {"summary": {"events_per_s": 10.0}}
-        out = bless_bench(record, tmp_path / "bench.json")
-        with pytest.raises(BaselineProtectedError, match="--force"):
-            bless_bench(record, out)
-        with pytest.raises(BaselineProtectedError, match="--force"):
-            write_bench(record, out)
-        assert issubclass(BaselineProtectedError, GoldenError)
-        assert json.loads(out.read_text())["baseline"] is True
+def test_loader_error_carries_the_callers_hint(tmp_path):
+    with pytest.raises(GoldenError,
+                       match=r"^golden file .*none\.json not found; hint$"):
+        read_json_object(tmp_path / "none.json", "golden file", "; hint")

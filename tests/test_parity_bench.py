@@ -81,8 +81,10 @@ class TestBaselineFiles:
     def test_bless_refuses_overwrite_without_force(self, tmp_path):
         out = tmp_path / "bench.json"
         bless_bench(sweep_record(), out)
-        with pytest.raises(GoldenError, match="--force"):
+        # The one guard write_bench keeps, with its one error type.
+        with pytest.raises(BaselineProtectedError, match="--force"):
             bless_bench(sweep_record(eps=60_000.0), out)
+        assert issubclass(BaselineProtectedError, GoldenError)
         bless_bench(sweep_record(eps=60_000.0), out, force=True)
         assert load_bench_baseline(out)["events_per_s"] == pytest.approx(60_000.0)
 

@@ -155,13 +155,13 @@ class TestParitySuite:
     def test_defaults_cover_the_paper_configs(self):
         # The default suite is the PAPER grid goldens/parity.json records;
         # scenario configs have their own suite (repro.parity.scenarios).
-        from repro.parity.scenarios import SCENARIO_CONFIGS, scenario_suite
+        from repro.parity.scenarios import SCENARIO_CONFIGS, SCENARIO_SUITE
         from repro.system.config import PAPER_CONFIGS
         s = ParitySuite()
         assert set(s.configs) == set(PAPER_CONFIGS)
         assert BASELINE_CONFIG in s.configs
         assert len(s.workloads) >= 10
         # Together the two suites cover every named config family.
-        scen = scenario_suite()
+        scen = SCENARIO_SUITE
         assert scen.configs == SCENARIO_CONFIGS
         assert set(s.configs) | set(scen.configs) == set(ALL_CONFIGS)

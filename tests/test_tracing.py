@@ -264,6 +264,19 @@ class TestExporters:
         assert export_trace(snap, tmp_path / "t.dat", fmt="npy").name == (
             "t.dat.npy")
 
+    def test_exports_write_in_place(self, snap, tmp_path):
+        # A trace is a report, not a golden: an ordinary open(path, "w")
+        # keeps an existing file's inode and mode (a renamed tempfile
+        # would be a new 0600 file).
+        for name in ("t.json", "t.jsonl"):
+            out = tmp_path / name
+            out.write_text("old")
+            out.chmod(0o644)
+            inode = out.stat().st_ino
+            export_trace(snap, out)
+            assert out.stat().st_ino == inode
+            assert out.stat().st_mode & 0o777 == 0o644
+
     def test_creates_parent_dirs(self, snap, tmp_path):
         for name in ("t.json", "t.jsonl", "t.npy"):
             out = export_trace(snap, tmp_path / "deep" / "nest" / name)
