@@ -2,13 +2,14 @@
 """Host time of both LRU functional-warmup paths on synthetic streams.
 
 ``MAX_SET_SHARE`` in :mod:`repro.system.sim` picks between the set-parallel
-pass and the scalar per-core loop from each cache level's busiest-set
-share. This script times both paths on the streams the cut-off was chosen
-from: ``ACCESSES`` accesses per core on the ``ddr-baseline`` geometry,
-uniform or piled into a few sets, each path on a fresh chip, best of
-``REPS``. "Busiest" is the largest share over the three levels. Both
-paths leave the same caches (``tests/test_warmup.py``), so only time is
-compared.
+pass and the generic scalar replay (``_replay_functional``) from each cache
+level's busiest-set share. This script times both paths on the streams the
+cut-off was chosen from: ``ACCESSES`` accesses per core on the
+``ddr-baseline`` geometry, uniform or piled into a few sets, each path on a
+fresh chip, best of ``REPS``. "Busiest" is the largest share over the three
+levels. Narrow chips with skewed streams set the cut-off, since a step there
+has the fewest sets to spread its cost over. Both paths leave the same
+caches (``tests/test_warmup.py``), so only time is compared.
 
 Usage::
 
@@ -64,11 +65,6 @@ def best_of(run, cfg, stream) -> float:
     return min(times)
 
 
-def scalar(chip, stream) -> None:
-    for c, trace in stream:
-        sim._replay_core_lru(chip, chip.cores[c], trace)
-
-
 def set_parallel(chip, stream) -> None:
     assert sim._replay_lru_sets(chip, stream)
 
@@ -87,15 +83,17 @@ def busiest(cfg, stream) -> float:
 def main() -> None:
     cfg = ALL_CONFIGS["ddr-baseline"]()
     rows = [(n, "uniform") for n in (1, 2, 4, 8, 12)]
+    rows += [(cores, f"hot 1/{n}") for cores in (1, 2, 4)
+             for n in (2, 4, 6, 8, 10, 12)]
     rows += [(2, f"hot 1/{n}") for n in (16, 32, 64, 128)]
     rows += [(12, "hot 1/2"), (12, "stride 32"), (12, "stride 128")]
-    print("| cores | stream | busiest share | scalar | set-parallel | ratio |")
+    print("| cores | stream | busiest share | generic | set-parallel | ratio |")
     print("|---|---|---|---|---|---|")
     for cores, kind in rows:
         stream = streams(cores, kind, np.random.default_rng(cores))
-        t_s = best_of(scalar, cfg, stream)
+        t_s = best_of(sim._replay_functional, cfg, stream)
         t_p = best_of(set_parallel, cfg, stream)
-        print(f"| {cores} | {kind} | 1/{1 / busiest(cfg, stream):.0f} "
+        print(f"| {cores} | {kind} | 1/{1 / busiest(cfg, stream):.1f} "
               f"| {t_s * 1e3:.0f} ms | {t_p * 1e3:.0f} ms "
               f"| {t_p / t_s:.2f}x |")
 

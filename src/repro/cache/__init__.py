@@ -7,11 +7,11 @@ models: hits cost a fixed pipeline latency; misses allocate MSHRs and
 travel through the event-driven memory system.
 """
 
-from repro.cache.cache import CacheArray, CacheLevel
+from repro.cache.cache import CacheArray, CacheLevel, level_sets
 from repro.cache.replacement import LRUPolicy, RandomPolicy, SRRIPPolicy, make_policy
 from repro.cache.mshr import MSHRFile
 
 __all__ = [
-    "CacheArray", "CacheLevel", "MSHRFile",
+    "CacheArray", "CacheLevel", "MSHRFile", "level_sets",
     "LRUPolicy", "RandomPolicy", "SRRIPPolicy", "make_policy",
 ]

@@ -20,6 +20,14 @@ def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
+def level_sets(size_bytes: int, ways: int) -> int:
+    """Sets of a ``size_bytes`` cache of ``ways``-way 64 B lines: a power of two."""
+    sets = size_bytes // (ways * LINE_BYTES)
+    if sets * ways * LINE_BYTES != size_bytes or not _is_pow2(sets):
+        raise ValueError(f"size {size_bytes} is not a power-of-two number of {ways}-way sets")
+    return sets
+
+
 class CacheArray:
     """A set-associative cache over 64 B lines.
 
@@ -200,11 +208,8 @@ class CacheLevel:
 
     def __init__(self, name: str, size_bytes: int, ways: int,
                  hit_latency_ns: float, policy: str = "lru") -> None:
-        sets = size_bytes // (ways * LINE_BYTES)
-        if sets * ways * LINE_BYTES != size_bytes:
-            raise ValueError(f"{name}: size {size_bytes} not divisible into {ways} ways of 64B lines")
         self.name = name
-        self.array = CacheArray(sets, ways, policy)
+        self.array = CacheArray(level_sets(size_bytes, ways), ways, policy)
         self.hit_latency_ns = hit_latency_ns
         self.size_bytes = size_bytes
 

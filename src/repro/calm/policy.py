@@ -216,7 +216,7 @@ def make_calm_policy(spec: str, peak_bandwidth_gbps: float = 38.4,
         return MapICalm()
     if spec == "ideal":
         return IdealPredictor()
-    if spec.startswith("calm_"):
+    if isinstance(spec, str) and spec.startswith("calm_"):
         pct = float(spec.split("_", 1)[1])
         return CalmR(pct / 100.0, peak_bandwidth_gbps, now_fn=now_fn)
     raise ValueError(f"unknown CALM policy spec {spec!r}")

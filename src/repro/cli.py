@@ -60,6 +60,11 @@ def _user_input():
         raise UsageError(str(e)) from None
 
 
+def _given(**flags) -> dict:
+    """The flags that were set; an unset one gets its callee's default."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def _parse_list(text: str) -> List[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
@@ -546,11 +551,11 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
         compare_bench, load_bench_baseline, load_bench_record,
     )
 
-    fresh = load_bench_record(args.bench)
+    fresh = load_bench_record(**_given(path=args.bench))
     baseline = load_bench_baseline(args.golden)
     with _user_input():         # the --warn/--fail bands
         verdict = compare_bench(fresh, baseline,
-                                warn=args.warn, fail=args.fail)
+                                **_given(warn=args.warn, fail=args.fail))
     print(verdict.summary())
     if verdict.status == "fail":
         return 1
@@ -563,8 +568,8 @@ def cmd_bench_bless(args: argparse.Namespace) -> int:
     """Commit a sweep record as the new perf baseline (intentional)."""
     from repro.parity import bless_bench, load_bench_record
 
-    out = bless_bench(load_bench_record(args.bench), args.golden,
-                      force=args.force)
+    out = bless_bench(load_bench_record(**_given(path=args.bench)),
+                      args.golden, force=args.force)
     print(f"perf baseline blessed -> {out}")
     return 0
 
@@ -585,8 +590,8 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
             print(f"note: no usable baseline ({e}); ratios omitted",
                   file=sys.stderr)
     record = kernel_bench_record(
-        ops=args.ops, seed=args.seed, repeats=args.repeats,
-        baseline_eps=baseline_eps, progress=None if args.quiet else _progress)
+        seed=args.seed, repeats=args.repeats, baseline_eps=baseline_eps,
+        progress=None if args.quiet else _progress, **_given(ops=args.ops))
     ratio = record["ratio_vs_baseline"]
     print(format_table(
         ["events", "wall s", "events/s", "vs baseline"],
@@ -868,8 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(ps)
     ps.add_argument("--clear-cache", action="store_true",
                     help="drop cached results before running")
-    ps.add_argument("--bench-out", default="BENCH_sweep.json",
-                    help="where to write the benchmark record")
+    ps.add_argument("--bench-out", help="where to write the benchmark record "
+                    "(default: repro.exec.perf.BENCH_FILENAME)")
     ps.add_argument("--force", action="store_true",
                     help="allow overwriting a committed perf baseline")
     ps.add_argument("--quiet", action="store_true",
@@ -1045,14 +1050,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="measure events/s over whole simulate() calls: trace "
                     "generation, functional warmup and the timed phases "
                     "(cache-free, in-process)")
-    pbr.add_argument("--ops", type=int, default=800,
-                     help="memory ops per core per job (default 800)")
+    pbr.add_argument("--ops", type=int, help="memory ops per core per job "
+                     "(default: repro.exec.perf.KERNEL_BENCH_OPS)")
     pbr.add_argument("--seed", type=int, default=1)
     pbr.add_argument("--repeats", type=int, default=3,
                      help="measurement repeats; best aggregate kept")
-    pbr.add_argument("--golden", default="goldens/bench.json",
-                     help="blessed baseline for the vs-baseline ratio "
-                          "('' to skip)")
     pbr.add_argument("--out", default="BENCH_kernel.json",
                      help="where to write the throughput record")
     pbr.add_argument("--force", action="store_true",
@@ -1066,25 +1068,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     pbc = bsub.add_parser(
         "compare", help="gate a fresh BENCH_sweep.json against the baseline")
-    pbc.add_argument("--bench", default="BENCH_sweep.json",
-                     help="fresh sweep record to grade")
-    pbc.add_argument("--golden", default="goldens/bench.json",
-                     help="committed perf baseline")
-    pbc.add_argument("--warn", type=float, default=0.20,
-                     help="slowdown warn band (default 20%%)")
-    pbc.add_argument("--fail", type=float, default=0.35,
-                     help="slowdown fail band (default 35%%)")
+    pbc.add_argument("--bench", help="fresh sweep record to grade "
+                     "(default: repro.exec.perf.BENCH_FILENAME)")
+    pbc.add_argument("--warn", type=float, help="slowdown warn band "
+                     "(default: repro.parity.bench.DEFAULT_WARN_SLOWDOWN)")
+    pbc.add_argument("--fail", type=float, help="slowdown fail band "
+                     "(default: repro.parity.bench.DEFAULT_FAIL_SLOWDOWN)")
     pbc.add_argument("--strict", action="store_true",
                      help="treat a warn-band slowdown as failure")
     pbc.set_defaults(fn=cmd_bench_compare)
 
     pbb = bsub.add_parser(
         "bless", help="commit a sweep record as the new perf baseline")
-    pbb.add_argument("--bench", default="BENCH_sweep.json")
-    pbb.add_argument("--golden", default="goldens/bench.json")
+    pbb.add_argument("--bench", help="sweep record to bless "
+                     "(default: repro.exec.perf.BENCH_FILENAME)")
     pbb.add_argument("--force", action="store_true",
                      help="overwrite an existing committed baseline")
     pbb.set_defaults(fn=cmd_bench_bless)
+    for sp in (pbr, pbc, pbb):
+        sp.add_argument("--golden", default="goldens/bench.json",
+                        help="committed perf baseline ('' skips bench run's ratio)")
 
     pf = sub.add_parser(
         "fuzz", help="randomized differential/metamorphic fuzzer: run / replay / shrink")

@@ -44,8 +44,6 @@ class CoreParams:
         l1_hit_cyc: int = 4,
         l2_hit_cyc: int = 8,
     ) -> None:
-        if width < 1 or rob < 1 or mshrs < 1:
-            raise ValueError("width, rob and mshrs must be positive")
         self.freq_ghz = freq_ghz
         self.width = width
         self.rob = rob

@@ -12,7 +12,7 @@ Four oracle classes, per the testing plan:
   loop vs the retained reference loop, a cold
   :func:`repro.analysis.tables.run_one` vs the same job served back
   through the on-disk result cache, and the set-parallel LRU functional
-  warmup vs the scalar per-core replay (cache state, LRU configs only).
+  warmup vs the generic scalar replay (cache state, LRU configs only).
 - **Metamorphic** (``bw_monotone``, ``calm_r_bound``, ``asym_read_heavy``,
   ``ops_scaling``, ``channel_balance``, ``tiering_bound``,
   ``migration_identity``, ``ssd_hit_path``): a transformed twin of the
@@ -187,7 +187,7 @@ def cache_state(chip) -> Dict[str, list]:
 
 def check_diff_warmup(case: TaskSpec) -> Optional[str]:
     """The set-parallel functional warmup leaves exactly the cache state of
-    the scalar per-core replay, on the case's own config and traces."""
+    the generic scalar replay, on the case's own config and traces."""
     from repro.engine.kernel import Simulator
     from repro.system import sim
     from repro.system.builder import Chip
@@ -198,9 +198,9 @@ def check_diff_warmup(case: TaskSpec) -> Optional[str]:
     warm = [t.split(int(len(t) * sim.WARMUP_FRAC))[0] for t in traces]
     fast, ref = Chip(Simulator(), cfg), Chip(Simulator(), cfg)
     streams = sim._warmup_streams(fast, spec, traces, warm, case.seed)
-    sim._replay_lru_sets(fast, streams)
-    for c, trace in streams:
-        sim._replay_core_lru(ref, ref.cores[c], trace)
+    if not sim._replay_lru_sets(fast, streams):
+        return "set-parallel warmup refused a fresh LRU chip's streams"
+    sim._replay_functional(ref, streams)
     ref_state = cache_state(ref)
     for name, sets in cache_state(fast).items():
         for si, (got, want) in enumerate(zip(sets, ref_state[name])):

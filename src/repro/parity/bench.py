@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Dict
 
 from repro import __version__
-from repro.exec.perf import write_bench
+from repro.exec.perf import BENCH_FILENAME, write_bench
 from repro.exportutil import GoldenError, read_json_object
 
 BENCH_GOLDEN_SCHEMA_VERSION = 1
@@ -28,7 +28,7 @@ DEFAULT_WARN_SLOWDOWN = 0.20
 DEFAULT_FAIL_SLOWDOWN = 0.35
 
 
-def load_bench_record(path: os.PathLike) -> Dict[str, Any]:
+def load_bench_record(path: os.PathLike = BENCH_FILENAME) -> Dict[str, Any]:
     """Load a ``BENCH_sweep.json`` record; GoldenError on any problem."""
     return read_json_object(path, "bench record")
 

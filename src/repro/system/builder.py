@@ -16,6 +16,7 @@ from repro.engine import Component, Simulator
 from repro.cache.cache import CacheArray, CacheLevel, LINE_BYTES
 from repro.calm.policy import IdealPredictor, make_calm_policy
 from repro.cpu.core import Core, CoreParams
+from repro.cpu.prefetch import make_prefetcher
 from repro.cxl.channel import CxlChannel
 from repro.cxl.profiles import get_profile
 from repro.dram.controller import DDRChannel
@@ -106,7 +107,6 @@ class Chip(Component):
             self.calm.probe_fn = self._llc_probe
 
         # Cores with private L1/L2 (and optional prefetchers).
-        from repro.cpu.prefetch import make_prefetcher
         params = CoreParams(cfg.freq_ghz, cfg.width, cfg.rob, cfg.mshrs,
                             cfg.l1_hit_cyc, cfg.l2_hit_cyc)
         self.cores: List[Core] = []

@@ -26,16 +26,19 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cache import level_sets, make_policy
+from repro.calm.policy import make_calm_policy
+from repro.cpu.prefetch import make_prefetcher
 from repro.cxl.link import CxlLinkParams, X8_CXL, X8_CXL_ASYM
 from repro.cxl.profiles import PROFILES
 from repro.cxl.slowmedia import DEFAULT_SSD, SsdParams
 from repro.tiering.config import TieringConfig, get_tiering
 
 
-#: Cache sizes, associativities and port counts: a zero here divides by
-#: zero mid-run or (a zero-sized LLC) quietly simulates a one-set cache.
-_AT_LEAST_ONE = ("l1_kb", "l1_ways", "l2_kb", "l2_ways", "llc_kb_per_core",
-                 "llc_ways", "n_mem_ports", "ddr_per_cxl")
+#: Cache sizes, associativities, port counts and core resources: a zero here
+#: divides by zero mid-run or (a zero-sized LLC) quietly simulates a one-set cache.
+_AT_LEAST_ONE = ("l1_kb", "l1_ways", "l2_kb", "l2_ways", "llc_kb_per_core", "llc_ways",
+                 "n_mem_ports", "ddr_per_cxl", "width", "rob", "mshrs")
 
 
 @dataclass
@@ -99,6 +102,21 @@ class SystemConfig:
             value = getattr(self, name)
             if not value >= 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if not self.freq_ghz > 0:
+            raise ValueError(f"freq_ghz must be > 0, got {self.freq_ghz!r}")
+        # Cache geometry and policy names: checked by the code that builds them.
+        for names, build, *args in (
+                ("l1_kb l1_ways", level_sets, self.l1_kb * 1024, self.l1_ways),
+                ("l2_kb l2_ways", level_sets, self.l2_kb * 1024, self.l2_ways),
+                ("replacement", make_policy, self.replacement),
+                ("calm_policy", make_calm_policy, self.calm_policy),
+                ("prefetcher prefetch_degree", make_prefetcher, self.prefetcher,
+                 self.prefetch_degree)):
+            try:
+                build(*args)
+            except ValueError as e:
+                given = ", ".join(f"{n}={getattr(self, n)!r}" for n in names.split())
+                raise ValueError(f"{given}: {e}") from None
         if self.active_cores is None:
             self.active_cores = self.n_cores
         if not 1 <= self.active_cores <= self.n_cores:

@@ -49,8 +49,8 @@ Streams = List[Tuple[int, Trace]]
 
 #: The set-parallel warmup pass runs only while every cache level's busiest
 #: set holds at most this share of the level's events; otherwise the scalar
-#: per-core loop runs. See docs/performance.md for the measurement.
-MAX_SET_SHARE = 1 / 48
+#: replay runs. See docs/performance.md for the measurement.
+MAX_SET_SHARE = 1 / 10
 
 
 def _replay_functional(chip: Chip, streams: Streams) -> None:
@@ -61,7 +61,8 @@ def _replay_functional(chip: Chip, streams: Streams) -> None:
     realistic DRAM write(back) traffic — at a fraction of the cost of timed
     simulation. Deeper-level victims are simply dropped (the memory system
     is not involved). ``streams`` lists ``(core index, trace)`` pairs in
-    replay order.
+    replay order. It is the fallback of :func:`_replay_functional_lru` and
+    the reference its set-parallel pass is tested against.
     """
     slices = chip.llc_slices
     slice_of = chip.mesh.llc_slice_of
@@ -90,120 +91,26 @@ def _replay_functional(chip: Chip, streams: Streams) -> None:
                 l2.set_dirty(v1[0])
 
 
-def _replay_core_lru(chip: Chip, core, trace: Trace) -> None:
-    """LRU-specialized scalar replay of one core's trace.
-
-    Produces bit-identical cache *state* to :func:`_replay_functional` —
-    same dict contents in the same insertion (recency) order at every
-    level — while stripping everything the generic replay pays for that
-    the measurement can't observe: method dispatch, replacement-policy
-    indirection, and the lookup/fill counters (``Chip.begin_measurement``
-    resets all counters wholesale at the warmup/measurement boundary, so
-    warmup-phase counter churn is dead work). The access stream is
-    lowered to flat line/write columns in one vectorized pass. It is the
-    fallback of :func:`_replay_functional_lru` and the reference its
-    set-parallel pass is tested against.
-    """
-    l1 = core.l1.array
-    l2 = core.l2.array
-    l1_sets = l1._sets
-    l1_mask = l1._mask
-    l1_shift = l1._shift
-    l1_ways = l1.ways
-    l2_sets = l2._sets
-    l2_mask = l2._mask
-    l2_shift = l2._shift
-    l2_ways = l2.ways
-    slices = chip.llc_slices
-    llc_mask = slices[0]._mask
-    llc_shift = slices[0]._shift
-    llc_ways = slices[0].ways
-    n_tiles = chip.mesh.n_tiles
-    lines = (trace.arr["addr"] >> 6).tolist()
-    writes = (trace.arr["is_write"] != 0).tolist()
-    for line, w in zip(lines, writes):
-        t1 = line >> l1_shift
-        s1 = l1_sets[line & l1_mask]
-        if t1 in s1:
-            d = s1.pop(t1)
-            s1[t1] = d or w
-            continue
-        si2 = line & l2_mask
-        t2 = line >> l2_shift
-        s2 = l2_sets[si2]
-        if t2 in s2:
-            # L2 hit: refresh recency/dirty, then fill L1; a dirty L1
-            # victim folds into the L2 dirty bit.
-            d = s2.pop(t2)
-            s2[t2] = d or w
-            if len(s1) >= l1_ways:
-                vtag = next(iter(s1))
-                if s1.pop(vtag):
-                    vline = (vtag << l1_shift) | (line & l1_mask)
-                    vs2 = l2_sets[vline & l2_mask]
-                    vt2 = vline >> l2_shift
-                    if vt2 in vs2:
-                        vs2[vt2] = True
-            s1[t1] = w
-            continue
-        # Full miss: touch/install the LLC home slice, then fill L2 + L1.
-        s3 = slices[(line ^ (line >> 7) ^ (line >> 13)) % n_tiles]._sets[
-            line & llc_mask]
-        t3 = line >> llc_shift
-        if t3 in s3:
-            d = s3.pop(t3)
-            s3[t3] = d
-        else:
-            if len(s3) >= llc_ways:
-                s3.pop(next(iter(s3)))  # LLC victims are dropped in warmup
-            s3[t3] = False
-        if len(s2) >= l2_ways:
-            vt = next(iter(s2))
-            if s2.pop(vt):
-                # Dirty L2 victim allocates (dirty) in its LLC home slice.
-                vline = (vt << l2_shift) | si2
-                vs3 = slices[(vline ^ (vline >> 7) ^ (vline >> 13))
-                             % n_tiles]._sets[vline & llc_mask]
-                vt3 = vline >> llc_shift
-                if vt3 in vs3:
-                    vs3.pop(vt3)
-                    vs3[vt3] = True
-                else:
-                    if len(vs3) >= llc_ways:
-                        vs3.pop(next(iter(vs3)))
-                    vs3[vt3] = True
-        s2[t2] = w
-        if len(s1) >= l1_ways:
-            vtag = next(iter(s1))
-            if s1.pop(vtag):
-                vline = (vtag << l1_shift) | (line & l1_mask)
-                vs2 = l2_sets[vline & l2_mask]
-                vt2 = vline >> l2_shift
-                if vt2 in vs2:
-                    vs2[vt2] = True
-        s1[t1] = w
-
-
 def _replay_lru_sets(chip: Chip, streams: Streams,
                      max_share: float = 1.0) -> bool:
     """Replay ``streams`` level by level with :func:`repro.cache.warmup.lru_pass`.
 
-    Leaves exactly the state :func:`_replay_core_lru` leaves when run over
-    the streams in order. Each level's stream keeps the scalar replay's
-    order within one access: the L1 lookup; on an L1 miss the L2 touch,
-    then the ``set_dirty`` of a dirty L1 victim; on an L2 miss the clean
-    LLC touch, then the dirty install of a dirty L2 victim. The L1 and L2
-    sets of all cores sit side by side, and the LLC stream spans every
-    slice. Returns False, having changed nothing, when a cache is not
-    empty or a level's busiest set holds more than ``max_share`` of its
-    events (see :func:`repro.cache.warmup.busiest_share`).
+    Leaves exactly the state :func:`_replay_functional` leaves on an LRU
+    chip. Each level's stream keeps the scalar replay's order within one
+    access: the L1 lookup; on an L1 miss the L2 touch, then the
+    ``set_dirty`` of a dirty L1 victim; on an L2 miss the clean LLC touch,
+    then the dirty install of a dirty L2 victim. The L1 and L2 sets of all
+    cores sit side by side, and the LLC stream spans every slice. Returns
+    False, having changed nothing, when a cache is not empty or not LRU,
+    or a level's busiest set holds more than ``max_share`` of its events
+    (see :func:`repro.cache.warmup.busiest_share`).
     """
     cores = chip.cores
     used = sorted({c for c, _ in streams})
     l1s = [(c, cores[c].l1.array) for c in used]
     l2s = [(c, cores[c].l2.array) for c in used]
     slices = list(enumerate(chip.llc_slices))
-    if any(a.occupancy() for _, a in l1s + l2s + slices):
+    if any(a.occupancy() or not a._policy_is_lru for _, a in l1s + l2s + slices):
         return False
     if not streams:
         return True
@@ -300,25 +207,15 @@ def _load_lru(arrays, counts, lines, dirty) -> None:
 
 
 def _replay_functional_lru(chip: Chip, streams: Streams) -> None:
-    """Whole-chip LRU functional warmup (the common case).
+    """Phase 0's entry point: whole-chip functional warmup.
 
-    Runs the set-parallel pass (:func:`_replay_lru_sets`) when every
-    level's busiest set holds at most :data:`MAX_SET_SHARE` of that
-    level's events, and the scalar per-core loop otherwise. Both leave the
-    same cache state.
+    Runs the set-parallel pass (:func:`_replay_lru_sets`) on an LRU chip
+    when every level's busiest set holds at most :data:`MAX_SET_SHARE` of
+    that level's events, and the scalar :func:`_replay_functional`
+    otherwise. Both leave the same cache state.
     """
     if not _replay_lru_sets(chip, streams, MAX_SET_SHARE):
-        for c, trace in streams:
-            _replay_core_lru(chip, chip.cores[c], trace)
-
-
-def _warmup_replay_fn(chip: Chip):
-    """Pick the functional-warmup replay for this chip's cache policies."""
-    core0 = chip.cores[0]
-    if (core0.l1.array._policy_is_lru and core0.l2.array._policy_is_lru
-            and chip.llc_slices[0]._policy_is_lru):
-        return _replay_functional_lru
-    return _replay_functional
+        _replay_functional(chip, streams)
 
 
 def _warmup_traces(chip: Chip, workload, traces, n_active: int, seed: int):
@@ -468,8 +365,7 @@ def simulate(
     #     few times installs the workload's actual hot set (the prefix's
     #     cold/stream lines are never revisited by the measured portion,
     #     so no future lines are leaked into the caches).
-    _warmup_replay_fn(chip)(chip, _warmup_streams(chip, spec, traces, warm,
-                                                  seed))
+    _replay_functional_lru(chip, _warmup_streams(chip, spec, traces, warm, seed))
 
     # Phase A: warmup.
     remaining = [n_active]

@@ -183,39 +183,6 @@ class TestBatchSimulationEquality:
         assert run_oracle("diff_kernel", case) is None
 
 
-class TestWarmupReplayEquivalence:
-    def test_lru_replay_matches_generic(self):
-        from repro.fuzz.oracles import cache_state
-        from repro.system.builder import Chip
-        from repro.system.config import ALL_CONFIGS
-        from repro.system.sim import (
-            _replay_functional, _replay_functional_lru, _warmup_replay_fn,
-        )
-        from repro.workloads import get_workload
-
-        cfg = ALL_CONFIGS["coaxial-4x"]()
-        wl = get_workload("mcf")
-        streams = [(0, wl.generate(600, seed=3)), (5, wl.generate(400, seed=4)),
-                   (0, wl.generate(300, seed=5))]
-        a = Chip(Simulator(), cfg)
-        b = Chip(Simulator(), cfg)
-        assert _warmup_replay_fn(a) is _replay_functional_lru
-        _replay_functional(a, streams)
-        _replay_functional_lru(b, streams)
-        assert cache_state(a) == cache_state(b)
-
-    def test_non_lru_policy_uses_generic_replay(self):
-        from dataclasses import replace
-
-        from repro.system.builder import Chip
-        from repro.system.config import ALL_CONFIGS
-        from repro.system.sim import _replay_functional, _warmup_replay_fn
-
-        cfg = replace(ALL_CONFIGS["ddr-baseline"](), replacement="random")
-        chip = Chip(Simulator(), cfg)
-        assert _warmup_replay_fn(chip) is _replay_functional
-
-
 class TestKernelPlumbing:
     def test_kernel_bench_record(self):
         from repro.exec.perf import kernel_bench_record

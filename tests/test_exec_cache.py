@@ -34,10 +34,10 @@ class TestKeying:
     def test_unlisted_knob_changes_key(self):
         """The old hand-listed key ignored e.g. the prefetcher knobs."""
         cfg = baseline_config()
-        for knob in ("prefetcher", "prefetch_degree", "rob", "mshrs",
-                     "l1_kb", "noc_hop_cyc", "replacement"):
-            other = cfg.replace(**{knob: "stride" if knob in ("prefetcher", "replacement")
-                                   else getattr(cfg, knob) + 1})
+        for knob, value in (("prefetcher", "stride"), ("prefetch_degree", 3),
+                            ("rob", 257), ("mshrs", 17), ("l1_kb", 32),
+                            ("noc_hop_cyc", 4), ("replacement", "srrip")):
+            other = cfg.replace(**{knob: value})
             assert job_key(cfg, "mcf", 300, 1) != job_key(other, "mcf", 300, 1)
             assert job_digest(cfg, "mcf", 300, 1) != job_digest(other, "mcf", 300, 1)
 

@@ -59,6 +59,17 @@ def test_diff_warmup_oracle_catches_dropped_victims(monkeypatch):
     assert detail is not None and "diverged" in detail
 
 
+def test_diff_warmup_oracle_reports_a_refused_pass(monkeypatch):
+    # A pass that refuses a fresh LRU chip leaves its caches empty; the
+    # oracle says so instead of a divergence at LRU position 0.
+    from repro.system import sim
+
+    monkeypatch.setattr(sim, "_replay_lru_sets", lambda *args: False)
+    case = TaskSpec(base="cxl-ssd", workload="lbm", ops=300, seed=1)
+    detail = run_oracle("diff_warmup", case)
+    assert detail is not None and "refused" in detail
+
+
 def test_every_default_oracle_applies_somewhere():
     # No oracle may be dead weight: across a modest sample each default
     # oracle must be applicable to at least one generated case.

@@ -153,6 +153,24 @@ class TestBenchCli:
         assert main(["bench", "compare", "--bench", fresh,
                      "--golden", fresh]) == 2
 
+    def test_unset_flags_take_their_owners_defaults(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # The parser restates no default: the record name is
+        # repro.exec.perf's and the bands are repro.parity.bench's.
+        from repro.exec.perf import BENCH_FILENAME
+        from repro.parity.bench import (DEFAULT_FAIL_SLOWDOWN,
+                                        DEFAULT_WARN_SLOWDOWN)
+
+        monkeypatch.chdir(tmp_path)
+        golden = str(tmp_path / "golden.json")
+        (tmp_path / BENCH_FILENAME).write_text(
+            open(self._record(tmp_path, 50_000)).read())
+        assert main(["bench", "bless", "--golden", golden]) == 0
+        assert main(["bench", "compare", "--golden", golden]) == 0
+        assert (f"warn at {100 * DEFAULT_WARN_SLOWDOWN:.0f}%, fail at "
+                f"{100 * DEFAULT_FAIL_SLOWDOWN:.0f}%"
+                in capsys.readouterr().out)
+
     def test_bless_refuses_overwrite_without_force(self, tmp_path, capsys):
         golden = str(tmp_path / "golden.json")
         rec = self._record(tmp_path, 50_000)

@@ -35,14 +35,30 @@ BAD = [
 ]
 
 #: Overrides each field accepts on its own that no config may hold: a zero
-#: cache size, associativity or port count (the field's message names it).
+#: cache size, associativity, port count or core resource, a zero clock, a
+#: policy name no factory builds, a prefetcher with no degree, or private
+#: caches that are not a power-of-two number of sets (the message names
+#: the field).
 BAD_CONFIG = [
     pytest.param({"overrides": {name: value}}, f"{name} must be >= 1",
                  id=f"{name}={value}")
     for name, value in [("n_mem_ports", 0), ("ddr_per_cxl", 0), ("l1_kb", 0),
                         ("l1_ways", 0), ("l2_kb", 0), ("l2_ways", 0),
                         ("llc_kb_per_core", 0), ("llc_kb_per_core", -4),
-                        ("llc_ways", 0)]]
+                        ("llc_ways", 0), ("mshrs", 0), ("rob", 0),
+                        ("width", 0)]] + [
+    pytest.param({"overrides": overrides}, field, id=field)
+    for overrides, field in [
+        ({"freq_ghz": 0}, "freq_ghz must be > 0"),
+        ({"replacement": "nope"}, "replacement='nope'"),
+        ({"calm_policy": "nope"}, "calm_policy='nope'"),
+        ({"calm_policy": "calm_x"}, "calm_policy='calm_x'"),
+        ({"calm_policy": 70}, "calm_policy=70"),
+        ({"prefetcher": "nope"}, "prefetcher='nope'"),
+        ({"prefetcher": "nextline", "prefetch_degree": 0},
+         "prefetch_degree=0"),
+        ({"l1_kb": 24}, "l1_kb=24"),
+        ({"l1_kb": 48}, "l1_kb=48")]]
 
 #: The spec fields a ``POST /jobs`` body can carry, by body key.
 SERVE_KEYS = {"workload": "workloads", "ops": "ops", "validate": "validate",

@@ -1,13 +1,15 @@
-"""Set-parallel LRU functional warmup vs the scalar per-core replay.
+"""Set-parallel LRU functional warmup vs the generic scalar replay.
 
 ``_replay_lru_sets`` replays phase 0 one cache level at a time in numpy
-(:mod:`repro.cache.warmup`); ``_replay_core_lru`` replays one access at a
-time. The contract is exact: every set of every L1, L2 and LLC slice holds
-the same ``(tag, dirty)`` items in the same insertion (LRU) order, with
-Python ``int`` tags and ``bool`` dirty bits. ``_replay_functional_lru``
-picks between the two from the busiest-set share of each level's stream.
-One level's pass, ``lru_pass``, is also checked on its own against a
-dict-per-set reference, every per-event output included.
+(:mod:`repro.cache.warmup`); ``_replay_functional`` replays one access at a
+time through the cache arrays, for any replacement policy. The contract is
+exact: on an LRU chip every set of every L1, L2 and LLC slice holds the
+same ``(tag, dirty)`` items in the same insertion (LRU) order, with Python
+``int`` tags and ``bool`` dirty bits. ``_replay_functional_lru``, phase 0's
+entry point, picks between the two from the chip's policy and the
+busiest-set share of each level's stream. One level's pass, ``lru_pass``,
+is also checked on its own against a dict-per-set reference, every
+per-event output included.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.system.config import ALL_CONFIGS, SystemConfig
 from repro.workloads import get_workload
 
 #: The scalar reference, bound before any test monkeypatches the module.
-_scalar_core = sim._replay_core_lru
+_scalar = sim._replay_functional
 
 
 def trace_of(lines, writes=None) -> Trace:
@@ -51,8 +53,7 @@ def phase0(cfg: SystemConfig, workload, ops: int, seed: int = 1):
 
 def scalar(cfg: SystemConfig, streams) -> Chip:
     chip = Chip(Simulator(), cfg)
-    for c, trace in streams:
-        _scalar_core(chip, chip.cores[c], trace)
+    _scalar(chip, streams)
     return chip
 
 
@@ -199,33 +200,47 @@ def test_lru_pass_matches_dict_reference(case):
         assert np.array_equal(have, want), name
 
 
+def one_set_stride(cores: int):
+    """Each core's 3,000 accesses all land in its own L1 set 0."""
+    cfg = ALL_CONFIGS["ddr-baseline"]()
+    l1_sets = cfg.l1_kb * 1024 // (cfg.l1_ways * 64)
+    return cfg, [(c, trace_of(np.arange(3000) * l1_sets + (c << 24),
+                              np.arange(3000) % 3 == 0))
+                 for c in range(cores)]
+
+
+def refuse(*args):
+    raise AssertionError("scalar fallback taken")
+
+
 class TestPathSelection:
     def test_one_set_stride_takes_scalar_path(self, monkeypatch):
-        # Every access of every core lands in L1 set 0: one array step per
-        # access per core, so the set-parallel pass would be far slower.
-        cfg = ALL_CONFIGS["ddr-baseline"]()
-        l1_sets = cfg.l1_kb * 1024 // (cfg.l1_ways * 64)
-        streams = [(c, trace_of(np.arange(3000) * l1_sets + (c << 24),
-                                np.arange(3000) % 3 == 0))
-                   for c in range(cfg.n_cores)]
+        # One core's accesses all in one L1 set: one array step per access,
+        # so the set-parallel pass would be far slower.
+        cfg, streams = one_set_stride(1)
         chip = Chip(Simulator(), cfg)
         assert not sim._replay_lru_sets(chip, streams, sim.MAX_SET_SHARE)
         assert not any(any(sets) for sets in cache_state(chip).values())
         calls = []
-        monkeypatch.setattr(sim, "_replay_core_lru",
-                            lambda *a: calls.append(a) or _scalar_core(*a))
+        monkeypatch.setattr(sim, "_replay_functional",
+                            lambda *a: calls.append(a) or _scalar(*a))
         sim._replay_functional_lru(chip, streams)
-        assert len(calls) == len(streams)
+        assert len(calls) == 1
+        assert cache_state(chip) == cache_state(scalar(cfg, streams))
+
+    def test_wide_one_set_stride_takes_set_parallel_path(self, monkeypatch):
+        # The same stride on every core of a 12-core chip: each step now
+        # advances twelve sets, and the busiest holds 1/12 of the events.
+        cfg, streams = one_set_stride(12)
+        monkeypatch.setattr(sim, "_replay_functional", refuse)
+        chip = Chip(Simulator(), cfg)
+        sim._replay_functional_lru(chip, streams)
         assert cache_state(chip) == cache_state(scalar(cfg, streams))
 
     def test_benchmark_stream_takes_set_parallel_path(self, monkeypatch):
         cfg = ALL_CONFIGS["ddr-baseline"]()
         streams = phase0(cfg, get_workload("mcf"), 100)
-
-        def refuse(*args):
-            raise AssertionError("scalar fallback taken")
-
-        monkeypatch.setattr(sim, "_replay_core_lru", refuse)
+        monkeypatch.setattr(sim, "_replay_functional", refuse)
         chip = Chip(Simulator(), cfg)
         sim._replay_functional_lru(chip, streams)
         assert cache_state(chip) == cache_state(scalar(cfg, streams))
@@ -239,6 +254,20 @@ class TestPathSelection:
         assert not sim._replay_lru_sets(chip, streams)
         sim._replay_functional_lru(chip, streams)
         assert cache_state(chip) == cache_state(scalar(cfg, streams + streams))
+
+    @pytest.mark.parametrize("policy", ["random", "srrip"])
+    def test_non_lru_chip_takes_scalar_path(self, policy):
+        # The set-parallel pass knows only LRU, so it refuses the chip
+        # untouched and phase 0 is the generic replay.
+        cfg = replace(ALL_CONFIGS["cxl-ssd"](), replacement=policy)
+        streams = phase0(cfg, get_workload("mcf"), 200)
+        chip = Chip(Simulator(), cfg)
+        assert not sim._replay_lru_sets(chip, streams)
+        assert not any(any(sets) for sets in cache_state(chip).values())
+        sim._replay_functional_lru(chip, streams)
+        state = cache_state(chip)
+        assert all(any(sets) for sets in state.values())
+        assert state == cache_state(scalar(cfg, streams))
 
 
 class TestLoadLru:
