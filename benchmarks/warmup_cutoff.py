@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from repro.cpu.trace import TRACE_DTYPE, Trace
 from repro.engine.kernel import Simulator
 from repro.system import sim
 from repro.system.builder import Chip
@@ -32,17 +31,10 @@ ACCESSES = 12_000
 REPS = 3
 
 
-def trace_of(lines, writes) -> Trace:
-    arr = np.zeros(len(lines), TRACE_DTYPE)
-    arr["addr"] = np.asarray(lines, np.uint64) << np.uint64(6)
-    arr["is_write"] = writes
-    return Trace(arr)
-
-
 def streams(cores: int, kind: str, rng) -> list:
-    """One trace per core, each in its own 2^24-line region: uniform lines,
-    ``hot 1/N`` (every N-th access in the core's L1 set 0) or ``stride N``
-    (lines N apart)."""
+    """One ``(core, addr, is_write)`` stream per core, each in its own
+    2^24-line region: uniform lines, ``hot 1/N`` (every N-th access in the
+    core's L1 set 0) or ``stride N`` (lines N apart)."""
     out = []
     for c in range(cores):
         lines = rng.integers(0, 1 << 20, ACCESSES)
@@ -51,7 +43,9 @@ def streams(cores: int, kind: str, rng) -> list:
             lines[::every] &= ~np.int64(31)
         elif kind.startswith("stride"):
             lines = np.arange(ACCESSES) * int(kind.split()[1])
-        out.append((c, trace_of(lines + (c << 24), rng.random(ACCESSES) < 0.3)))
+        addr = np.asarray(lines + (c << 24), np.uint64) << np.uint64(6)
+        is_write = (rng.random(ACCESSES) < 0.3).astype(np.uint8)
+        out.append((c, addr, is_write))
     return out
 
 

@@ -148,21 +148,24 @@ class SsdMediaChannel(Component):
         if victim is not None and victim[1]:
             end = self.media.transfer(when, 64.0)
             self.media.next_free = end + self.params.media_write_ns
-            self.bump("ssd_media_wr_bytes", 64.0)
+            st = self.stats
+            st["ssd_media_wr_bytes"] = st.get("ssd_media_wr_bytes", 0.0) + 64.0
 
     # -- completion-time accounting -----------------------------------------
     def _complete_read(self, req: MemRequest, hit: bool, t_arrive: float) -> None:
         self._reads_inflight -= 1
-        self.bump("bytes", 64.0)
-        self.bump("bytes_rd", 64.0)
+        # Counters go straight into stats (Component.bump's expression).
+        st = self.stats
+        st["bytes"] = st.get("bytes", 0.0) + 64.0
+        st["bytes_rd"] = st.get("bytes_rd", 0.0) + 64.0
         service = self.sim.now - t_arrive
         if hit:
-            self.bump("ssd_hits")
-            self.bump("ssd_hit_ns_sum", service)
+            st["ssd_hits"] = st.get("ssd_hits", 0.0) + 1.0
+            st["ssd_hit_ns_sum"] = st.get("ssd_hit_ns_sum", 0.0) + service
         else:
-            self.bump("ssd_misses")
-            self.bump("ssd_miss_ns_sum", service)
-            self.bump("ssd_media_rd_bytes", 64.0)
+            st["ssd_misses"] = st.get("ssd_misses", 0.0) + 1.0
+            st["ssd_miss_ns_sum"] = st.get("ssd_miss_ns_sum", 0.0) + service
+            st["ssd_media_rd_bytes"] = st.get("ssd_media_rd_bytes", 0.0) + 64.0
         if self.response_fn is not None:
             self.response_fn(req)
         elif req.callback is not None:
@@ -170,9 +173,11 @@ class SsdMediaChannel(Component):
 
     def _complete_write(self, hit: bool) -> None:
         self._writes_inflight -= 1
-        self.bump("bytes", 64.0)
-        self.bump("bytes_wr", 64.0)
-        self.bump("ssd_wr_hits" if hit else "ssd_wr_misses")
+        st = self.stats
+        st["bytes"] = st.get("bytes", 0.0) + 64.0
+        st["bytes_wr"] = st.get("bytes_wr", 0.0) + 64.0
+        key = "ssd_wr_hits" if hit else "ssd_wr_misses"
+        st[key] = st.get(key, 0.0) + 1.0
 
     # -- introspection -------------------------------------------------------
     @property

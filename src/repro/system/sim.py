@@ -44,8 +44,9 @@ WARMUP_FRAC = 0.25
 #: Simulated ns the warmup phase may take to drain (measurement: twice this).
 MAX_NS = 5e8
 
-#: Functional-warmup input: ``(core index, trace)`` pairs in replay order.
-Streams = List[Tuple[int, Trace]]
+#: Functional-warmup input: ``(core index, addr, is_write)`` columns in
+#: replay order (``addr`` a ``uint64`` and ``is_write`` a ``uint8`` column).
+Streams = List[Tuple[int, np.ndarray, np.ndarray]]
 
 #: The set-parallel warmup pass runs only while every cache level's busiest
 #: set holds at most this share of the level's events; otherwise the scalar
@@ -60,17 +61,17 @@ def _replay_functional(chip: Chip, streams: Streams) -> None:
     cache contents — including dirty bits, so the measured phase produces
     realistic DRAM write(back) traffic — at a fraction of the cost of timed
     simulation. Deeper-level victims are simply dropped (the memory system
-    is not involved). ``streams`` lists ``(core index, trace)`` pairs in
-    replay order. It is the fallback of :func:`_replay_functional_lru` and
-    the reference its set-parallel pass is tested against.
+    is not involved). ``streams`` lists ``(core index, addr, is_write)``
+    columns in replay order. It is the fallback of
+    :func:`_replay_functional_lru` and the reference its set-parallel pass
+    is tested against.
     """
     slices = chip.llc_slices
     slice_of = chip.mesh.llc_slice_of
-    for c, trace in streams:
+    for c, addr, is_write in streams:
         l1 = chip.cores[c].l1.array
         l2 = chip.cores[c].l2.array
-        arr = trace.arr
-        for a, w in zip(arr["addr"].tolist(), arr["is_write"].tolist()):
+        for a, w in zip(addr.tolist(), is_write.tolist()):
             w = bool(w)
             if l1.lookup(a, w):
                 continue
@@ -106,7 +107,7 @@ def _replay_lru_sets(chip: Chip, streams: Streams,
     (see :func:`repro.cache.warmup.busiest_share`).
     """
     cores = chip.cores
-    used = sorted({c for c, _ in streams})
+    used = sorted({c for c, _, _ in streams})
     l1s = [(c, cores[c].l1.array) for c in used]
     l2s = [(c, cores[c].l2.array) for c in used]
     slices = list(enumerate(chip.llc_slices))
@@ -119,12 +120,11 @@ def _replay_lru_sets(chip: Chip, streams: Streams,
     # The chip's access stream: the streams back to back. Each level's
     # columns are dropped before the next level's are built, which keeps
     # phase 0's peak memory near the scalar loop's.
-    arrs = [trace.arr for _, trace in streams]
-    line = (np.concatenate([a["addr"] for a in arrs]) >> 6).astype(np.int64)
-    write = np.concatenate([a["is_write"] for a in arrs]) != 0
-    core = np.repeat(np.array([c for c, _ in streams], np.int32),
-                     [len(a) for a in arrs])
-    del arrs
+    cores_of, addrs, writes = zip(*streams)
+    line = (np.concatenate(addrs) >> 6).astype(np.int64)
+    write = np.concatenate(writes) != 0
+    core = np.repeat(np.array(cores_of, np.int32), [len(a) for a in addrs])
+    del cores_of, addrs, writes
 
     n_sets = len(cores) * l1.sets
     sets = (core * l1.sets + (line & l1._mask)).astype(np.int32)
@@ -219,36 +219,38 @@ def _replay_functional_lru(chip: Chip, streams: Streams) -> None:
 
 
 def _warmup_traces(chip: Chip, workload, traces, n_active: int, seed: int):
-    """Build per-core functional-warmup traces.
+    """Per-core functional-warmup samples, as ``(addr, is_write)`` columns.
 
     For catalog workloads we draw a *fresh sample* of the same access
-    distribution (offset seed), which fills the hierarchy with
-    statistically-equivalent-but-disjoint lines. For explicit trace lists
-    (mixes) we replay the trace with a high address bit flipped — same
-    structure, disjoint lines — so no-reuse streams don't warm their own
-    future lines into the cache.
+    distribution (offset seeds, one shared structure draw), which fills the
+    hierarchy with statistically-equivalent-but-disjoint lines. For
+    explicit trace lists (mixes) we replay the trace with a high address
+    bit flipped — same structure, disjoint lines — so no-reuse streams
+    don't warm their own future lines into the cache.
     """
     llc_lines = sum(s.sets * s.ways for s in chip.llc_slices)
     n_warm = max(1000, 3 * llc_lines // n_active)
+    if workload is not None:
+        addrs, is_write = workload.sample(
+            n_warm, [seed + 1000 * c + 503 for c in range(n_active)])
+        return [(addr, is_write) for addr in addrs]
     out = []
-    for c in range(n_active):
-        if workload is not None:
-            out.append(workload.generate(n_warm, seed=seed + 1000 * c + 503))
-        else:
-            ghost = traces[c].arr.copy()
-            reps = max(1, n_warm // max(1, len(ghost)))
-            ghost = np.concatenate([ghost] * reps) if reps > 1 else ghost
-            ghost["addr"] = ghost["addr"] ^ np.uint64(1 << 41)
-            out.append(Trace(ghost, "ghost-warm"))
+    for trace in traces:
+        arr = trace.arr
+        reps = max(1, n_warm // max(1, len(arr)))
+        out.append((np.tile(arr["addr"], reps) ^ np.uint64(1 << 41),
+                    np.tile(arr["is_write"], reps)))
     return out
 
 
 def _warmup_streams(chip: Chip, spec, traces, warm, seed: int) -> Streams:
     """Phase 0's replay order: every active core's disjoint sample, core 0
-    first, then each core's timed-warmup prefix (``warm``) three times."""
+    first, then each core's timed-warmup prefix (``warm``, traces) three
+    times, as views of the prefix's fields."""
     samples = _warmup_traces(chip, spec, traces, len(traces), seed)
-    return list(enumerate(samples)) + [
-        (c, prefix) for c, prefix in enumerate(warm) for _ in range(3)]
+    return [(c, *sample) for c, sample in enumerate(samples)] + [
+        (c, prefix.arr["addr"], prefix.arr["is_write"])
+        for c, prefix in enumerate(warm) for _ in range(3)]
 
 
 def _workload_traces(cfg: SystemConfig, workload, ops_per_core, seed: int):
@@ -257,14 +259,18 @@ def _workload_traces(cfg: SystemConfig, workload, ops_per_core, seed: int):
     ``spec`` is the catalog workload, or ``None`` for an explicit trace
     list (a mix).
     """
+    if ops_per_core is not None and ops_per_core < 1:
+        raise ValueError(f"ops_per_core must be >= 1, got {ops_per_core}")
     n_active = cfg.active_cores
     if isinstance(workload, (list, tuple)):
         if len(workload) != n_active:
             raise ValueError(f"need {n_active} traces, got {len(workload)}")
         return list(workload), "mix", None
-    n_ops = ops_per_core or int(getattr(workload, "default_ops", 6000) * _SCALE)
-    return ([workload.generate(n_ops, seed=seed + 1000 * c)
-             for c in range(n_active)], workload.name, workload)
+    n_ops = (int(workload.default_ops * _SCALE) if ops_per_core is None
+             else ops_per_core)
+    return (workload.generate_many(
+        n_ops, [seed + 1000 * c for c in range(n_active)]),
+        workload.name, workload)
 
 
 def _observers(cfg: SystemConfig, validate, obs, tracing) -> list:
@@ -309,13 +315,13 @@ def simulate(
     cfg:
         System configuration (see :mod:`repro.system.config`).
     workload:
-        Either a workload spec with ``generate(n_ops, seed) -> Trace`` and a
-        ``name`` (see :mod:`repro.workloads`), or an explicit per-core list
-        of traces (mixed workloads).
+        Either a catalog :class:`~repro.workloads.params.WorkloadSpec` (see
+        :mod:`repro.workloads`), or an explicit per-core list of traces
+        (mixed workloads).
     ops_per_core:
-        Memory operations per core (defaults to the workload's default,
-        scaled by ``REPRO_SCALE``). The first :data:`WARMUP_FRAC` of
-        each trace warms caches and predictors.
+        Memory operations per core, at least 1 (``None``: the workload's
+        default, scaled by ``REPRO_SCALE``). The first
+        :data:`WARMUP_FRAC` of each trace warms caches and predictors.
     validate:
         Invariant auditing (see :mod:`repro.validate`): ``True``/"on"
         collects violations into ``extras["invariant_violations"]``,

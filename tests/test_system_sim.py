@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.system import sim
 from repro.system.config import baseline_config, coaxial_config
 from repro.system.sim import simulate
 from repro.workloads import get_workload
@@ -55,6 +56,17 @@ class TestSimulate:
         traces = [get_workload("mcf").generate(300, seed=1)]
         with pytest.raises(ValueError):
             simulate(baseline_config(), traces)
+
+    @pytest.mark.parametrize("ops", [0, -5])
+    def test_op_count_below_one_rejected(self, ops):
+        with pytest.raises(ValueError, match="ops_per_core must be >= 1"):
+            simulate(baseline_config(), get_workload("mcf"), ops_per_core=ops)
+
+    def test_default_op_count(self):
+        # None is the workload's default length, scaled by REPRO_SCALE.
+        wl = get_workload("mcf")
+        traces, _, _ = sim._workload_traces(baseline_config(), wl, None, 1)
+        assert {len(t) for t in traces} == {int(wl.default_ops * sim._SCALE)}
 
     def test_speedup_over(self):
         wl = get_workload("stream-copy")

@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cache.cache import CacheArray
 from repro.cache.warmup import lru_pass
-from repro.cpu.trace import TRACE_DTYPE, Trace
 from repro.engine.kernel import Simulator
 from repro.fuzz.oracles import cache_state
 from repro.system import sim
@@ -35,12 +34,13 @@ from repro.workloads import get_workload
 _scalar = sim._replay_functional
 
 
-def trace_of(lines, writes=None) -> Trace:
-    arr = np.zeros(len(lines), TRACE_DTYPE)
-    arr["addr"] = np.asarray(lines, np.uint64) << np.uint64(6)
+def columns(lines, writes=None):
+    """A stream's ``(addr, is_write)`` columns for line numbers ``lines``."""
+    addr = np.asarray(lines, np.uint64) << np.uint64(6)
+    is_write = np.zeros(len(addr), np.uint8)
     if writes is not None:
-        arr["is_write"] = writes
-    return Trace(arr)
+        is_write[:] = writes
+    return addr, is_write
 
 
 def phase0(cfg: SystemConfig, workload, ops: int, seed: int = 1):
@@ -79,10 +79,32 @@ class TestNamedConfigs:
     def test_inactive_cores_stay_cold(self):
         cfg = replace(ALL_CONFIGS["ddr-baseline"](), active_cores=5)
         streams = phase0(cfg, get_workload("mcf"), 200)
-        assert {c for c, _ in streams} == set(range(5))
+        assert {c for c, _, _ in streams} == set(range(5))
         chip = assert_exact(cfg, streams)
         for core in chip.cores[5:]:
             assert core.l1.array.occupancy() == core.l2.array.occupancy() == 0
+
+    def test_catalog_streams_are_generated_columns(self):
+        # Each core's sample is the addr/is_write columns of the trace the
+        # sample's seed generates alone, and each prefix is the columns of
+        # the core's timed-warmup prefix, three times.
+        cfg = ALL_CONFIGS["ddr-baseline"]()
+        spec = get_workload("canneal")
+        n = cfg.active_cores
+        streams = phase0(cfg, spec, 200, seed=4)
+        assert len(streams) == 4 * n
+        n_warm = len(streams[0][1])
+        assert n_warm == 3 * 48 * 1024 // n
+        for c, addr, is_write in streams[:n]:
+            arr = spec.generate(n_warm, seed=4 + 1000 * c + 503).arr
+            assert addr.dtype == np.uint64 and is_write.dtype == np.uint8
+            assert np.array_equal(addr, arr["addr"])
+            assert np.array_equal(is_write, arr["is_write"])
+        for i, (c, addr, is_write) in enumerate(streams[n:]):
+            assert c == i // 3
+            arr = spec.generate(200, seed=4 + 1000 * c).arr[:50]
+            assert np.array_equal(addr, arr["addr"])
+            assert np.array_equal(is_write, arr["is_write"])
 
     def test_explicit_trace_list_uses_ghost_samples(self):
         cfg = ALL_CONFIGS["coaxial-4x"]()
@@ -94,14 +116,22 @@ class TestNamedConfigs:
         warm = [t.split(100)[0] for t in traces]
         streams = sim._warmup_streams(Chip(Simulator(), cfg), spec, traces,
                                       warm, 1)
-        assert streams[0][1].name == "ghost-warm"
+        # Core 0's sample is its own trace, repeated, with address bit 41
+        # flipped: the same structure on disjoint lines.
+        _, addr, is_write = streams[0]
+        arr = traces[0].arr
+        reps = len(addr) // len(arr)
+        assert reps > 1 and len(addr) == reps * len(arr)
+        assert np.array_equal(addr, np.tile(arr["addr"] ^ np.uint64(1 << 41),
+                                            reps))
+        assert np.array_equal(is_write, np.tile(arr["is_write"], reps))
         assert_exact(cfg, streams)
 
     def test_empty_prefix(self):
         # ops_per_core=2 leaves no timed-warmup prefix to replay.
         cfg = ALL_CONFIGS["cxl-ssd"]()
         streams = phase0(cfg, get_workload("lbm"), 2)
-        assert all(len(t) == 0 for _, t in streams[cfg.active_cores:])
+        assert all(len(a) == 0 for _, a, _ in streams[cfg.active_cores:])
         assert_exact(cfg, streams)
 
 
@@ -127,9 +157,9 @@ def small_chips(draw):
         lines = draw(st.lists(st.integers(0, span - 1), min_size=n,
                               max_size=n))
         writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        trace = trace_of([base + x for x in lines], writes)
+        addr, is_write = columns([base + x for x in lines], writes)
         core = draw(st.integers(0, n_cores - 1))
-        streams.extend([(core, trace)] * draw(st.integers(1, 3)))
+        streams.extend([(core, addr, is_write)] * draw(st.integers(1, 3)))
     return cfg, streams
 
 
@@ -204,7 +234,7 @@ def one_set_stride(cores: int):
     """Each core's 3,000 accesses all land in its own L1 set 0."""
     cfg = ALL_CONFIGS["ddr-baseline"]()
     l1_sets = cfg.l1_kb * 1024 // (cfg.l1_ways * 64)
-    return cfg, [(c, trace_of(np.arange(3000) * l1_sets + (c << 24),
+    return cfg, [(c, *columns(np.arange(3000) * l1_sets + (c << 24),
                               np.arange(3000) % 3 == 0))
                  for c in range(cores)]
 

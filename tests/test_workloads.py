@@ -144,6 +144,62 @@ class TestCatalog:
         assert not np.array_equal(t1.arr["addr"], t2.arr["addr"])
 
 
+#: A job-service warm sample's length (3x the baseline LLC's lines over 12
+#: cores), beside short traces that stop mid-pattern.
+SHARED_SIZES = [1, 7, 250, 12288]
+SHARED_SEEDS = [1, 503, 1503, 11503]
+
+
+class TestSharedStructure:
+    """``generate_many`` and ``sample`` draw the structure once for all
+    seeds; each seed's output is exactly what ``generate`` builds alone."""
+
+    @pytest.mark.parametrize("n", SHARED_SIZES)
+    @pytest.mark.parametrize("name", workload_names())
+    def test_generate_many_is_per_seed_generate(self, name, n):
+        spec = get_workload(name)
+        many = spec.generate_many(n, SHARED_SEEDS)
+        assert len(many) == len(SHARED_SEEDS)
+        for seed, trace in zip(SHARED_SEEDS, many):
+            one = spec.generate(n, seed=seed)
+            assert trace.name == one.name == name
+            assert trace.arr.dtype == one.arr.dtype
+            for field in one.arr.dtype.names:
+                assert np.array_equal(trace.arr[field], one.arr[field]), field
+
+    @pytest.mark.parametrize("n", SHARED_SIZES)
+    @pytest.mark.parametrize("name", workload_names())
+    def test_sample_is_the_addr_and_write_columns(self, name, n):
+        spec = get_workload(name)
+        addrs, is_write = spec.sample(n, SHARED_SEEDS)
+        assert len(addrs) == len(SHARED_SEEDS)
+        for seed, addr in zip(SHARED_SEEDS, addrs):
+            arr = spec.generate(n, seed=seed).arr
+            assert addr.dtype == arr["addr"].dtype
+            assert is_write.dtype == arr["is_write"].dtype
+            assert np.array_equal(addr, arr["addr"])
+            assert np.array_equal(is_write, arr["is_write"])
+
+
+class TestOpCount:
+    """An op count below 1 is an error naming the argument; ``None`` is the
+    workload's default length."""
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_entry_points_reject_counts_below_one(self, n):
+        spec = get_workload("mcf")
+        for call in (lambda: spec.generate(n), lambda: spec.generate_many(n, [1]),
+                     lambda: spec.sample(n, [1])):
+            with pytest.raises(ValueError, match="n_ops must be >= 1"):
+                call()
+
+    def test_none_is_the_default_length(self):
+        spec = get_workload("mcf")
+        assert spec.generate(None).n_ops == spec.default_ops
+        assert spec.generate_many(None, [1, 2])[1].n_ops == spec.default_ops
+        assert len(spec.sample(None, [1])[0][0]) == spec.default_ops
+
+
 class TestMixes:
     def test_mix_count_and_shape(self):
         mixes = make_mixes(n_mixes=3, n_cores=4, ops_per_core=100)
