@@ -22,19 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.exec.cache import ResultCache, disk_cache_enabled, job_key
+from repro.exec.cache import ResultCache, cache_from_flags, job_key
 from repro.system.config import SystemConfig
 from repro.system.stats import SimResult
 
 _cache: Dict[Tuple, SimResult] = {}
+#: The on-disk layer once resolved; ``None`` means "not resolved yet", so
+#: a run with the disk cache off resolves again on its next call.
 _disk: Optional[ResultCache] = None
 
 
-def _disk_cache() -> ResultCache:
-    """The process-wide on-disk cache layer (lazily constructed)."""
+def _disk_cache() -> Optional[ResultCache]:
+    """The process-wide on-disk cache layer, or ``None`` while it is off."""
     global _disk
     if _disk is None:
-        _disk = ResultCache(enabled=disk_cache_enabled())
+        _disk = cache_from_flags(None, False)
     return _disk
 
 
@@ -64,13 +66,15 @@ def run_one(cfg: SystemConfig, workload: str, ops_per_core: Optional[int] = None
     if key in _cache:
         return _cache[key]
     disk = _disk_cache()
-    result = disk.get(cfg, workload, ops_per_core, seed)
+    result = None if disk is None else disk.get(cfg, workload, ops_per_core,
+                                                  seed)
     if result is None:
         from repro.system.sim import simulate
         from repro.workloads.catalog import get_workload
 
         result = simulate(cfg, get_workload(workload), ops_per_core, seed=seed)
-        disk.put(cfg, workload, ops_per_core, seed, result)
+        if disk is not None:
+            disk.put(cfg, workload, ops_per_core, seed, result)
     _cache[key] = result
     return result
 

@@ -904,7 +904,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="concurrent running jobs (each owns a pool)")
     pe.add_argument("--job-timeout", type=float, default=300.0,
                     help="per-task deadline in seconds, from submission "
-                         "(default 300; hung workers are replaced)")
+                         "(default 300; a hung pool worker is replaced). "
+                         "With --pool-workers 1 the simulation runs in the "
+                         "server's job thread and cannot be interrupted")
     pe.add_argument("--retries", type=int, default=1,
                     help="extra attempts per failed/timed-out task")
     pe.add_argument("--max-queue", type=int, default=256,

@@ -17,7 +17,7 @@ per-direction bandwidth-reserved FIFOs.
 
 from repro.cxl.link import SerialLink, CxlLinkParams, X8_CXL, X8_CXL_ASYM, OMI_LIKE
 from repro.cxl.profiles import (
-    PROFILES, DeviceLatencyModel, DeviceProfile, LatencySampler, get_profile,
+    PROFILES, DeviceProfile, LatencySampler, get_profile,
 )
 from repro.cxl.slowmedia import DEFAULT_SSD, SsdMediaChannel, SsdParams
 from repro.cxl.channel import CxlChannel
@@ -26,6 +26,6 @@ from repro.cxl.device import CxlType3Device
 __all__ = [
     "SerialLink", "CxlLinkParams", "X8_CXL", "X8_CXL_ASYM", "OMI_LIKE",
     "CxlChannel", "CxlType3Device",
-    "DeviceProfile", "DeviceLatencyModel", "LatencySampler", "PROFILES",
+    "DeviceProfile", "LatencySampler", "PROFILES",
     "get_profile", "SsdParams", "SsdMediaChannel", "DEFAULT_SSD",
 ]

@@ -7,11 +7,11 @@ and returns read data over the RX link. All four port traversals and both
 link serializations are modelled, so both the unloaded latency premium
 (~52.5 ns for reads) and loaded link queuing emerge.
 
-The interface-crossing math itself lives in one place —
-:class:`~repro.cxl.profiles.DeviceLatencyModel` — which also hosts the
-opt-in per-device latency profiles (``device_profile`` config knob).
-With the default ``"fixed"`` profile the model evaluates the exact
-historical expression, so results are bit-for-bit unchanged.
+Each crossing is one expression: port, FIFO wire serialization, port.
+The device-bound crossing also adds one draw from the opt-in per-device
+latency profile (``device_profile`` config knob,
+:mod:`repro.cxl.profiles`); the default ``"fixed"`` profile draws
+nothing, so no ``+ 0.0`` term ever enters the sum.
 
 The time a request spends crossing ports/links (including link queuing
 and any sampled device extra) accumulates into ``req.cxl_delay`` so
@@ -26,7 +26,7 @@ from typing import Optional
 from repro.engine import Component, Simulator
 from repro.cxl.device import CxlType3Device
 from repro.cxl.link import CxlLinkParams, SerialLink, X8_CXL
-from repro.cxl.profiles import FIXED, DeviceLatencyModel, DeviceProfile
+from repro.cxl.profiles import FIXED, DeviceProfile, LatencySampler
 from repro.cxl.slowmedia import SsdParams
 from repro.dram.timing import DDR5Timing
 from repro.request import MemRequest, READ
@@ -52,7 +52,9 @@ class CxlChannel(Component):
         self.params = params
         self.tx = SerialLink(params.tx_goodput_gbps)
         self.rx = SerialLink(params.rx_goodput_gbps)
-        self.latency = DeviceLatencyModel(params, profile, seed=profile_seed)
+        self.profile = profile
+        self.sampler: Optional[LatencySampler] = (
+            None if profile.is_fixed else LatencySampler(profile, profile_seed))
         self.device = CxlType3Device(
             sim, f"{name}.dev", n_ddr_channels, timing,
             response_fn=self._on_dram_response,
@@ -68,7 +70,7 @@ class CxlChannel(Component):
         """Send a request towards the device over the TX direction."""
         now = self.sim.now
         p = self.params
-        # Counters go straight into stats (Component.bump's expression).
+        port = p.port_latency_ns
         st = self.stats
         if req.kind == READ:
             nbytes = p.req_bytes
@@ -79,7 +81,10 @@ class CxlChannel(Component):
             is_read = False
             st["writes"] = st.get("writes", 0.0) + 1.0
         # CPU egress port, TX wire, device ingress port (+ profile extra).
-        arrive = self.latency.device_bound_ns(self.tx, now, nbytes, is_read)
+        arrive = self.tx.transfer(now + port, nbytes) + port
+        if self.sampler is not None:
+            arrive += (self.sampler.sample_read() if is_read
+                       else self.sampler.sample_write())
         req.cxl_delay += arrive - now
         if self.observer is not None:
             self.observer.on_cxl_tx(req, now, arrive)
@@ -90,8 +95,10 @@ class CxlChannel(Component):
     def _on_dram_response(self, req: MemRequest) -> None:
         now = self.sim.now
         p = self.params
+        port = p.port_latency_ns
         nbytes = 64 + p.header_bytes
-        arrive = self.latency.cpu_bound_ns(self.rx, now, nbytes)
+        # Device egress port, RX wire, CPU ingress port.
+        arrive = self.rx.transfer(now + port, nbytes) + port
         req.cxl_delay += arrive - now
         if self.observer is not None:
             self.observer.on_cxl_rx(req, now, arrive)
@@ -117,7 +124,8 @@ class CxlChannel(Component):
         """
         self.tx.bytes_moved = 0.0
         self.rx.bytes_moved = 0.0
-        self.latency.reset()
+        if self.sampler is not None:
+            self.sampler.reset()
 
     def link_utilizations(self, elapsed_ns: float) -> dict:
         """Achieved / goodput fraction per link direction over a window.
@@ -129,5 +137,7 @@ class CxlChannel(Component):
                 "rx": self.rx.utilization(elapsed_ns)}
 
     def min_read_premium_ns(self) -> float:
-        """Unloaded latency this channel adds to a read."""
-        return self.latency.min_read_premium_ns()
+        """Unloaded latency this channel adds to a read (profile floor
+        included)."""
+        return (self.params.min_read_latency_ns()
+                + self.profile.min_read_extra_ns())

@@ -1,34 +1,31 @@
-"""Per-device CXL latency profiles and the centralized interface model.
+"""Per-device CXL latency profiles and their deterministic draw stream.
 
 COAXIAL models the CXL interface with a single fixed premium (four port
 traversals plus link serialization, ~52.5 ns unloaded for reads).
 "Demystifying CXL Memory" (PAPERS.md) measured real Type-3 devices and
 found wide, skewed latency distributions instead: a tight ASIC device
 sits near the fixed model, while early FPGA-based or far-socket devices
-add tens to hundreds of nanoseconds with a long tail.
-
-This module owns *all* of the interface-latency math:
+add tens to hundreds of nanoseconds with a long tail. This module holds
+those distributions:
 
 * :class:`DeviceProfile` — a named empirical distribution of per-request
   extra device latency, stored as inverse-CDF knots. The ``"fixed"``
   profile is the identity (zero extra) and is the system default, so the
-  refactor reproduces the historical numbers bit-for-bit.
+  historical numbers are reproduced bit-for-bit.
 * :class:`LatencySampler` — a counter-based splitmix64 stream mapping a
   (seed, draw-index) pair through the profile's inverse CDF. Sampling is
   a pure function of the draw index, so any component that consumes
   draws in a loop-independent order (request arrival order is, by the
   bit-identity contract) stays bit-identical across both dispatch loops.
-* :class:`DeviceLatencyModel` — the one place that computes port/link
-  crossing times. ``CxlChannel`` routes both directions through it; the
-  fixed premium is no longer scattered across submit/response paths.
+
+:class:`~repro.cxl.channel.CxlChannel` adds one draw per request to its
+device-bound crossing when the profile is not fixed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-from repro.cxl.link import CxlLinkParams, SerialLink
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -198,65 +195,3 @@ class LatencySampler:
 
     def reset(self) -> None:
         self._count = 0
-
-
-class DeviceLatencyModel:
-    """The single owner of CXL interface-crossing latency.
-
-    Both channel directions call into this model; the structural premium
-    (one port before the link, one after — twice per round trip) lives
-    here and nowhere else. When a non-fixed profile is installed the
-    model additionally charges one sampled device-latency draw per
-    request on the device-bound crossing.
-
-    The fixed profile keeps the arithmetic expression *identical* to the
-    historical inline code (no ``+ 0.0`` term is ever added), so default
-    configurations are bit-for-bit unchanged.
-    """
-
-    __slots__ = ("params", "profile", "sampler")
-
-    def __init__(self, params: CxlLinkParams,
-                 profile: DeviceProfile = FIXED, seed: int = 0) -> None:
-        self.params = params
-        self.profile = profile
-        self.sampler: Optional[LatencySampler] = (
-            None if profile.is_fixed else LatencySampler(profile, seed))
-
-    def crossing_ns(self, link: SerialLink, now: float, nbytes: float) -> float:
-        """Arrival time of ``nbytes`` sent over ``link`` at ``now``.
-
-        Ingress port, wire serialization (with FIFO link queuing), egress
-        port — the historical expression, verbatim.
-        """
-        p = self.params
-        return link.transfer(now + p.port_latency_ns, nbytes) + p.port_latency_ns
-
-    def device_bound_ns(self, link: SerialLink, now: float, nbytes: float,
-                        is_read: bool) -> float:
-        """CPU->device crossing; charges the sampled device extra, if any."""
-        arrive = self.crossing_ns(link, now, nbytes)
-        if self.sampler is not None:
-            extra = (self.sampler.sample_read() if is_read
-                     else self.sampler.sample_write())
-            arrive += extra
-        return arrive
-
-    def cpu_bound_ns(self, link: SerialLink, now: float, nbytes: float) -> float:
-        """Device->CPU response crossing (no sampled extra)."""
-        return self.crossing_ns(link, now, nbytes)
-
-    def min_read_premium_ns(self) -> float:
-        """Unloaded latency this interface adds to a read."""
-        return (self.params.min_read_latency_ns()
-                + self.profile.min_read_extra_ns())
-
-    def reset(self) -> None:
-        """Measurement boundary: restart the draw stream.
-
-        Phase A (warmup) and Phase B (measurement) then consume
-        identical draw sequences regardless of warmup length, keeping
-        measured numbers a function of measured traffic only.
-        """
-        if self.sampler is not None:
-            self.sampler.reset()

@@ -154,7 +154,6 @@ class SsdMediaChannel(Component):
     # -- completion-time accounting -----------------------------------------
     def _complete_read(self, req: MemRequest, hit: bool, t_arrive: float) -> None:
         self._reads_inflight -= 1
-        # Counters go straight into stats (Component.bump's expression).
         st = self.stats
         st["bytes"] = st.get("bytes", 0.0) + 64.0
         st["bytes_rd"] = st.get("bytes_rd", 0.0) + 64.0

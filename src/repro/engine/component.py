@@ -10,18 +10,15 @@ from repro.engine.kernel import Simulator
 class Component:
     """A named component bound to a simulator, with a counter-style stats dict.
 
-    Subclasses bump integer/float counters in :attr:`stats`; aggregation code
-    reads them after :meth:`Simulator.run` finishes.
+    Subclasses add to float counters in :attr:`stats` inline
+    (``st[key] = st.get(key, 0.0) + 1.0``); aggregation code reads them
+    after :meth:`Simulator.run` finishes.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
         self.stats: Dict[str, float] = {}
-
-    def bump(self, key: str, amount: float = 1.0) -> None:
-        """Increment counter ``key`` by ``amount`` (creating it at 0)."""
-        self.stats[key] = self.stats.get(key, 0.0) + amount
 
     def reset_stats(self) -> None:
         """Zero all counters (used at the warmup/measurement boundary)."""

@@ -144,16 +144,14 @@ class ResultCache:
     salt:
         Extra key material mixed into every digest (tests use this to get
         disjoint namespaces inside one directory).
-    enabled:
-        When ``False`` every lookup misses and stores are dropped; lets
-        callers keep one code path whether or not caching is wanted.
+
+    Callers that run without a cache hold ``None`` instead of an instance
+    (see :func:`cache_from_flags`).
     """
 
-    def __init__(self, root: Optional[Path] = None, salt: str = "",
-                 enabled: bool = True):
+    def __init__(self, root: Optional[Path] = None, salt: str = ""):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = salt
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -166,9 +164,6 @@ class ResultCache:
     def get(self, cfg: SystemConfig, workload: str, ops: Optional[int],
             seed: int) -> Optional[SimResult]:
         """Return the cached result for a job, or ``None`` (counts hit/miss)."""
-        if not self.enabled:
-            self.misses += 1
-            return None
         path = self._path(job_digest(cfg, workload, ops, seed, self.salt))
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -192,8 +187,6 @@ class ResultCache:
     def put(self, cfg: SystemConfig, workload: str, ops: Optional[int],
             seed: int, result: SimResult) -> None:
         """Store one result atomically (safe under concurrent writers)."""
-        if not self.enabled:
-            return
         digest = job_digest(cfg, workload, ops, seed, self.salt)
         payload = {
             "digest": digest,

@@ -27,6 +27,7 @@ in-process (see ``tests/test_exec_determinism.py``).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import time as _time
@@ -72,6 +73,45 @@ class JobResult:
     @property
     def events_per_s(self) -> float:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
+
+    @classmethod
+    def from_cache(cls, cache: Optional[ResultCache],
+                   job: SweepJob) -> Optional["JobResult"]:
+        """The job's cached result, or ``None`` on a miss or no cache."""
+        hit = None if cache is None else cache.get(
+            job.config, job.workload, job.ops, job.seed)
+        if hit is None:
+            return None
+        return cls(job=job, result=hit, cached=True,
+                   events=int(hit.extras.get("events_fired", 0)))
+
+    def to_wire(self) -> Dict[str, Any]:
+        """The outcome as a JSON-able record; the job travels separately.
+
+        The result is the cache's own serialization (``asdict`` here,
+        ``SimResult(**raw)`` in :meth:`from_wire`), so a result sent over
+        HTTP is bit-identical to one read from a shared cache directory.
+        """
+        return {
+            "result": (None if self.result is None
+                       else dataclasses.asdict(self.result)),
+            "wall_s": self.wall_s,
+            "events": self.events,
+            "cached": self.cached,
+            "attempts": self.attempts,
+            "error": self.error,
+        }
+
+    @classmethod
+    def from_wire(cls, job: SweepJob, payload: Dict[str, Any]) -> "JobResult":
+        """Rebuild the record :meth:`to_wire` wrote for ``job``."""
+        raw = payload.get("result")
+        return cls(job=job, result=SimResult(**raw) if raw is not None else None,
+                   wall_s=float(payload.get("wall_s", 0.0)),
+                   events=int(payload.get("events", 0)),
+                   cached=bool(payload.get("cached", False)),
+                   attempts=int(payload.get("attempts", 0)),
+                   error=payload.get("error"))
 
 
 def _simulate_job(job: SweepJob) -> Tuple[SimResult, float, int]:
@@ -178,7 +218,8 @@ class PoolRunner:
         timed-out task was already running, its worker process is replaced
         (the pool is torn down and rebuilt; unaffected in-flight items are
         resubmitted without being charged an attempt), so hung workers can
-        neither occupy a slot nor wedge pool shutdown.
+        neither occupy a slot nor wedge pool shutdown. An inline run
+        (``workers == 1``) checks no deadline: it cannot be interrupted.
     retries:
         Extra attempts after the first failure/timeout.
     progress:
@@ -359,7 +400,8 @@ class SweepRunner:
         Per-attempt deadline in seconds, measured from the job's own
         submission (see :class:`PoolRunner`). A timed-out attempt is
         resubmitted with a fresh deadline; a hung worker is killed and
-        replaced rather than left occupying a pool slot.
+        replaced rather than left occupying a pool slot. Ignored when
+        ``workers == 1``.
     retries:
         Extra attempts after the first failure/timeout.
     progress:
@@ -389,12 +431,8 @@ class SweepRunner:
         # Cache pass: settle hits without touching the pool.
         done = 0
         for i, job in enumerate(jobs):
-            hit = self.cache.get(job.config, job.workload, job.ops,
-                                 job.seed) if self.cache else None
-            if hit is not None:
-                results[i] = JobResult(
-                    job=job, result=hit, cached=True,
-                    events=int(hit.extras.get("events_fired", 0)))
+            results[i] = JobResult.from_cache(self.cache, job)
+            if results[i] is not None:
                 done += 1
                 if self.progress:
                     self.progress(done, len(jobs), results[i])

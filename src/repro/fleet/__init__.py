@@ -12,12 +12,11 @@ from repro.fleet.broker import BrokerApp, BrokerMetrics, FleetBroker, run_broker
 from repro.fleet.campaign import (Campaign, CampaignFailed, CampaignResult,
                                   Candidate, parse_search, run_campaign)
 from repro.fleet.client import FleetClient, FleetError
-from repro.fleet.protocol import result_from_wire, result_to_wire
 from repro.fleet.worker import BrokerGone, FleetWorker, run_worker
 
 __all__ = [
     "BrokerApp", "BrokerGone", "BrokerMetrics", "Campaign", "CampaignFailed",
     "CampaignResult", "Candidate", "FleetBroker", "FleetClient",
-    "FleetError", "FleetWorker", "parse_search", "result_from_wire",
-    "result_to_wire", "run_broker", "run_campaign", "run_worker",
+    "FleetError", "FleetWorker", "parse_search", "run_broker",
+    "run_campaign", "run_worker",
 ]

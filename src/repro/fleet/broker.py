@@ -18,25 +18,23 @@ deadline but finished anyway, or two workers racing after a requeue — is
 counted and dropped, and :meth:`FleetBroker.results` always returns
 results in task order regardless of lease or settle interleaving.
 
-:class:`BrokerApp` is the HTTP facade over one broker, built on the same
-:mod:`repro.serve.http` layer the job server uses; ``run_broker`` is the
-blocking ``repro fleet broker`` entry point.
+:class:`BrokerApp` is the HTTP facade over one broker, built on the
+:class:`repro.serve.http.App` shell the job server uses; ``run_broker`` is
+the blocking ``repro fleet broker`` entry point.
 """
 
 from __future__ import annotations
 
 import asyncio
-import signal
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ResultCache, cache_from_flags
 from repro.exec.runner import JobResult
 from repro.exec.spec import SpecError, SweepJob, TaskSpec
-from repro.fleet.protocol import result_from_wire, result_to_wire
-from repro.obs.export import prometheus_text
-from repro.obs.registry import MetricRegistry
+from repro.serve.http import App, HttpError, Request, Response, run_app
+from repro.serve.metrics import PlaneMetrics
 
 __all__ = ["BrokerApp", "BrokerMetrics", "FleetBroker", "Task", "run_broker"]
 
@@ -46,37 +44,22 @@ __all__ = ["BrokerApp", "BrokerMetrics", "FleetBroker", "Task", "run_broker"]
 TASK_STATES = ("queued", "leased", "done", "failed")
 
 
-class BrokerMetrics:
+class BrokerMetrics(PlaneMetrics):
     """Broker-process metrics on the shared obs registry machinery."""
 
-    def __init__(self, registry: Optional[MetricRegistry] = None):
-        self.registry = registry if registry is not None else MetricRegistry()
-        r = self.registry
-        self.started_at = time.time()
-        self.tasks_submitted = r.counter("repro_fleet_tasks_submitted_total")
-        self.tasks_leased = r.counter("repro_fleet_tasks_leased_total")
-        self.tasks_settled = r.counter("repro_fleet_tasks_settled_total")
-        self.tasks_cached = r.counter("repro_fleet_tasks_cached_total")
-        self.tasks_requeued = r.counter("repro_fleet_tasks_requeued_total")
-        self.tasks_failed = r.counter("repro_fleet_tasks_failed_total")
-        self.duplicate_settles = r.counter("repro_fleet_duplicate_settles_total")
-        self.queue_depth = r.gauge("repro_fleet_queue_depth")
-        self.leased = r.gauge("repro_fleet_leased_tasks")
-        self.workers_seen = r.gauge("repro_fleet_workers_seen")
-        self.task_wall = r.histogram("repro_fleet_task_wall_seconds")
-        self._cache_hits = r.counter("repro_fleet_cache_hits_total")
-        self._cache_misses = r.counter("repro_fleet_cache_misses_total")
-        self._cache_stores = r.counter("repro_fleet_cache_stores_total")
-        self._uptime = r.gauge("repro_fleet_uptime_seconds")
-
-    def render(self, cache: Optional[ResultCache] = None) -> str:
-        self._uptime.set(time.time() - self.started_at)
-        if cache is not None:
-            counts = cache.counters()
-            self._cache_hits.set_total(counts["hits"])
-            self._cache_misses.set_total(counts["misses"])
-            self._cache_stores.set_total(counts["stores"])
-        return prometheus_text({"metrics": self.registry.snapshot()})
+    def __init__(self):
+        super().__init__("repro_fleet")
+        self.tasks_submitted = self.counter("tasks_submitted_total")
+        self.tasks_leased = self.counter("tasks_leased_total")
+        self.tasks_settled = self.counter("tasks_settled_total")
+        self.tasks_cached = self.counter("tasks_cached_total")
+        self.tasks_requeued = self.counter("tasks_requeued_total")
+        self.tasks_failed = self.counter("tasks_failed_total")
+        self.duplicate_settles = self.counter("duplicate_settles_total")
+        self.queue_depth = self.gauge("queue_depth")
+        self.leased = self.gauge("leased_tasks")
+        self.workers_seen = self.gauge("workers_seen")
+        self.task_wall = self.histogram("task_wall_seconds")
 
 
 @dataclass
@@ -155,16 +138,9 @@ class FleetBroker:
             self._tasks[task.id] = task
             ids.append(task.id)
             self.metrics.tasks_submitted.inc()
-            hit = None
-            if self.cache is not None:
-                job = task.job
-                hit = self.cache.get(job.config, job.workload, job.ops,
-                                     job.seed)
-            if hit is not None:
+            task.result = JobResult.from_cache(self.cache, job)
+            if task.result is not None:
                 task.state = "done"
-                task.result = JobResult(
-                    job=task.job, result=hit, cached=True,
-                    events=int(hit.extras.get("events_fired", 0)))
                 self.metrics.tasks_settled.inc()
                 self.metrics.tasks_cached.inc()
             else:
@@ -263,7 +239,7 @@ class FleetBroker:
 
     def _settle_ok(self, task: Task, worker: str,
                    payload: Dict[str, Any]) -> str:
-        jr = result_from_wire(task.job, payload)
+        jr = JobResult.from_wire(task.job, payload)
         # A settle that raced a requeue is still a completion: first wins.
         if task.id in self._queue and task.state == "queued":
             self._queue.remove(task.id)
@@ -349,7 +325,7 @@ class FleetBroker:
 
 # -- the HTTP facade -----------------------------------------------------------
 
-class BrokerApp:
+class BrokerApp(App):
     """HTTP front of one :class:`FleetBroker` (see ``docs/fleet.md``).
 
     Endpoints (all JSON)::
@@ -367,13 +343,10 @@ class BrokerApp:
     """
 
     def __init__(self, broker: Optional[FleetBroker] = None, **broker_kwargs):
-        from repro.serve.http import Router
-
         self.broker = broker if broker is not None else FleetBroker(**broker_kwargs)
-        self.router = Router()
+        super().__init__(self.broker.metrics, self.broker.cache)
         r = self.router
         r.add("GET", "/healthz", self.handle_health)
-        r.add("GET", "/metrics", self.handle_metrics)
         r.add("POST", "/tasks", self.handle_submit)
         r.add("GET", "/tasks", self.handle_tasks)
         r.add("POST", "/lease", self.handle_lease)
@@ -381,33 +354,25 @@ class BrokerApp:
         r.add("POST", "/settle", self.handle_settle)
         r.add("GET", "/results", self.handle_results)
         r.add("POST", "/drain", self.handle_drain)
-        self._server: Optional[asyncio.base_events.Server] = None
         self._expiry_task: Optional[asyncio.Task] = None
 
     # -- lifecycle -------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1",
-                    port: int = 0) -> asyncio.base_events.Server:
-        self._server = await asyncio.start_server(
-            self._on_connection, host=host, port=port)
+    async def start(self, host: str = "127.0.0.1", port: int = 0):
+        """Bind the listening socket, then start the lease-expiry loop."""
+        server = await super().start(host, port)
         self._expiry_task = asyncio.get_running_loop().create_task(
             self._expiry_loop(), name="repro-fleet-expiry")
-        return self._server
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "start() first"
-        return self._server.sockets[0].getsockname()[1]
+        return server
 
     async def shutdown(self) -> None:
+        """Stop the lease-expiry loop, then close the listener."""
         if self._expiry_task is not None:
             self._expiry_task.cancel()
             try:
                 await self._expiry_task
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self.close()
 
     async def _expiry_loop(self) -> None:
         """Requeue expired leases even while no worker is calling in."""
@@ -416,28 +381,12 @@ class BrokerApp:
             await asyncio.sleep(tick)
             self.broker.expire()
 
-    async def _on_connection(self, reader, writer) -> None:
-        from repro.serve.http import serve_connection
-
-        await serve_connection(self.router, reader, writer)
-
     # -- handlers --------------------------------------------------------------
-    async def handle_health(self, req):
-        from repro.serve.http import Response
-
+    async def handle_health(self, req: Request) -> Response:
         return Response.json({"status": "ok", "closing": self.broker.closing,
                               **self.broker.counts()})
 
-    async def handle_metrics(self, req):
-        from repro.serve.http import Response
-
-        return Response.text(
-            self.broker.metrics.render(self.broker.cache),
-            content_type="text/plain; version=0.0.4; charset=utf-8")
-
-    async def handle_submit(self, req):
-        from repro.serve.http import HttpError, Response
-
+    async def handle_submit(self, req: Request) -> Response:
         body = req.json()
         raw = body.get("specs")
         if not isinstance(raw, list) or not raw:
@@ -448,16 +397,12 @@ class BrokerApp:
             raise HttpError(400, f"invalid task spec: {e}") from None
         return Response.json({"ids": ids}, status=202)
 
-    async def handle_tasks(self, req):
-        from repro.serve.http import Response
-
+    async def handle_tasks(self, req: Request) -> Response:
         tasks = [self.broker.task(t).summary()
                  for t in sorted(self.broker._tasks)]
         return Response.json({"tasks": tasks, **self.broker.counts()})
 
-    async def handle_lease(self, req):
-        from repro.serve.http import HttpError, Response
-
+    async def handle_lease(self, req: Request) -> Response:
         body = req.json()
         worker = body.get("worker")
         if not isinstance(worker, str) or not worker.strip():
@@ -473,9 +418,7 @@ class BrokerApp:
             "closing": self.broker.closing and not granted,
         })
 
-    async def handle_renew(self, req):
-        from repro.serve.http import HttpError, Response
-
+    async def handle_renew(self, req: Request) -> Response:
         body = req.json()
         worker = body.get("worker", "")
         ids = body.get("ids")
@@ -483,9 +426,7 @@ class BrokerApp:
             raise HttpError(400, "'ids' must be a list of integers")
         return Response.json({"renewed": self.broker.renew(worker, ids)})
 
-    async def handle_settle(self, req):
-        from repro.serve.http import HttpError, Response
-
+    async def handle_settle(self, req: Request) -> Response:
         body = req.json()
         worker = body.get("worker", "")
         task_id = body.get("id")
@@ -502,9 +443,7 @@ class BrokerApp:
             raise HttpError(400, str(e)) from None
         return Response.json({"status": status})
 
-    async def handle_results(self, req):
-        from repro.serve.http import HttpError, Response
-
+    async def handle_results(self, req: Request) -> Response:
         raw = req.first("ids")
         ids = None
         if raw:
@@ -523,12 +462,10 @@ class BrokerApp:
         for tid, jr in zip(ids if ids is not None
                            else sorted(self.broker._tasks), results):
             out.append({"id": tid, "spec": self.broker.task(tid).spec.to_dict(),
-                        **result_to_wire(jr)})
+                        **jr.to_wire()})
         return Response.json({"results": out})
 
-    async def handle_drain(self, req):
-        from repro.serve.http import Response
-
+    async def handle_drain(self, req: Request) -> Response:
         self.broker.drain()
         return Response.json({"closing": True})
 
@@ -536,29 +473,19 @@ class BrokerApp:
 def run_broker(host: str, port: int, lease_s: float, retries: int,
                no_cache: bool = False, cache_dir: Optional[str] = None) -> int:
     """Blocking entry point for ``repro fleet broker`` (returns exit code)."""
-    from repro.exec.cache import cache_from_flags
-
     cache = cache_from_flags(cache_dir, no_cache)
     app = BrokerApp(cache=cache, lease_s=lease_s, retries=retries)
 
-    async def main() -> int:
-        await app.start(host=host, port=port)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop.set)
-        print(f"repro fleet broker: listening on http://{host}:{app.port} "
-              f"(lease={lease_s}s, retries={retries}, cache="
-              f"{cache.root if cache else 'off'})", flush=True)
-        await stop.wait()
+    def banner() -> str:
+        return (f"repro fleet broker: listening on http://{host}:{app.port} "
+                f"(lease={lease_s}s, retries={retries}, cache="
+                f"{cache.root if cache else 'off'})")
+
+    async def stop() -> None:
         counts = app.broker.counts()
         print(f"repro fleet broker: shutting down ({counts['done']} done, "
               f"{counts['failed']} failed, {counts['queued']} queued)",
               flush=True)
         await app.shutdown()
-        return 0
 
-    try:
-        return asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - signal handler races
-        return 0
+    return run_app(app, host, port, banner, stop)

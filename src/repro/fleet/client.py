@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exec.runner import ExecutorError, JobResult
 from repro.exec.spec import TaskSpec
-from repro.fleet.protocol import result_from_wire
 
 __all__ = ["FleetClient", "FleetError"]
 
@@ -102,8 +101,8 @@ class FleetClient:
         """:class:`JobResult`\\ s of settled tasks, in task-id order."""
         ids = ",".join(str(i) for i in sorted(task_ids))
         out = self.request("GET", f"/results?ids={ids}")
-        return [result_from_wire(TaskSpec.from_dict(ent["spec"]).build_job(),
-                                 ent)
+        return [JobResult.from_wire(
+                    TaskSpec.from_dict(ent["spec"]).build_job(), ent)
                 for ent in out["results"]]
 
     def run(self, specs: Sequence[TaskSpec],

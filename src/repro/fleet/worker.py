@@ -1,19 +1,21 @@
 """A fleet worker: lease tasks from a broker, simulate, settle results.
 
 The worker is deliberately synchronous and stdlib-only — one loop that
-polls ``POST /lease``, runs each granted task inline through the same
-module-level job function the process-pool runner uses, and settles the
-outcome back. Parallelism is achieved by running more workers (on one
-host or many), not by threading inside one; each worker is the unit the
-broker leases to, times out, and steals from.
+polls ``POST /lease``, runs each granted task inline through a one-worker
+:class:`~repro.exec.runner.SweepRunner` (the path every ``repro serve``
+job takes at ``--pool-workers 1``), and settles the outcome back.
+Parallelism is achieved by running more workers (on one host or many),
+not by threading inside one; each worker is the unit the broker leases
+to, times out, and steals from.
 
 Two layers keep long simulations safe:
 
-* the worker consults the (optionally shared) content-addressed result
-  cache before simulating and stores into it after, so a task whose
-  previous lease holder died *after* finishing settles instantly on the
-  next worker — crash recovery is inherited from the cache, not
-  reimplemented;
+* the runner consults the (optionally shared) content-addressed result
+  cache before simulating and stores into it after, both before the
+  settle, so a task whose previous lease holder died *after* finishing
+  settles instantly on the next worker — crash recovery is inherited
+  from the cache, not reimplemented. Each lease gets one attempt; the
+  broker's lease accounting is the only retry;
 * while a task runs, a daemon heartbeat thread renews the lease at
   ``lease_s / 3`` intervals, so only a genuinely dead or wedged worker
   lets its lease expire.
@@ -29,10 +31,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 from repro.exec.cache import ResultCache, cache_from_flags
-from repro.exec.runner import JobResult, _simulate_job
+from repro.exec.runner import JobResult, SweepRunner
 from repro.exec.spec import TaskSpec
 from repro.fleet.client import FleetClient
-from repro.fleet.protocol import result_to_wire
 
 __all__ = ["FleetWorker", "run_worker"]
 
@@ -137,45 +138,36 @@ class FleetWorker:
         job = spec.build_job()
         heartbeat = self._start_heartbeat(task_id, lease_s)
         try:
-            hit = None
-            if self.cache is not None:
-                hit = self.cache.get(job.config, job.workload, job.ops,
-                                     job.seed)
-            if hit is not None:
-                jr = JobResult(job=job, result=hit, cached=True,
-                               events=int(hit.extras.get("events_fired", 0)))
-                stored = True
-                self.tasks_cached += 1
-            else:
-                result, wall, events = _simulate_job(job)
-                jr = JobResult(job=job, result=result, wall_s=wall,
-                               events=events, attempts=1)
-                stored = False
-                if self.cache is not None:
-                    # Store *before* settling: if the settle is lost (broker
-                    # restart, network), the requeued attempt is a cache hit.
-                    self.cache.put(job.config, job.workload, job.ops,
-                                   job.seed, jr.result)
-                    stored = True
-                self.tasks_run += 1
-                self._export_trace(task_id, jr)
-            payload = {**result_to_wire(jr), "stored": stored}
-            out = self._post("/settle", {"worker": self.worker_id,
-                                         "id": task_id, "payload": payload})
-            self.log(f"worker {self.worker_id}: task {task_id} "
-                     f"{spec.label()} -> {out.get('status')}"
-                     + (" (cache)" if jr.cached else f" ({jr.wall_s:.1f}s)"))
-        except (OSError, RuntimeError) as e:
-            # Transport trouble mid-settle: the lease will expire and the
-            # broker requeues; nothing to do here but log.
-            self.log(f"worker {self.worker_id}: task {task_id} settle lost: {e}")
-        except Exception as e:
-            self.tasks_failed += 1
             try:
-                self._post("/settle", {"worker": self.worker_id, "id": task_id,
-                                       "error": f"{type(e).__name__}: {e}"})
-            except (OSError, RuntimeError):
-                pass
+                jr = SweepRunner(workers=1, cache=self.cache,
+                                 retries=0).run([job])[0]
+            except OSError as e:         # the cache directory failed
+                jr = JobResult(job=job, result=None,
+                               error=f"{type(e).__name__}: {e}")
+            if jr.result is None:
+                self.tasks_failed += 1
+                settle: Dict[str, Any] = {"error": jr.error}
+            else:
+                if jr.cached:
+                    self.tasks_cached += 1
+                else:
+                    self.tasks_run += 1
+                    self._export_trace(task_id, jr)
+                settle = {"payload": {**jr.to_wire(),
+                                      "stored": self.cache is not None}}
+            try:
+                out = self._post("/settle", {"worker": self.worker_id,
+                                             "id": task_id, **settle})
+            except (OSError, RuntimeError) as e:
+                # Transport trouble mid-settle: the lease will expire and
+                # the broker requeues; nothing to do here but log.
+                self.log(f"worker {self.worker_id}: task {task_id} "
+                         f"settle lost: {e}")
+                return
+            note = (jr.error if jr.result is None
+                    else "cache" if jr.cached else f"{jr.wall_s:.1f}s")
+            self.log(f"worker {self.worker_id}: task {task_id} "
+                     f"{spec.label()} -> {out.get('status')} ({note})")
         finally:
             heartbeat.set()
 

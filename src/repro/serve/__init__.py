@@ -1,10 +1,11 @@
 """Simulation-as-a-service: the ``repro serve`` async job server.
 
-- :mod:`repro.serve.http`      — minimal asyncio HTTP/1.1 layer (stdlib only)
+- :mod:`repro.serve.http`      — minimal asyncio HTTP/1.1 layer (stdlib
+  only), the app shell and the run loop the fleet broker shares
 - :mod:`repro.serve.jobs`      — job model, submission validation, store
 - :mod:`repro.serve.scheduler` — priority queue, tenant quotas, sweep runs
-- :mod:`repro.serve.metrics`   — server counters on the obs MetricRegistry
-- :mod:`repro.serve.server`    — routes, app wiring, the run loop
+- :mod:`repro.serve.metrics`   — plane metrics on the obs MetricRegistry
+- :mod:`repro.serve.server`    — routes and app wiring
 
 See ``docs/serving.md`` for the API and deployment guide.
 """

@@ -11,6 +11,11 @@ curl-style client handles.
 
 Kept deliberately separate from the job-server logic so the routing and
 handlers in :mod:`repro.serve.server` stay testable without sockets.
+
+:class:`App` is the one shell both HTTP job planes (``repro serve`` and
+the fleet broker) are built on: a router behind a listening socket, plus
+the ``/metrics`` route they share. :func:`run_app` is the one
+SIGTERM/SIGINT loop that runs either as a blocking command.
 """
 
 from __future__ import annotations
@@ -18,13 +23,20 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import signal
 from dataclasses import dataclass, field
 from typing import (
-    AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple,
+    TYPE_CHECKING, AsyncIterator, Awaitable, Callable, Dict, List, Optional,
+    Tuple,
 )
 from urllib.parse import parse_qs, unquote, urlsplit
 
-__all__ = ["HttpError", "Request", "Response", "Router", "serve_connection"]
+if TYPE_CHECKING:
+    from repro.exec.cache import ResultCache
+    from repro.serve.metrics import PlaneMetrics
+
+__all__ = ["App", "HttpError", "Request", "Response", "Router", "run_app",
+           "serve_connection"]
 
 #: Request bodies above this are rejected with 413 — a job submission is a
 #: small JSON document; anything bigger is a client bug or abuse.
@@ -212,13 +224,13 @@ async def _write_response(writer: asyncio.StreamWriter,
 
 async def serve_connection(router: Router, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter,
-                           on_request: Optional[Callable[[Request, Response],
-                                                         None]] = None) -> None:
+                           on_request: Callable[[Request, Response], None],
+                           ) -> None:
     """Serve one request on one connection, then close it.
 
     Handler exceptions become 500s; :class:`HttpError` carries its own
-    status. ``on_request`` (when given) observes every completed exchange
-    — the server uses it to bump its HTTP metrics.
+    status. ``on_request`` observes every completed exchange — the job
+    server uses it to count HTTP status classes.
     """
     req: Optional[Request] = None
     try:
@@ -237,7 +249,7 @@ async def serve_connection(router: Router, reader: asyncio.StreamReader,
             resp = Response.json(
                 {"error": f"internal error: {type(e).__name__}: {e}"},
                 status=500)
-        if on_request is not None and req is not None:
+        if req is not None:
             on_request(req, resp)
         await _write_response(writer, resp)
     except (ConnectionError, asyncio.IncompleteReadError):
@@ -248,3 +260,75 @@ async def serve_connection(router: Router, reader: asyncio.StreamReader,
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+class App:
+    """One HTTP plane: a :class:`Router` behind a listening socket.
+
+    The shell serves ``GET /metrics`` from the plane's ``metrics`` (and
+    the result-cache counters it lifts at scrape time); subclasses add
+    their own routes to :attr:`router` and may extend :meth:`start`.
+    """
+
+    def __init__(self, metrics: "PlaneMetrics",
+                 cache: Optional["ResultCache"]) -> None:
+        self.metrics = metrics
+        self.cache = cache
+        self.router = Router()
+        self.router.add("GET", "/metrics", self.handle_metrics)
+        self._server: Optional[asyncio.base_events.Server] = None
+
+    async def start(self, host: str = "127.0.0.1",
+                    port: int = 0) -> asyncio.base_events.Server:
+        """Bind the listening socket (``port=0`` picks a free one)."""
+        self._server = await asyncio.start_server(
+            self._on_connection, host=host, port=port)
+        return self._server
+
+    @property
+    def port(self) -> int:
+        assert self._server is not None, "start() first"
+        return self._server.sockets[0].getsockname()[1]
+
+    async def close(self) -> None:
+        """Stop accepting connections."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+
+    def on_request(self, req: Request, resp: Response) -> None:
+        """Observe one completed exchange (a no-op here)."""
+
+    async def _on_connection(self, reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter) -> None:
+        await serve_connection(self.router, reader, writer, self.on_request)
+
+    async def handle_metrics(self, req: Request) -> Response:
+        return Response.text(self.metrics.render(self.cache),
+                             content_type="text/plain; version=0.0.4; "
+                                          "charset=utf-8")
+
+
+def run_app(app: App, host: str, port: int, banner: Callable[[], str],
+            stop: Callable[[], Awaitable[None]]) -> int:
+    """Serve ``app`` until SIGTERM or SIGINT; returns the exit code, 0.
+
+    Starts the app, prints ``banner()`` once it listens, and on the first
+    signal awaits ``stop()``, which closes and drains the app.
+    """
+
+    async def main() -> int:
+        await app.start(host=host, port=port)
+        signalled = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(sig, signalled.set)
+        print(banner(), flush=True)
+        await signalled.wait()
+        await stop()
+        return 0
+
+    try:
+        return asyncio.run(main())
+    except KeyboardInterrupt:  # pragma: no cover - signal handler races
+        return 0

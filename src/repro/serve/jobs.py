@@ -168,20 +168,11 @@ class Job:
 
     def result_payload(self) -> Dict[str, Any]:
         """Full result JSON (only meaningful once terminal)."""
-        tasks = []
-        for jr in self.results or []:
-            tasks.append({
-                "label": jr.job.label(),
-                "config": jr.job.config.name,
-                "workload": jr.job.workload,
-                "ops": jr.job.ops, "seed": jr.job.seed,
-                "cached": jr.cached, "attempts": jr.attempts,
-                "wall_s": jr.wall_s, "events": jr.events,
-                "events_per_s": jr.events_per_s,
-                "error": jr.error,
-                "result": None if jr.result is None
-                else dataclasses.asdict(jr.result),
-            })
+        tasks = [{"label": jr.job.label(), "config": jr.job.config.name,
+                  "workload": jr.job.workload, "ops": jr.job.ops,
+                  "seed": jr.job.seed, "events_per_s": jr.events_per_s,
+                  **jr.to_wire()}
+                 for jr in self.results or []]
         return {**self.summary(), "tasks": tasks}
 
 

@@ -1,11 +1,14 @@
-"""Server-level metrics, built on the obs subsystem's registry.
+"""Job-plane metrics, built on the obs subsystem's registry.
 
-The job server reuses :class:`repro.obs.MetricRegistry` — the same
-instrument types, snapshot schema, and Prometheus renderer the simulator's
-own telemetry uses — so a fleet of servers is scrapeable with the existing
-round-trip-tested exporter and nothing bespoke. Cache hit/miss totals are
-refreshed from the shared :class:`~repro.exec.cache.ResultCache` counters
-at scrape time rather than double-counted on every settle.
+Both HTTP job planes — the ``repro serve`` job server and the fleet
+broker — reuse :class:`repro.obs.MetricRegistry`: the same instrument
+types, snapshot schema, and Prometheus renderer the simulator's own
+telemetry uses, so a fleet of servers is scrapeable with the existing
+round-trip-tested exporter and nothing bespoke. :class:`PlaneMetrics`
+holds what the two planes share under their own name prefix: the uptime
+gauge and the cache hit/miss/store totals, which are refreshed from the
+shared :class:`~repro.exec.cache.ResultCache` counters at scrape time
+rather than double-counted on every settle.
 """
 
 from __future__ import annotations
@@ -17,44 +20,29 @@ from repro.exec.cache import ResultCache
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricRegistry
 
-__all__ = ["ServerMetrics"]
+__all__ = ["PlaneMetrics", "ServerMetrics"]
 
 
-class ServerMetrics:
-    """Counters/gauges/histograms describing one server process."""
+class PlaneMetrics:
+    """One job plane's registry; every metric is named ``<prefix>_...``."""
 
-    def __init__(self, registry: Optional[MetricRegistry] = None):
-        self.registry = registry if registry is not None else MetricRegistry()
-        r = self.registry
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.registry = MetricRegistry()
         self.started_at = time.time()
-        self.jobs_accepted = r.counter("repro_serve_jobs_accepted_total")
-        self.jobs_rejected = r.counter("repro_serve_jobs_rejected_total")
-        self.jobs_completed = r.counter("repro_serve_jobs_completed_total")
-        self.jobs_failed = r.counter("repro_serve_jobs_failed_total")
-        self.jobs_timed_out = r.counter("repro_serve_jobs_timed_out_total")
-        self.jobs_cancelled = r.counter("repro_serve_jobs_cancelled_total")
-        self.tasks_completed = r.counter("repro_serve_tasks_completed_total")
-        self.tasks_cached = r.counter("repro_serve_tasks_cached_total")
-        self.tasks_failed = r.counter("repro_serve_tasks_failed_total")
-        self.tasks_timed_out = r.counter("repro_serve_tasks_timed_out_total")
-        self.queue_depth = r.gauge("repro_serve_queue_depth")
-        self.active_jobs = r.gauge("repro_serve_active_jobs")
-        self.job_wall = r.histogram("repro_serve_job_wall_seconds")
-        self._cache_hits = r.counter("repro_serve_cache_hits_total")
-        self._cache_misses = r.counter("repro_serve_cache_misses_total")
-        self._cache_stores = r.counter("repro_serve_cache_stores_total")
-        self._uptime = r.gauge("repro_serve_uptime_seconds")
-        self._http: Dict[str, object] = {}
+        self._cache_hits = self.counter("cache_hits_total")
+        self._cache_misses = self.counter("cache_misses_total")
+        self._cache_stores = self.counter("cache_stores_total")
+        self._uptime = self.gauge("uptime_seconds")
 
-    def observe_http(self, status: int) -> None:
-        """Per-status-class HTTP request counter (2xx/4xx/5xx...)."""
-        klass = f"{status // 100}xx"
-        counter = self._http.get(klass)
-        if counter is None:
-            counter = self.registry.counter("repro_serve_http_requests_total",
-                                            labels={"code": klass})
-            self._http[klass] = counter
-        counter.inc()
+    def counter(self, name: str, labels: Optional[Dict[str, str]] = None):
+        return self.registry.counter(f"{self.prefix}_{name}", labels=labels)
+
+    def gauge(self, name: str):
+        return self.registry.gauge(f"{self.prefix}_{name}")
+
+    def histogram(self, name: str):
+        return self.registry.histogram(f"{self.prefix}_{name}")
 
     def render(self, cache: Optional[ResultCache] = None) -> str:
         """The ``/metrics`` body: refresh derived values, then export."""
@@ -65,3 +53,28 @@ class ServerMetrics:
             self._cache_misses.set_total(counts["misses"])
             self._cache_stores.set_total(counts["stores"])
         return prometheus_text({"metrics": self.registry.snapshot()})
+
+
+class ServerMetrics(PlaneMetrics):
+    """Counters/gauges/histograms describing one job-server process."""
+
+    def __init__(self):
+        super().__init__("repro_serve")
+        self.jobs_accepted = self.counter("jobs_accepted_total")
+        self.jobs_rejected = self.counter("jobs_rejected_total")
+        self.jobs_completed = self.counter("jobs_completed_total")
+        self.jobs_failed = self.counter("jobs_failed_total")
+        self.jobs_timed_out = self.counter("jobs_timed_out_total")
+        self.jobs_cancelled = self.counter("jobs_cancelled_total")
+        self.tasks_completed = self.counter("tasks_completed_total")
+        self.tasks_cached = self.counter("tasks_cached_total")
+        self.tasks_failed = self.counter("tasks_failed_total")
+        self.tasks_timed_out = self.counter("tasks_timed_out_total")
+        self.queue_depth = self.gauge("queue_depth")
+        self.active_jobs = self.gauge("active_jobs")
+        self.job_wall = self.histogram("job_wall_seconds")
+
+    def observe_http(self, status: int) -> None:
+        """Per-status-class HTTP request counter (2xx/4xx/5xx...)."""
+        self.counter("http_requests_total",
+                     labels={"code": f"{status // 100}xx"}).inc()

@@ -3,9 +3,11 @@
 One asyncio dispatch loop pops the highest-priority queued job whenever an
 active slot frees up and runs its sweep through
 :class:`~repro.exec.runner.SweepRunner` — the shared on-disk result cache
-settles duplicate configs without pool work, and the PoolRunner deadline
-semantics guarantee a hung simulation is timed out and its worker replaced
-rather than wedging the server.
+settles duplicate configs without pool work, and with two or more pool
+workers the PoolRunner deadline semantics time a hung simulation out and
+replace its worker rather than wedging the server. With one pool worker
+the simulation runs inline in the job thread, where no deadline can
+interrupt it: ``job_timeout_s`` then has no effect.
 
 The sweep itself is synchronous, so each active job runs in a dedicated
 *daemon* thread (not the default executor: its atexit hook would join a
@@ -52,7 +54,8 @@ class Scheduler:
         Process-pool size each active job's :class:`SweepRunner` uses
         (``1`` = inline in the job thread — no subprocesses).
     job_timeout_s / retries:
-        Per-task deadline and retry budget, passed through to the runner.
+        Per-task deadline and retry budget, passed through to the runner
+        (the deadline applies only when ``pool_workers > 1``).
     max_active:
         Concurrent running jobs. Each active job owns a process pool, so
         total worker processes ≈ ``max_active * pool_workers``.

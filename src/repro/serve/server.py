@@ -1,4 +1,4 @@
-"""The ``repro serve`` application: routes, wiring, and the run loop.
+"""The ``repro serve`` application: routes and wiring on the shared shell.
 
 Endpoints (all JSON unless noted)::
 
@@ -21,16 +21,12 @@ wins.
 
 from __future__ import annotations
 
-import asyncio
 import json
-import signal
 import time
 from typing import AsyncIterator, Optional
 
 from repro.exec.cache import ResultCache, cache_from_flags
-from repro.serve.http import (
-    HttpError, Request, Response, Router, serve_connection,
-)
+from repro.serve.http import App, HttpError, Request, Response, run_app
 from repro.serve.jobs import (
     TERMINAL_STATES, BadRequest, Job, JobStore, parse_job_request,
 )
@@ -40,7 +36,7 @@ from repro.serve.scheduler import QuotaExceeded, Scheduler
 __all__ = ["ServeApp", "run_server"]
 
 
-class ServeApp:
+class ServeApp(App):
     """One server instance: store + scheduler + metrics behind a router."""
 
     def __init__(self, pool_workers: int = 2,
@@ -50,53 +46,35 @@ class ServeApp:
                  max_queue: int = 256,
                  tenant_max_jobs: int = 8,
                  cache: Optional[ResultCache] = None):
+        super().__init__(ServerMetrics(), cache)
         self.store = JobStore()
-        self.metrics = ServerMetrics()
-        self.cache = cache
         self.scheduler = Scheduler(
             self.store, self.metrics, cache=cache,
             pool_workers=pool_workers, job_timeout_s=job_timeout_s,
             retries=retries, max_active=max_active, max_queue=max_queue,
             tenant_max_jobs=tenant_max_jobs)
-        self.router = Router()
         r = self.router
         r.add("GET", "/healthz", self.handle_health)
-        r.add("GET", "/metrics", self.handle_metrics)
         r.add("POST", "/jobs", self.handle_submit)
         r.add("GET", "/jobs", self.handle_list)
         r.add("GET", "/jobs/{job_id}", self.handle_status)
         r.add("GET", "/jobs/{job_id}/result", self.handle_result)
         r.add("GET", "/jobs/{job_id}/events", self.handle_events)
         r.add("DELETE", "/jobs/{job_id}", self.handle_cancel)
-        self._server: Optional[asyncio.base_events.Server] = None
 
     # -- lifecycle -------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1",
-                    port: int = 0) -> asyncio.base_events.Server:
-        """Start the scheduler and bind the listening socket."""
+    async def start(self, host: str = "127.0.0.1", port: int = 0):
+        """Start the scheduler, then bind the listening socket."""
         self.scheduler.start()
-        self._server = await asyncio.start_server(
-            self._on_connection, host=host, port=port)
-        return self._server
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "start() first"
-        return self._server.sockets[0].getsockname()[1]
+        return await super().start(host, port)
 
     async def shutdown(self, drain_s: float = 30.0) -> dict:
         """Close the listener, drain the scheduler; returns drain stats."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self.close()
         return await self.scheduler.shutdown(drain_s)
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        await serve_connection(
-            self.router, reader, writer,
-            on_request=lambda req, resp: self.metrics.observe_http(
-                resp.status))
+    def on_request(self, req: Request, resp: Response) -> None:
+        self.metrics.observe_http(resp.status)
 
     # -- handlers --------------------------------------------------------------
     async def handle_health(self, req: Request) -> Response:
@@ -107,11 +85,6 @@ class ServeApp:
             "active": int(self.metrics.active_jobs.value),
             "jobs_known": len(self.store.jobs()),
         })
-
-    async def handle_metrics(self, req: Request) -> Response:
-        return Response.text(self.metrics.render(self.cache),
-                             content_type="text/plain; version=0.0.4; "
-                                          "charset=utf-8")
 
     async def handle_submit(self, req: Request) -> Response:
         try:
@@ -192,26 +165,16 @@ def run_server(host: str, port: int, pool_workers: int,
                    max_queue=max_queue, tenant_max_jobs=tenant_max_jobs,
                    cache=cache)
 
-    async def main() -> int:
-        await app.start(host=host, port=port)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop.set)
-        print(f"repro serve: listening on http://{host}:{app.port} "
-              f"(pool_workers={pool_workers}, max_active={max_active}, "
-              f"job_timeout={job_timeout_s}, cache="
-              f"{cache.root if cache else 'off'})",
-              flush=True)
-        await stop.wait()
+    def banner() -> str:
+        return (f"repro serve: listening on http://{host}:{app.port} "
+                f"(pool_workers={pool_workers}, max_active={max_active}, "
+                f"job_timeout={job_timeout_s}, cache="
+                f"{cache.root if cache else 'off'})")
+
+    async def stop() -> None:
         print("repro serve: shutting down ...", flush=True)
         stats = await app.shutdown(drain_s)
         print(f"repro serve: drained (cancelled {stats['cancelled']} queued, "
               f"abandoned {stats['abandoned']} active)", flush=True)
-        return 0
 
-    try:
-        return asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - signal handler races
-        return 0
-
+    return run_app(app, host, port, banner, stop)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.engine import Simulator
 from repro.cxl import CxlChannel, CxlType3Device, X8_CXL, X8_CXL_ASYM
+from repro.cxl.link import SerialLink
+from repro.cxl.profiles import DEMYSTIFY_B, FIXED, LatencySampler
 from repro.request import MemRequest, READ, WRITE
 
 
@@ -82,6 +84,81 @@ class TestCxlChannel:
         one = CxlChannel(sim, "a", n_ddr_channels=1)
         two = CxlChannel(sim, "b", n_ddr_channels=2, system_channels=2)
         assert two.peak_bandwidth_gbps == pytest.approx(2 * one.peak_bandwidth_gbps)
+
+
+class CrossingLog:
+    """Observer stub: each crossing's (send time, arrival time)."""
+
+    def __init__(self):
+        self.tx, self.rx = [], []
+
+    def on_cxl_tx(self, req, now, arrive):
+        self.tx.append((now, arrive))
+
+    def on_cxl_rx(self, req, now, arrive):
+        self.rx.append((now, arrive))
+
+
+def crossings(kind, n, gap_ns, **channel_kwargs):
+    """Send ``n`` requests ``gap_ns`` apart; the channel and its crossings."""
+    sim = Simulator()
+    chan = CxlChannel(sim, "cxl0", **channel_kwargs)
+    chan.observer = log = CrossingLog()
+    for i in range(n):
+        sim.schedule_at(i * gap_ns, chan.submit,
+                        MemRequest(i * 64 * 131, kind, callback=lambda r: None))
+    sim.run()
+    return chan, log
+
+
+def bare(goodput_gbps, sends, nbytes):
+    """The bare crossing (port, FIFO wire, port) for each send time."""
+    link = SerialLink(goodput_gbps)
+    port = X8_CXL.port_latency_ns
+    return [(now, link.transfer(now + port, nbytes) + port) for now in sends]
+
+
+class TestCxlChannelProfile:
+    def test_fixed_profile_has_no_sampler(self):
+        chan = CxlChannel(Simulator(), "cxl0")
+        assert chan.profile is FIXED
+        assert chan.sampler is None
+
+    def test_fixed_crossing_is_the_bare_expression(self):
+        # Bit for bit, not approximately: 50 writes 3.7 ns apart queue on
+        # the 13 GB/s TX link.
+        _, log = crossings(WRITE, 50, 3.7)
+        assert log.tx == bare(X8_CXL.tx_goodput_gbps,
+                              [now for now, _ in log.tx], 72)
+
+    def test_profile_extra_on_device_bound_crossing_only(self):
+        _, flog = crossings(READ, 20, 2.0)
+        prof, plog = crossings(READ, 20, 2.0, profile=DEMYSTIFY_B,
+                               profile_seed=7)
+        assert prof.sampler.draws == 20
+        floor = DEMYSTIFY_B.read_knots[0][1]
+        for (t_f, a_f), (t_p, a_p) in zip(flog.tx, plog.tx):
+            assert t_p == t_f and a_p >= a_f + floor
+        assert plog.rx == bare(X8_CXL.rx_goodput_gbps,
+                               [now for now, _ in plog.rx], 72)
+
+    def test_min_read_premium_includes_profile_floor(self):
+        sim = Simulator()
+        fixed = CxlChannel(sim, "a").min_read_premium_ns()
+        prof = CxlChannel(sim, "b", profile=DEMYSTIFY_B).min_read_premium_ns()
+        assert fixed == X8_CXL.min_read_latency_ns()
+        assert prof == fixed + DEMYSTIFY_B.min_read_extra_ns()
+
+    def test_reset_link_counters_restarts_draw_stream(self):
+        chan, _ = crossings(READ, 10, 50.0, profile=DEMYSTIFY_B,
+                            profile_seed=3)
+        assert chan.sampler.draws == 10
+        chan.reset_link_counters()
+        assert chan.sampler.draws == 0
+        assert chan.tx.bytes_moved == chan.rx.bytes_moved == 0.0
+        fresh = LatencySampler(DEMYSTIFY_B, 3)
+        assert ([chan.sampler.sample_read() for _ in range(10)]
+                == [fresh.sample_read() for _ in range(10)])
 
 
 class TestCxlType3Device:

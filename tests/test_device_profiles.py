@@ -13,10 +13,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cxl.link import CxlLinkParams
 from repro.cxl.profiles import (
-    DEMYSTIFY_B, FIXED, PROFILES, DeviceLatencyModel, DeviceProfile,
-    LatencySampler, get_profile, splitmix64_stream,
+    DEMYSTIFY_B, PROFILES, DeviceProfile, LatencySampler, get_profile,
+    splitmix64_stream,
 )
 from repro.obs.metrics import StreamingHistogram
 
@@ -162,49 +161,3 @@ class TestHistogramMergeEquality:
         lo = DEMYSTIFY_B.read_knots[0][1]
         hi = DEMYSTIFY_B.read_knots[-1][1]
         assert lo * 0.98 <= v <= hi * 1.02
-
-
-class TestDeviceLatencyModel:
-    def test_fixed_profile_has_no_sampler(self):
-        m = DeviceLatencyModel(CxlLinkParams())
-        assert m.profile is FIXED
-        assert m.sampler is None
-
-    def test_fixed_crossing_matches_device_bound(self):
-        # With the fixed profile the device-bound path must be the bare
-        # crossing expression — bit-for-bit, not approximately.
-        from repro.cxl.link import SerialLink
-        p = CxlLinkParams()
-        m = DeviceLatencyModel(p)
-        a = SerialLink(p.tx_goodput_gbps)
-        b = SerialLink(p.tx_goodput_gbps)
-        for i in range(50):
-            now = i * 3.7
-            assert (m.device_bound_ns(a, now, 64.0, is_read=True)
-                    == m.crossing_ns(b, now, 64.0))
-
-    def test_profiled_device_bound_adds_sampled_extra(self):
-        from repro.cxl.link import SerialLink
-        p = CxlLinkParams()
-        m = DeviceLatencyModel(p, DEMYSTIFY_B, seed=7)
-        base = DeviceLatencyModel(p)
-        got = m.device_bound_ns(SerialLink(p.tx_goodput_gbps), 0.0, 64.0, True)
-        ref = base.device_bound_ns(SerialLink(p.tx_goodput_gbps), 0.0, 64.0, True)
-        assert got >= ref + DEMYSTIFY_B.read_knots[0][1]
-
-    def test_min_read_premium_includes_profile_floor(self):
-        p = CxlLinkParams()
-        fixed = DeviceLatencyModel(p).min_read_premium_ns()
-        prof = DeviceLatencyModel(p, DEMYSTIFY_B).min_read_premium_ns()
-        assert prof == fixed + DEMYSTIFY_B.min_read_extra_ns()
-
-    def test_reset_restarts_measurement_stream(self):
-        from repro.cxl.link import SerialLink
-        p = CxlLinkParams()
-        m = DeviceLatencyModel(p, DEMYSTIFY_B, seed=3)
-        first = [m.device_bound_ns(SerialLink(p.tx_goodput_gbps), 0.0, 64.0, True)
-                 for _ in range(10)]
-        m.reset()
-        again = [m.device_bound_ns(SerialLink(p.tx_goodput_gbps), 0.0, 64.0, True)
-                 for _ in range(10)]
-        assert again == first

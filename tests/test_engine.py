@@ -208,16 +208,9 @@ class TestFastPath:
 
 
 class TestComponent:
-    def test_bump_accumulates(self):
-        sim = Simulator()
-        c = Component(sim, "c")
-        c.bump("x")
-        c.bump("x", 2.5)
-        assert c.stats["x"] == 3.5
-
     def test_reset_zeroes_keys(self):
         sim = Simulator()
         c = Component(sim, "c")
-        c.bump("x", 5)
+        c.stats["x"] = 5.0
         c.reset_stats()
         assert c.stats["x"] == 0.0

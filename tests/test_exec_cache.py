@@ -80,12 +80,6 @@ class TestResultCache:
         cache.put(baseline_config(), "mcf", 300, 1, _result())
         assert cache.get(coaxial_config(), "mcf", 300, 1) is None
 
-    def test_disabled_cache_never_hits(self, tmp_path):
-        cache = ResultCache(root=tmp_path, enabled=False)
-        cache.put(baseline_config(), "mcf", 300, 1, _result())
-        assert cache.get(baseline_config(), "mcf", 300, 1) is None
-        assert cache.size() == 0
-
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         cfg = baseline_config()

@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from repro.exec import runner
 from repro.exec.cache import ResultCache
 from repro.exec.runner import (
     JobResult, LocalExecutor, SweepRunner, _simulate_job,
@@ -30,7 +31,7 @@ from repro.exec.runner import (
 from repro.exec.spec import SpecError, TaskSpec, build_config, expand_specs
 from repro.fleet import (
     BrokerApp, Campaign, CampaignFailed, Candidate, FleetBroker, FleetClient,
-    FleetError, FleetWorker, parse_search, result_from_wire, result_to_wire,
+    FleetError, FleetWorker, parse_search,
 )
 from repro.system.config import ALL_CONFIGS
 
@@ -48,7 +49,7 @@ def run_and_wire(spec):
     result, wall, events = _simulate_job(job)
     jr = JobResult(job=job, result=result, wall_s=wall, events=events,
                    attempts=1)
-    return jr, result_to_wire(jr)
+    return jr, jr.to_wire()
 
 
 class Clock:
@@ -104,7 +105,7 @@ class TestTaskSpec:
     def test_result_wire_round_trip(self):
         spec = make_specs(1)[0]
         jr, payload = run_and_wire(spec)
-        back = result_from_wire(jr.job, json.loads(json.dumps(payload)))
+        back = JobResult.from_wire(jr.job, json.loads(json.dumps(payload)))
         assert dataclasses.asdict(back.result) == dataclasses.asdict(jr.result)
         assert ((back.wall_s, back.events, back.cached)
                 == (jr.wall_s, jr.events, jr.cached))
@@ -277,8 +278,8 @@ class TestBroker:
         broker.expire()
         [steal] = broker.lease("worker-b", 1)
         hit = cache.get(job.config, job.workload, job.ops, job.seed)
-        payload_b = {**result_to_wire(JobResult(
-            job=job, result=hit, cached=True)), "stored": True}
+        payload_b = {**JobResult(job=job, result=hit, cached=True).to_wire(),
+                     "stored": True}
         assert broker.settle("worker-b", tid, payload=payload_b) == "ok"
         late = broker.settle("worker-a", tid,
                              payload={**payload_a, "stored": True})
@@ -540,6 +541,34 @@ class TestBrokerHttp:
                              trace_dir=trace_dir)
         run_on_fleet(broker_http.url, make_specs(1), [worker])
         assert not list(trace_dir.glob("*.json"))
+
+    def test_worker_settles_a_simulation_error(self, monkeypatch):
+        # A RuntimeError from the simulation (a strict-mode InvariantError
+        # is one) is the task's error: each lease settles it at once, and
+        # the broker's attempt budget fails the task with that message.
+        # No lease expires, so this takes well under the 60 s lease.
+        def fail(job):
+            raise RuntimeError("measurement did not drain within 5e8 ns")
+
+        monkeypatch.setattr(runner, "_simulate_job", fail)
+        harness = BrokerHarness(lease_s=60.0, retries=2)
+        try:
+            t0 = time.monotonic()
+            harness.json("POST", "/tasks",
+                         {"specs": [s.to_dict() for s in make_specs(1)]})
+            harness.json("POST", "/drain", {})
+            worker = FleetWorker(harness.url, worker_id="wf", poll_s=0.05)
+            assert worker.run() == 0
+            _, payload = harness.json("GET", "/tasks")
+            (task,) = payload["tasks"]
+            assert time.monotonic() - t0 < 30.0
+        finally:
+            harness.stop()
+        assert task["state"] == "failed"
+        assert task["error"] == ("RuntimeError: measurement did not drain "
+                                 "within 5e8 ns")
+        assert (task["attempts"], task["settles"], task["requeues"]) == (3, 3, 2)
+        assert worker.tasks_failed == 3
 
     def test_client_error_reporting(self, broker_http):
         client = FleetClient(broker_http.url)

@@ -70,6 +70,32 @@ def test_diff_warmup_oracle_reports_a_refused_pass(monkeypatch):
     assert detail is not None and "refused" in detail
 
 
+def test_diff_cache_oracle_reads_disk_after_a_cache_off_run(monkeypatch):
+    # A run_one with the disk cache off leaves the disk layer unresolved,
+    # not resolved to "off": the oracle's second run must still be read
+    # from its scratch cache directory (one miss, then one hit).
+    from repro.analysis import tables
+    from repro.exec.cache import ResultCache
+
+    case = TaskSpec(base="ddr-baseline", workload="mcf", ops=200, seed=1)
+    job = case.build_job()
+    monkeypatch.setattr(tables, "_disk", None)
+    monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+    tables.clear_cache()
+    tables.run_one(job.config, job.workload, job.ops, seed=job.seed)
+    lookups = []
+    real_get = ResultCache.get
+
+    def get(self, *args):
+        hit = real_get(self, *args)
+        lookups.append("hit" if hit is not None else "miss")
+        return hit
+
+    monkeypatch.setattr(ResultCache, "get", get)
+    assert run_oracle("diff_cache", case) is None
+    assert lookups == ["miss", "hit"]
+
+
 def test_every_default_oracle_applies_somewhere():
     # No oracle may be dead weight: across a modest sample each default
     # oracle must be applicable to at least one generated case.

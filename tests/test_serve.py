@@ -10,11 +10,16 @@ except where the pool's deadline machinery is the thing under test.
 import asyncio
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exec.cache import ResultCache
 from repro.obs.export import parse_prometheus
 from repro.serve import ServeApp
@@ -295,3 +300,15 @@ class TestTimeoutAndShutdown:
         assert stats["abandoned"] == 0
         assert server.app.store.get(queued["id"]).state == "cancelled"
         assert server.app.store.get(blocker["id"]).state == "done"
+
+
+def test_serve_boot_loads_no_fleet_module():
+    # repro.fleet builds on repro.serve, never the reverse: loading the
+    # CLI and the job server imports no fleet module.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = ("import sys, repro.cli, repro.serve; "
+            "print([m for m in sys.modules if m.startswith('repro.fleet')])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

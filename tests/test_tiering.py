@@ -220,7 +220,8 @@ SSD_CASE = TaskSpec(base="cxl-ssd", workload="capacity-churn", ops=1200,
 def _bypass_submit(self, req):
     # Seeded bug: the channel "delivers" without ever visiting the Type-3
     # device — no DDR access, no link serialization, no premium.
-    self.bump("reads" if req.kind == READ else "writes")
+    key = "reads" if req.kind == READ else "writes"
+    self.stats[key] = self.stats.get(key, 0.0) + 1.0
     self.sim.schedule_at(self.sim.now, self._deliver, req)
 
 
