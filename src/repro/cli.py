@@ -760,9 +760,11 @@ def _add_device_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--device-profile", default=None,
                     choices=sorted(PROFILES),
                     help="per-device CXL latency profile (default: the "
-                         "config's own; 'fixed' = the historical model)")
+                         "config's own; 'fixed' = the historical model); "
+                         "requires a CXL config")
     sp.add_argument("--cxl-backend", default=None, choices=["ddr", "ssd"],
-                    help="Type-3 capacity medium behind each CXL port")
+                    help="Type-3 capacity medium behind each CXL port; "
+                         "requires a CXL config")
 
 
 def _add_cache_args(sp: argparse.ArgumentParser) -> None:

@@ -73,8 +73,8 @@ class Core(Component):
         ``l2_miss_fn(core, -1, line, False, pc, prefetch=True)``.
     l2_writeback_fn:
         ``l2_writeback_fn(core, addr)`` for dirty L2 evictions.
-    on_done:
-        Called once when the trace is fully executed and drained.
+
+    :attr:`done` turns true once the trace is fully executed and drained.
     """
 
     def __init__(
@@ -86,7 +86,6 @@ class Core(Component):
         l2: CacheLevel,
         l2_miss_fn: Callable,
         l2_writeback_fn: Callable,
-        on_done: Optional[Callable] = None,
         prefetcher=None,
     ) -> None:
         super().__init__(sim, f"core{core_id}")
@@ -96,7 +95,6 @@ class Core(Component):
         self.l2 = l2
         self.l2_miss_fn = l2_miss_fn
         self.l2_writeback_fn = l2_writeback_fn
-        self.on_done = on_done
         self.prefetcher = prefetcher
         self.mshr = MSHRFile(params.mshrs)
         # Hot-path bindings: the cache arrays, the two hit latencies (the
@@ -163,8 +161,6 @@ class Core(Component):
         self.retire_floor = t0
         if self.done:
             self.finish_time = t0
-            if self.on_done:
-                self.sim.schedule_at(t0, self.on_done, self)
         else:
             self.sim.schedule_at(t0, self._advance)
 
@@ -332,5 +328,3 @@ class Core(Component):
         last = max([c for c in self.comp if c >= 0.0], default=self.frontend)
         self.finish_time = max(self.frontend, last)
         self.done = True
-        if self.on_done:
-            self.on_done(self)

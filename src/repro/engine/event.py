@@ -6,17 +6,17 @@ same instant fire in insertion order, which keeps simulations deterministic
 and independent of heap internals.
 
 The queue stores plain ``(time, seq, fn, args)`` tuples — no per-event
-object allocation on the hot scheduling path. Cancellable :class:`Event`
-handles exist only for callers that explicitly keep the return value of
-:meth:`EventQueue.push`; cancellation is recorded in a side set of sequence
-numbers that the pop loop consults (the set is empty in the common case, so
-the check is a single truthiness test).
+object allocation on the hot scheduling path — and every entry on the heap
+is live. Cancellable :class:`Event` handles exist only for callers that
+explicitly keep the return value of :meth:`EventQueue.push`; cancelling one
+takes its entry off the heap at once, so neither dispatch loop ever tests
+for a cancelled entry.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Heap entry layout: (time, seq, fn, args).
 Entry = Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]
@@ -40,7 +40,7 @@ class Event:
         ``pop``, which are already off the heap and cannot be cancelled).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_queue")
+    __slots__ = ("time", "seq", "fn", "args", "_queue")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any],
                  args: Tuple[Any, ...], queue: Optional["EventQueue"] = None):
@@ -48,25 +48,23 @@ class Event:
         self.seq = seq
         self.fn = fn
         self.args = args
-        self.cancelled = False
         self._queue = queue
 
     def cancel(self) -> None:
-        """Mark the event so the kernel skips it when popped."""
-        if self.cancelled:
+        """Take the event off its queue's heap so it never fires: O(n) in
+        the pending events, and a no-op once it was cancelled, popped or
+        fired."""
+        if self._queue is None:
             return
-        self.cancelled = True
-        if self._queue is not None:
-            self._queue._cancel(self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        heap = self._queue._heap
+        for i, entry in enumerate(heap):
+            if entry[1] == self.seq:
+                del heap[i]
+                heapq.heapify(heap)
+                return
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time:.3f} seq={self.seq}{state} fn={getattr(self.fn, '__name__', self.fn)}>"
+        return f"<Event t={self.time:.3f} seq={self.seq} fn={getattr(self.fn, '__name__', self.fn)}>"
 
 
 class EventQueue:
@@ -74,64 +72,45 @@ class EventQueue:
 
     ``push`` returns a cancellable :class:`Event` handle; the simulator's
     hot scheduling path (``Simulator.schedule``) pushes handle-free
-    tuples onto ``_heap`` directly. ``__len__`` is O(1): a live-event
-    counter is maintained incrementally across push/pop/cancel.
+    tuples onto ``_heap`` directly. Every heap entry is a pending event,
+    so ``len`` and ``bool`` read the heap.
     """
 
-    __slots__ = ("_heap", "_seq", "_cancelled", "_live")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: List[Entry] = []
         self._seq = 0
-        self._cancelled: Set[int] = set()
-        self._live = 0
 
     def push(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute time ``time`` and return a handle."""
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, fn, args))
-        self._live += 1
         return Event(time, seq, fn, args, self)
 
-    def _cancel(self, seq: int) -> None:
-        """Record a cancellation (called by :meth:`Event.cancel` only)."""
-        self._cancelled.add(seq)
-        self._live -= 1
-
     def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or ``None``.
+        """Remove and return the earliest event, or ``None``.
 
         The returned handle is already off the heap, so cancelling it is a
         no-op; it exists to carry ``time``/``fn``/``args`` to the caller.
         """
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap:
-            time, seq, fn, args = heapq.heappop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._live -= 1
-            return Event(time, seq, fn, args, None)
-        return None
+        if not self._heap:
+            return None
+        time, seq, fn, args = heapq.heappop(self._heap)
+        return Event(time, seq, fn, args, None)
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the earliest pending event, or ``None``."""
         heap = self._heap
-        cancelled = self._cancelled
-        while heap and heap[0][1] in cancelled:
-            cancelled.discard(heapq.heappop(heap)[1])
         return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return bool(self._heap)
 
     def clear(self) -> None:
         """Drop every pending event (used by tests and re-runs)."""
         self._heap.clear()
-        self._cancelled.clear()
-        self._live = 0

@@ -20,9 +20,9 @@ class Simulator:
     All components share one :class:`Simulator`. Time is float nanoseconds.
 
     ``schedule``/``schedule_at`` are the hot path: they push plain
-    ``(time, seq, fn, args)`` tuples and return ``None``. Callers that need
-    to cancel a pending event use ``schedule_cancellable`` /
-    ``schedule_at_cancellable``, which return an :class:`Event` handle.
+    ``(time, seq, fn, args)`` tuples and return ``None``. The
+    ``schedule_*_cancellable`` variants return an :class:`Event` handle
+    whose ``cancel()`` takes the entry off the heap at once.
 
     ``kernel`` selects the dispatch loop: ``"fast"`` (default) pops heap
     tuples inline, ``"reference"`` goes through the :class:`EventQueue`
@@ -50,11 +50,11 @@ class Simulator:
         self.events_fired: int = 0
         self.kernel = kernel
         #: Optional per-dispatch observer ``hook(fn)``. Called once per
-        #: *fired* event, after its callback ran — never for cancelled
-        #: entries — by both loops, so hooked runs stay bit-identical. It
-        #: must not schedule. :class:`repro.obs.KernelProfiler` is the one
-        #: in-tree hook, shared by obs ``profile`` mode and the tracer's
-        #: ``kernel`` mode. ``None`` (the default) costs one test per event.
+        #: fired event, after its callback ran, by both loops, so hooked
+        #: runs stay bit-identical. It must not schedule.
+        #: :class:`repro.obs.KernelProfiler` is the one in-tree hook, shared
+        #: by obs ``profile`` mode and the tracer's ``kernel`` mode. ``None``
+        #: (the default) costs one test per event.
         self.event_hook = None
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -66,7 +66,6 @@ class Simulator:
         q = self.queue
         heapq.heappush(q._heap, (self.now + delay, q._seq, fn, args))
         q._seq += 1
-        q._live += 1
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``time`` (>= now)."""
@@ -75,7 +74,6 @@ class Simulator:
         q = self.queue
         heapq.heappush(q._heap, (time, q._seq, fn, args))
         q._seq += 1
-        q._live += 1
 
     def schedule_cancellable(self, delay: float, fn: Callable[..., Any],
                              *args: Any) -> Event:
@@ -97,38 +95,29 @@ class Simulator:
         Parameters
         ----------
         until:
-            Stop before the first live event strictly after this time,
-            leaving the clock at ``until``. Once no live event remains the
-            clock stays at the last fired event: a cancelled entry never
-            moves it, whatever ``until`` is.
+            Stop before the first event strictly after this time, leaving
+            the clock at ``until``. Once the queue is empty the clock stays
+            at the last fired event, whatever ``until`` is.
 
         The production loop pops heap tuples directly instead of going
-        through ``peek_time()`` + ``pop()``, which would scan past
-        cancelled entries twice per event; ``kernel="reference"`` keeps
+        through ``peek_time()`` + ``pop()``; ``kernel="reference"`` keeps
         the un-inlined loop as the differential-testing baseline.
         """
         if self.kernel == "reference":
             self.run_reference(until)
             return
-        queue = self.queue
-        heap = queue._heap
-        cancelled = queue._cancelled
+        heap = self.queue._heap
         heappop = heapq.heappop
         hook = self.event_hook
         limit = _INF if until is None else until
         fired = 0
         while heap:
             time, seq, fn, args = heappop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
             if time > limit:
-                # Popping first means only a live entry can stop the run;
-                # it goes back on the heap for the next call.
+                # One push back per call costs less than a peek per event.
                 heapq.heappush(heap, (time, seq, fn, args))
                 self.now = until
                 break
-            queue._live -= 1
             self.now = time
             fn(*args)
             if hook is not None:
@@ -140,11 +129,11 @@ class Simulator:
         """Reference dispatch loop: one :class:`EventQueue` call per step.
 
         Semantically identical to :meth:`run` — same (time, seq) ordering,
-        same ``until`` clock semantics, same cancellation handling, same
-        :attr:`event_hook` calls — but built from the queue's public
-        ``peek_time``/``pop`` API with a per-event :class:`Event`
-        allocation. It is the retained baseline the fuzzer's differential
-        oracle compares the production loop against; do not "optimize" it.
+        same ``until`` clock semantics, same :attr:`event_hook` calls — but
+        built from the queue's public ``peek_time``/``pop`` API with a
+        per-event :class:`Event` allocation. It is the retained baseline
+        the fuzzer's differential oracle compares the production loop
+        against; do not "optimize" it.
         """
         queue = self.queue
         hook = self.event_hook
@@ -166,5 +155,5 @@ class Simulator:
         self.events_fired += fired
 
     def pending(self) -> int:
-        """Number of non-cancelled events still queued."""
+        """Number of events still queued."""
         return len(self.queue)

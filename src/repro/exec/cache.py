@@ -38,7 +38,9 @@ from repro.system.stats import SimResult
 #:    log-bucketed histogram instead of an exact full-sample percentile.
 #: 4: ``extras["events_fired"]`` counts model events only; an entry stored
 #:    from an obs-on run used to include the sampler's ticks.
-CACHE_SCHEMA_VERSION = 4
+#: 5: a core started on an empty trace schedules nothing, so runs of 1-3
+#:    ops per core count ``active_cores`` fewer ``events_fired``.
+CACHE_SCHEMA_VERSION = 5
 
 #: Environment variable overriding the cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

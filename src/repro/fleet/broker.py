@@ -15,8 +15,8 @@ no matter which worker produced them (simulation is deterministic and
 results round-trip through the content-addressed cache serialization), so
 the first settle wins, any later duplicate — a worker that missed its
 deadline but finished anyway, or two workers racing after a requeue — is
-counted and dropped, and :meth:`FleetBroker.results` always returns
-results in task order regardless of lease or settle interleaving.
+counted and dropped, and results never depend on lease or settle
+interleaving.
 
 :class:`BrokerApp` is the HTTP facade over one broker, built on the
 :class:`repro.serve.http.App` shell the job server uses; ``run_broker`` is
@@ -93,9 +93,9 @@ class FleetBroker:
     ----------
     cache:
         Optional shared :class:`ResultCache`. Submitted tasks already in
-        the cache settle immediately without ever being leased, and
-        uploaded results are written back so a later resubmission (or a
-        worker sharing the directory) inherits them — the same dedupe and
+        the cache settle immediately without ever being leased, and every
+        successful settle is written back so a later resubmission (or a
+        worker sharing the directory) inherits it — the same dedupe and
         crash-recovery semantics the single-host sweep runner has.
     lease_s:
         Lease duration granted per task. Workers renew mid-task; a lease
@@ -252,8 +252,7 @@ class FleetBroker:
             self.metrics.tasks_cached.inc()
         if jr.wall_s > 0:
             self.metrics.task_wall.record(jr.wall_s)
-        if (self.cache is not None and jr.result is not None
-                and not payload.get("stored", False)):
+        if self.cache is not None and jr.result is not None:
             self.cache.put(task.job.config, task.job.workload, task.job.ops,
                            task.job.seed, jr.result)
         return "ok"
@@ -298,12 +297,12 @@ class FleetBroker:
         return all(t.state in ("done", "failed") for t in tasks)
 
     def results(self, task_ids: Optional[Sequence[int]] = None) -> List[JobResult]:
-        """Ordered results (task order == submission order, always).
+        """Results in ``task_ids`` order (default: every task, in id order).
 
         Only meaningful once :meth:`done`; raises if a named task is still
         in flight so a caller can never silently read a partial fleet.
         """
-        ids = sorted(task_ids) if task_ids is not None else sorted(self._tasks)
+        ids = list(task_ids) if task_ids is not None else sorted(self._tasks)
         out: List[JobResult] = []
         for tid in ids:
             task = self.task(tid)

@@ -153,8 +153,7 @@ class FleetWorker:
                 else:
                     self.tasks_run += 1
                     self._export_trace(task_id, jr)
-                settle = {"payload": {**jr.to_wire(),
-                                      "stored": self.cache is not None}}
+                settle = {"payload": jr.to_wire()}
             try:
                 out = self._post("/settle", {"worker": self.worker_id,
                                              "id": task_id, **settle})

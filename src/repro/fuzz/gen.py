@@ -37,8 +37,9 @@ KNOB_DOMAINS: Dict[str, Tuple] = {
     "prefetch_degree": (1, 2, 4),
 }
 
-#: CXL-only knobs (invalid to override on a DDR base — the builder ignores
-#: some and the metamorphic oracles would misread others). ``tiering`` is
+#: Knobs drawn on CXL bases only. A DDR config refuses every one but
+#: ``n_mem_ports`` (:data:`repro.system.config.CXL_ONLY` and ``tiering``),
+#: and ``n_mem_ports`` has a DDR domain of its own below. ``tiering`` is
 #: spelled as a preset name from :data:`repro.tiering.config.TIERING_PRESETS`
 #: (or ``None`` = flat) and ``device_profile`` as a name from
 #: :data:`repro.cxl.profiles.PROFILES`, keeping the override dict JSON-able.

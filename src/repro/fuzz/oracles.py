@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Dict, List, Optional
 
 from repro.exec.spec import SpecError, TaskSpec, build_config
-from repro.system.config import SystemConfig
+from repro.system.config import CXL_ONLY, SystemConfig
 from repro.system.stats import SimResult
 from repro.workloads.catalog import get_workload
 
@@ -351,8 +351,9 @@ def check_tiering_bound(case: TaskSpec) -> Optional[str]:
     premium or the migration accounting got lost somewhere.
     """
     cfg = _config(case)
+    ddr = SystemConfig()
     flat = dc_replace(cfg, memory_kind="ddr", n_mem_ports=cfg.n_ddr_channels,
-                      ddr_per_cxl=1, tiering=None, cxl_backend="ddr")
+                      tiering=None, **{f: getattr(ddr, f) for f in CXL_ONLY})
     tiered = _simulate(case, cfg=cfg)
     local = _simulate(case, cfg=flat)
     floor = (local.avg_miss_latency * (1 - TIERING_BOUND_REL)

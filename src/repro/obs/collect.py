@@ -5,13 +5,10 @@ One collector observes one ``simulate()`` run. It owns a
 ``profile`` mode) a :class:`KernelProfiler` hooked into the simulator's
 dispatch loop.
 
-Observation must not perturb results. The periodic sampler only *reads*
-component state, and its tick events ride the normal event queue: a tick
-that fires between real events samples and reschedules without touching
-any component, and the final pending tick is cancelled the moment the
-last core drains — cancelled events advance neither the clock nor the
-fired-event count in either dispatch loop. The ticks that did fire are
-counted in ``ticks_fired``, which ``simulate()`` subtracts, so
+Observation must not perturb results, and the collector schedules
+nothing: ``simulate()`` runs the measured phase in ``run(until=t)``
+slices at the series' cadence and calls :meth:`ObsCollector.sample`
+between them. The sampler only *reads* component state, so
 ``elapsed_ns``, ``events_fired`` and every other result field are
 bit-identical with observability on or off.
 """
@@ -40,9 +37,8 @@ class ObsCollector(Observer):
     lifecycle::
 
         col = ObsCollector(mode="on")
-        col.attach(sim, chip)          # measurement boundary: arm sampler
-        ...                            # sim runs; ticks sample state
-        col.drained()                  # last core drained: cancel the tick
+        col.attach(sim, chip)          # measurement boundary
+        sim.run(until=t); col.sample() # every series.interval_ns
         payload = col.finish(chip, elapsed_ns)   # fold final counters
 
     The payload is ``snapshot(with_profile=False)``: fully deterministic,
@@ -67,15 +63,13 @@ class ObsCollector(Observer):
         self.series = TimeSeries(sample_interval_ns, max_windows=max_windows)
         self._sim = None
         self._chip = None
-        self._tick_event = None
         self._t0 = 0.0
         self._last: Dict[str, float] = {}
-        self.ticks_fired = 0
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, sim, chip) -> None:
-        """Bind at the measurement boundary and arm the sampler; hooks the
-        profiler in profile mode."""
+        """Bind at the measurement boundary; hooks the profiler in profile
+        mode."""
         self._sim = sim
         self._chip = chip
         if self.mode == "profile":
@@ -85,22 +79,12 @@ class ObsCollector(Observer):
         self.series.sum_cols = set(self._delta_names())
         self._t0 = sim.now
         self._last = self._cumulative()
-        self._arm()
-
-    def drained(self) -> None:
-        """Cancel the pending sampler tick (measurement drained)."""
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
 
     # -- periodic sampling ---------------------------------------------------
-    def _arm(self) -> None:
-        self._tick_event = self._sim.schedule_cancellable(
-            self.series.interval_ns, self._tick)
-
-    def _tick(self) -> None:
-        self._tick_event = None
-        self.ticks_fired += 1
+    def sample(self) -> None:
+        """Append one window at ``sim.now``. ``simulate()`` calls it every
+        ``series.interval_ns``, read after the previous sample (compaction
+        doubles it)."""
         sim, chip = self._sim, self._chip
         now = sim.now
         row: Dict[str, float] = {}
@@ -122,9 +106,6 @@ class ObsCollector(Observer):
         row["mshr"] = float(sum(c.mshr.occupancy for c in chip.cores))
 
         self.series.append(now, row)
-        # append() may have compacted (doubling interval_ns); re-arming
-        # afterwards naturally adopts the coarser cadence.
-        self._arm()
 
     def _delta_names(self):
         """Column names sampled as per-window deltas of cumulative counters."""

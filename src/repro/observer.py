@@ -4,22 +4,20 @@ The invariant checker (:mod:`repro.validate`), the metrics collector
 (:mod:`repro.obs`) and the span tracer (:mod:`repro.tracing`) all watch
 one run through the same interface: an :class:`Observer` with no-op
 defaults for the nine memory-path hook points in :data:`HOOKS` and a
-three-call lifecycle, driven by :func:`repro.system.sim.simulate`:
+two-call lifecycle, driven by :func:`repro.system.sim.simulate`:
 
 - ``attach(sim, chip)`` right after ``chip.begin_measurement()``, so
   every request an observer sees was created inside the measured window;
-- ``drained()`` inside the dispatch loop when the last core drains, so an
-  observer can cancel its own pending events before the clock moves;
 - ``finish(chip, elapsed_ns)`` after the run; the payload it returns is
   stored at ``SimResult.extras[observer.key]``.
 
 The chip, its cores and its CXL ports each hold one ``observer`` slot,
 filled in one place by :meth:`repro.system.builder.Chip.set_observer`,
-and each hook site tests it once. Observers only read state; the obs
-sampler, the one that schedules events of its own, counts them in
-:attr:`Observer.ticks_fired` and ``simulate()`` subtracts them, so every
-result field outside the payloads — ``events_fired`` included — is
-identical with any set of observers on or off.
+and each hook site tests it once. Observers only read state and never
+schedule: the obs time series is sampled by ``simulate()`` between
+``run(until=...)`` slices. So every result field outside the payloads,
+``events_fired`` included, is identical with any set of observers on or
+off.
 """
 
 from __future__ import annotations
@@ -87,16 +85,10 @@ class Observer:
     key = ""
     #: False keeps the observer out of the components' hook slots.
     request_hooks = True
-    #: Fired events this observer scheduled itself (subtracted from
-    #: ``events_fired``).
-    ticks_fired = 0
 
     # -- lifecycle ---------------------------------------------------------------
     def attach(self, sim, chip) -> None:
         """Bind to a run at the measurement boundary."""
-
-    def drained(self) -> None:
-        """The last core drained; cancel any pending event of your own."""
 
     def finish(self, chip, elapsed_ns: float):
         """End of run: return the payload for ``extras[self.key]``."""

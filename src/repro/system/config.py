@@ -40,6 +40,12 @@ from repro.tiering.config import TieringConfig, get_tiering
 _AT_LEAST_ONE = ("l1_kb", "l1_ways", "l2_kb", "l2_ways", "llc_kb_per_core", "llc_ways",
                  "n_mem_ports", "ddr_per_cxl", "width", "rob", "mshrs")
 
+#: Fields only a CXL build reads. A DDR config keeps them at their defaults:
+#: the builder would ignore any other value, so a sweep over one would
+#: measure a single point under several cache keys.
+CXL_ONLY = ("ddr_per_cxl", "cxl_params", "device_profile", "cxl_backend",
+            "ssd_params")
+
 
 @dataclass
 class SystemConfig:
@@ -135,6 +141,15 @@ class SystemConfig:
         if self.tiering is not None and self.memory_kind != "cxl":
             raise ValueError("tiering requires memory_kind='cxl' "
                              "(the far tier is the CXL memory)")
+        if self.memory_kind == "ddr":
+            for f in dataclasses.fields(self):
+                value = getattr(self, f.name)
+                if f.name in CXL_ONLY and value != (
+                        f.default_factory() if f.default is dataclasses.MISSING
+                        else f.default):
+                    given = (f"cxl_params {value.name!r}" if f.name == "cxl_params"
+                             else f"{f.name}={value!r}")
+                    raise ValueError(f"{given} requires a CXL config (memory_kind='cxl')")
 
     # -- derived ---------------------------------------------------------------
     @property

@@ -349,17 +349,18 @@ def simulate(
         ``$REPRO_TRACING``.
 
     All three are observers (:class:`~repro.observer.Observer`): they
-    attach at the measurement boundary, only read state, and each stores
-    one payload in ``extras``. Every other ``SimResult`` field — including
-    ``events_fired``, which excludes the obs sampler's own ticks — is
-    identical with any of them on or off.
+    attach at the measurement boundary, only read state, never schedule,
+    and each stores one payload in ``extras``. With obs on, the measured
+    phase runs in ``run(until=t)`` slices and the collector samples its
+    time series between them. Every other ``SimResult`` field, including
+    ``events_fired``, is identical with any of them on or off.
     """
     from repro.engine.kernel import Simulator
+    from repro.obs import ObsCollector
     from repro.observer import observer_slot
 
     observers = _observers(cfg, validate, obs, tracing)
     sim, chip = build_system(cfg, sim=Simulator(kernel=kernel))
-    n_active = cfg.active_cores
     traces, wl_name, spec = _workload_traces(cfg, workload, ops_per_core,
                                              seed)
     warm, meas = zip(*(t.split(int(len(t) * WARMUP_FRAC)) for t in traces))
@@ -374,17 +375,11 @@ def simulate(
     _replay_functional_lru(chip, _warmup_streams(chip, spec, traces, warm, seed))
 
     # Phase A: warmup.
-    remaining = [n_active]
-
-    def _warm_done(core) -> None:
-        remaining[0] -= 1
-
-    for c in range(n_active):
-        core = chip.cores[c]
-        core.on_done = _warm_done
-        core.start(warm[c])
+    active = chip.cores[:cfg.active_cores]
+    for core, trace in zip(active, warm):
+        core.start(trace)
     sim.run(until=MAX_NS)
-    if remaining[0] != 0:
+    if not all(core.done for core in active):
         raise RuntimeError(f"warmup did not drain within {MAX_NS} ns")
 
     # Phase B: measurement. The warmup phase drained completely above, so
@@ -396,27 +391,27 @@ def simulate(
         for ob in observers:
             ob.attach(sim, chip)
     t0 = sim.now
-    remaining[0] = n_active
-
-    def _meas_done(core) -> None:
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            # Observers cancel their own pending events here, so the clock
-            # stops at the last real event, exactly as it would without them.
-            for ob in observers:
-                ob.drained()
-
-    for c in range(n_active):
-        core = chip.cores[c]
-        core.on_done = _meas_done
-        core.start(meas[c])
+    for core, trace in zip(active, meas):
+        core.start(trace)
+    # The obs series is sampled between slices of the run, every
+    # ``interval_ns`` (read after each sample: compaction doubles it),
+    # until the last core drains; the final run drains trailing events.
+    collector = next((ob for ob in observers if isinstance(ob, ObsCollector)),
+                     None)
+    while (collector is not None and sim.queue
+           and not all(core.done for core in active)):
+        t = sim.now + collector.series.interval_ns
+        if t > MAX_NS * 2:
+            break
+        sim.run(until=t)
+        if not all(core.done for core in active):
+            collector.sample()
     sim.run(until=MAX_NS * 2)
-    if remaining[0] != 0:
+    if not all(core.done for core in active):
         raise RuntimeError(f"measurement did not drain within {MAX_NS} ns")
     elapsed = sim.now - t0
 
     # Aggregate.
-    active = chip.cores[:n_active]
     core_ipcs = [c.ipc for c in active]
     instructions = sum(c.total_instrs for c in active)
     bd = chip.lat.summary()
@@ -437,8 +432,7 @@ def simulate(
         "l2_misses": l2_misses,
         "mem_writes": chip.stats.get("mem_writes", 0.0),
         "calm_wasted_bytes": chip.stats.get("calm_wasted_bytes", 0.0),
-        "events_fired": float(sim.events_fired
-                              - sum(ob.ticks_fired for ob in observers)),
+        "events_fired": float(sim.events_fired),
         # Per-DDR-channel traffic, in address-mapping order. The fuzzer's
         # channel-balance oracle reads this to catch interleave-decode skew.
         "channel_bytes": [float(ch.stats.get("bytes", 0.0))

@@ -186,7 +186,14 @@ class TestFastPath:
         q.push(1.0, lambda: None)
         popped = q.pop()
         popped.cancel()  # handle is off the heap; queue state unchanged
-        assert len(q) == 0 and not q._cancelled
+        assert len(q) == 0
+
+    def test_cancel_takes_entry_off_heap(self):
+        q = EventQueue()
+        evs = [q.push(float(t), lambda: None) for t in (3, 1, 2)]
+        evs[2].cancel()
+        assert len(q._heap) == 2
+        assert [q.pop().time, q.pop().time] == [1.0, 3.0]
 
     def test_clear(self):
         q = EventQueue()

@@ -253,7 +253,7 @@ class TestBroker:
         (tid,) = broker.submit([spec])
         [task] = broker.lease("w1", 1)
         _, payload = run_and_wire(task.spec)
-        broker.settle("w1", tid, payload=payload)   # no "stored" flag
+        broker.settle("w1", tid, payload=payload)
         # resubmission settles instantly from the written-back result
         (tid2,) = broker.submit([spec])
         assert broker.task(tid2).state == "done"
@@ -278,11 +278,9 @@ class TestBroker:
         broker.expire()
         [steal] = broker.lease("worker-b", 1)
         hit = cache.get(job.config, job.workload, job.ops, job.seed)
-        payload_b = {**JobResult(job=job, result=hit, cached=True).to_wire(),
-                     "stored": True}
+        payload_b = JobResult(job=job, result=hit, cached=True).to_wire()
         assert broker.settle("worker-b", tid, payload=payload_b) == "ok"
-        late = broker.settle("worker-a", tid,
-                             payload={**payload_a, "stored": True})
+        late = broker.settle("worker-a", tid, payload=payload_a)
         assert late == "duplicate"
         [final] = broker.results([tid])
         assert final.cached
@@ -433,6 +431,25 @@ class TestBrokerHttp:
             "GET", f"/results?ids={ids[0]}")
         assert status == 409
 
+    def test_results_follow_requested_id_order(self, broker_http):
+        specs = make_specs(2)                   # task 1 mcf, task 2 stream-copy
+        status, payload = broker_http.json(
+            "POST", "/tasks", {"specs": [s.to_dict() for s in specs]})
+        assert status == 202 and payload["ids"] == [1, 2]
+        _, lease = broker_http.json("POST", "/lease",
+                                    {"worker": "w", "max": 2})
+        for ent in lease["tasks"]:
+            _, wire = run_and_wire(TaskSpec.from_dict(ent["spec"]))
+            status, _ = broker_http.json(
+                "POST", "/settle", {"worker": "w", "id": ent["id"],
+                                    "payload": wire})
+            assert status == 200
+        status, payload = broker_http.json("GET", "/results?ids=2,1")
+        assert status == 200
+        got = [(e["id"], e["spec"]["workload"], e["result"]["workload_name"])
+               for e in payload["results"]]
+        assert got == [(2, "stream-copy", "stream-copy"), (1, "mcf", "mcf")]
+
     def test_metrics_exposition(self, broker_http):
         broker_http.json("POST", "/tasks",
                          {"specs": [s.to_dict() for s in make_specs(1)]})
@@ -493,6 +510,27 @@ class TestBrokerHttp:
         assert result.cached
         assert (dataclasses.asdict(result.result)
                 == dataclasses.asdict(jr.result))
+
+    def test_worker_with_own_cache_fills_broker_cache(self, broker_http,
+                                                      tmp_path):
+        # Broker and worker keep separate cache directories: the broker
+        # still stores each settled result, so a resubmission settles at
+        # submit instead of being leased again.
+        specs = make_specs(2)
+        worker = FleetWorker(broker_http.url, worker_id="wb", poll_s=0.05,
+                             cache=ResultCache(root=tmp_path / "worker"))
+        run_on_fleet(broker_http.url, specs, [worker])
+        assert worker.tasks_run == 2
+        cache = broker_http.app.broker.cache
+        for job in (s.build_job() for s in specs):
+            assert cache.get(job.config, job.workload, job.ops,
+                             job.seed) is not None
+        status, payload = broker_http.json(
+            "POST", "/tasks", {"specs": [specs[0].to_dict()]})
+        assert status == 202
+        _, tasks = broker_http.json("GET", "/tasks")
+        [task] = [t for t in tasks["tasks"] if t["id"] == payload["ids"][0]]
+        assert task["state"] == "done"
 
     def test_trace_id_propagates_broker_to_settle(self):
         """Unit leg of distributed tracing: a traced spec's trace id

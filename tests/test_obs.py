@@ -304,19 +304,32 @@ class TestCollectorIntegration:
         assert b.p90_miss_latency == a.p90_miss_latency
 
     @pytest.mark.parametrize("kernel", KERNEL_MODES)
-    def test_sampler_ticks_not_counted_as_events(self, kernel):
-        # Regression: each fired sampler tick used to count in
-        # events_fired (18758 vs 18724 on ddr-baseline), and since obs is
-        # not in the cache key an obs-on entry replayed the inflated
-        # count to obs-off callers.
+    def test_observers_schedule_no_events(self, kernel, monkeypatch):
+        # The obs series is sampled between run slices, so with every
+        # observer on the simulator schedules and fires exactly the events
+        # of an observer-free run, and an obs-on cache entry can replay
+        # events_fired to obs-off callers.
+        import repro.system.sim as sim_mod
+
+        built = []
+        build = sim_mod.build_system
+
+        def capture(cfg, sim=None):
+            built.append(build(cfg, sim))
+            return built[-1]
+
+        monkeypatch.setattr(sim_mod, "build_system", capture)
         collector = ObsCollector(mode="on")
-        plain = simulate(baseline_config(), get_workload("mcf"),
-                         ops_per_core=300, seed=1, kernel=kernel)
-        seen = simulate(baseline_config(), get_workload("mcf"),
-                        ops_per_core=300, seed=1, kernel=kernel,
-                        obs=collector)
-        assert seen.extras["events_fired"] == plain.extras["events_fired"]
-        assert collector.ticks_fired > 0
+        runs = [simulate(baseline_config(), get_workload("mcf"),
+                         ops_per_core=300, seed=1, kernel=kernel, **kw)
+                for kw in ({}, {"validate": "on", "obs": collector,
+                                "tracing": "on"})]
+        (plain, _), (seen, _) = built
+        assert seen.queue._seq == plain.queue._seq
+        assert seen.events_fired == plain.events_fired
+        assert (runs[1].extras["events_fired"]
+                == runs[0].extras["events_fired"])
+        assert len(collector.series.to_dict()["t"]) > 0
 
     def test_miss_latency_histogram_counts_misses(self):
         r = _fast_result(obs="on")

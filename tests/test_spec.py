@@ -58,7 +58,16 @@ BAD_CONFIG = [
         ({"prefetcher": "nextline", "prefetch_degree": 0},
          "prefetch_degree=0"),
         ({"l1_kb": 24}, "l1_kb=24"),
-        ({"l1_kb": 48}, "l1_kb=48")]]
+        ({"l1_kb": 48}, "l1_kb=48")]] + [
+    # CXL-only knobs on a DDR base: the builder would ignore them.
+    pytest.param({"base": "ddr-baseline", "overrides": overrides}, field,
+                 id=f"ddr-{next(iter(overrides))}")
+    for overrides, field in [
+        ({"ddr_per_cxl": 2}, "ddr_per_cxl=2 requires a CXL config"),
+        ({"cxl": "asym"}, "cxl_params 'x8-cxl-asym' requires a CXL config"),
+        ({"device_profile": "far-socket"},
+         "device_profile='far-socket' requires a CXL config"),
+        ({"cxl_backend": "ssd"}, "cxl_backend='ssd' requires a CXL config")]]
 
 #: The spec fields a ``POST /jobs`` body can carry, by body key.
 SERVE_KEYS = {"workload": "workloads", "ops": "ops", "validate": "validate",

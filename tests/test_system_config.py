@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cxl.link import X8_CXL_ASYM
+from repro.cxl.slowmedia import SsdParams
 from repro.system.config import (
     ALL_CONFIGS, SystemConfig, baseline_config, coaxial_2x_config,
     coaxial_5x_config, coaxial_asym_config, coaxial_config,
@@ -50,6 +51,13 @@ class TestSystemConfig:
             SystemConfig(active_cores=13)
         assert SystemConfig(active_cores=4).active_cores == 4
         assert SystemConfig().active_cores == 12
+
+    def test_ddr_refuses_cxl_only_fields(self):
+        with pytest.raises(ValueError, match="ssd_params=.* requires a CXL"):
+            baseline_config(ssd_params=SsdParams(cache_ways=4))
+        # Defaults pass on DDR; a CXL base takes any value.
+        assert baseline_config(device_profile="fixed", ddr_per_cxl=1)
+        assert coaxial_config(ssd_params=SsdParams(cache_ways=4))
 
     def test_mesh_must_fit_cores(self):
         with pytest.raises(ValueError):
