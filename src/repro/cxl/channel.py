@@ -110,6 +110,11 @@ class CxlChannel(Component):
         if req.callback is not None:
             req.callback(req)
 
+    def close(self) -> None:
+        """Unwire the device, whose callbacks point back into this channel
+        (see :meth:`repro.system.builder.Chip.close`)."""
+        self.device.close()
+
     # -- introspection -----------------------------------------------------------
     @property
     def peak_bandwidth_gbps(self) -> float:

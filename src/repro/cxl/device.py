@@ -91,6 +91,14 @@ class CxlType3Device(Component):
         elif req.callback is not None:
             req.callback(req)
 
+    def close(self) -> None:
+        """Drop the upward callback and close the device's channels, whose
+        callbacks point back here (see
+        :meth:`repro.system.builder.Chip.close`)."""
+        self.response_fn = None
+        for ch in self.channels:
+            ch.close()
+
     @property
     def peak_bandwidth_gbps(self) -> float:
         """Aggregate DDR bandwidth on the device."""

@@ -88,12 +88,20 @@ class SsdMediaChannel(Component):
         self.dram = SerialLink(p.dram_goodput_gbps)
         self.media = SerialLink(p.media_goodput_gbps)
         self.response_fn = response_fn
-        # The checker sizes its bandwidth slack by ``len(ch.subs)``; this
-        # channel is its own single sub-channel.
-        self.subs = (self,)
         self._reads_inflight = 0
         self._writes_inflight = 0
         self._read_hiwat = 0
+
+    @property
+    def subs(self) -> tuple:
+        """The checker sizes its bandwidth slack by ``len(ch.subs)``; this
+        channel is its own single sub-channel."""
+        return (self,)
+
+    def close(self) -> None:
+        """Drop the upward callback (see
+        :meth:`repro.system.builder.Chip.close`)."""
+        self.response_fn = None
 
     # -- public interface ---------------------------------------------------
     def enqueue(self, req: MemRequest) -> bool:

@@ -418,6 +418,14 @@ class DDRChannel(Component):
         elif req.callback is not None:
             req.callback(req)
 
+    def close(self) -> None:
+        """Drop the upward callback and the sub-channels' back-references
+        (see :meth:`repro.system.builder.Chip.close`); counters stay
+        readable."""
+        self.response_fn = None
+        for s in self.subs:
+            s.owner = None
+
     # -- introspection -------------------------------------------------------
     @property
     def peak_bandwidth_gbps(self) -> float:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import tempfile
+from contextlib import closing
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Dict, List, Optional
 
@@ -196,13 +197,15 @@ def check_diff_warmup(case: TaskSpec) -> Optional[str]:
     spec = get_workload(case.workload)
     traces, _, _ = sim._workload_traces(cfg, spec, case.ops, case.seed)
     warm = [t.split(int(len(t) * sim.WARMUP_FRAC))[0] for t in traces]
-    fast, ref = Chip(Simulator(), cfg), Chip(Simulator(), cfg)
-    streams = sim._warmup_streams(fast, spec, traces, warm, case.seed)
-    if not sim._replay_lru_sets(fast, streams):
-        return "set-parallel warmup refused a fresh LRU chip's streams"
-    sim._replay_functional(ref, streams)
-    ref_state = cache_state(ref)
-    for name, sets in cache_state(fast).items():
+    with closing(Chip(Simulator(), cfg)) as fast, \
+            closing(Chip(Simulator(), cfg)) as ref:
+        streams = sim._warmup_streams(fast, spec, traces, warm, case.seed)
+        if not sim._replay_lru_sets(fast, streams):
+            return "set-parallel warmup refused a fresh LRU chip's streams"
+        sim._replay_functional(ref, streams)
+        ref_state = cache_state(ref)
+        fast_state = cache_state(fast)
+    for name, sets in fast_state.items():
         for si, (got, want) in enumerate(zip(sets, ref_state[name])):
             if got != want:
                 j = next((j for j, (x, y) in enumerate(zip(got, want))

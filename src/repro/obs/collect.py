@@ -138,7 +138,12 @@ class ObsCollector(Observer):
     # -- final aggregation ----------------------------------------------------
     def finish(self, chip, elapsed_ns: float) -> Dict:
         """Fold the chip's end-of-run counters into the registry; returns
-        the deterministic snapshot."""
+        the deterministic snapshot.
+
+        Unbinds the collector from the chip and the simulator, so a
+        collector the caller keeps does not keep the chip alive; the
+        registry, series and profiler stay exportable."""
+        self._sim = self._chip = None
         reg = self.registry
 
         for i, ch in enumerate(chip.ddr_channels):

@@ -9,7 +9,8 @@ two-call lifecycle, driven by :func:`repro.system.sim.simulate`:
 - ``attach(sim, chip)`` right after ``chip.begin_measurement()``, so
   every request an observer sees was created inside the measured window;
 - ``finish(chip, elapsed_ns)`` after the run; the payload it returns is
-  stored at ``SimResult.extras[observer.key]``.
+  stored at ``SimResult.extras[observer.key]``, and the observer unbinds
+  from the chip and the simulator.
 
 The chip, its cores and its CXL ports each hold one ``observer`` slot,
 filled in one place by :meth:`repro.system.builder.Chip.set_observer`,
@@ -91,7 +92,11 @@ class Observer:
         """Bind to a run at the measurement boundary."""
 
     def finish(self, chip, elapsed_ns: float):
-        """End of run: return the payload for ``extras[self.key]``."""
+        """End of run: return the payload for ``extras[self.key]``.
+
+        An observer that kept the chip or the simulator from
+        :meth:`attach` drops them here, so a caller that keeps the
+        observer does not keep the chip alive."""
         return None
 
     # -- memory-path hooks (read state, never schedule) -------------------------

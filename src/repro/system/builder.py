@@ -30,7 +30,14 @@ LINE_MASK = ~0x3F
 
 
 class Chip(Component):
-    """The simulated server chip plus its memory system."""
+    """The simulated server chip plus its memory system.
+
+    A chip is wired with a few upward callbacks: each core calls the
+    chip's ``l2_miss``/``l2_writeback``, each memory port calls back into
+    the level above it, and the observer slot points at observers that
+    may point back. :meth:`close` undoes them, after which reference
+    counting alone frees the chip once its last holder drops it.
+    """
 
     def __init__(self, sim: Simulator, cfg: SystemConfig) -> None:
         super().__init__(sim, cfg.name)
@@ -98,13 +105,16 @@ class Chip(Component):
         self._ddr_per_port = cfg.ddr_per_cxl if cfg.memory_kind == "cxl" else 1
 
         # CALM policy, wired to the simulator clock and system bandwidth.
+        # Its clock and the ideal predictor's probe close over the
+        # simulator and the LLC, not the chip, so they add no cycle.
         self.calm = make_calm_policy(
             cfg.calm_policy,
             peak_bandwidth_gbps=self.peak_memory_bandwidth_gbps,
-            now_fn=lambda: self.sim.now,
+            now_fn=lambda: sim.now,
         )
         if isinstance(self.calm, IdealPredictor):
-            self.calm.probe_fn = self._llc_probe
+            slices, slice_of = self.llc_slices, self.mesh.llc_slice_of
+            self.calm.probe_fn = lambda addr: slices[slice_of(addr)].probe(addr)
 
         # Cores with private L1/L2 (and optional prefetchers).
         params = CoreParams(cfg.freq_ghz, cfg.width, cfg.rob, cfg.mshrs,
@@ -143,13 +153,27 @@ class Chip(Component):
             if isinstance(port, CxlChannel):
                 port.observer = observer
 
+    def close(self) -> None:
+        """Unwire every back-reference into the chip, so it is freed by
+        reference count, without the cyclic collector.
+
+        Clears the observer slots, each core's two miss hooks and the
+        simulator's pending events (a run that raised leaves some, and
+        they point into the chip), and closes each memory port. Counters,
+        stats, cache contents and the CALM policy stay readable. A closed
+        chip cannot run again; closing twice is harmless.
+        """
+        self.set_observer(None)
+        for core in self.cores:
+            core.l2_miss_fn = core.l2_writeback_fn = None
+        self.sim.queue.clear()
+        for port in self.ports:
+            port.close()
+
     # -- topology helpers ---------------------------------------------------------
     def port_of(self, addr: int) -> int:
         """Memory port serving this address (global DDR-channel interleave)."""
         return (addr >> 6) % self.n_ddr_total // self._ddr_per_port
-
-    def _llc_probe(self, addr: int) -> bool:
-        return self.llc_slices[self.mesh.llc_slice_of(addr)].probe(addr)
 
     @property
     def peak_memory_bandwidth_gbps(self) -> float:

@@ -40,6 +40,11 @@ from repro.tiering.config import TieringConfig, get_tiering
 _AT_LEAST_ONE = ("l1_kb", "l1_ways", "l2_kb", "l2_ways", "llc_kb_per_core", "llc_ways",
                  "n_mem_ports", "ddr_per_cxl", "width", "rob", "mshrs")
 
+#: Fields that hold a parameter record: the types each accepts, by name.
+_RECORDS = (("cxl_params", CxlLinkParams, "CxlLinkParams"),
+            ("ssd_params", SsdParams, "SsdParams"),
+            ("tiering", (TieringConfig, type(None)), "TieringConfig or None"))
+
 #: Fields only a CXL build reads. A DDR config keeps them at their defaults:
 #: the builder would ignore any other value, so a sweep over one would
 #: measure a single point under several cache keys.
@@ -104,6 +109,13 @@ class SystemConfig:
     prefetch_degree: int = 2
 
     def __post_init__(self) -> None:
+        # Parameter records: a plain value here would pass every check
+        # below and fail only when the builder reads a field off it.
+        for name, kinds, expected in _RECORDS:
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise TypeError(f"{name} must be {expected}, got "
+                                f"{type(value).__name__} {value!r}")
         for name in _AT_LEAST_ONE:
             value = getattr(self, name)
             if not value >= 1:

@@ -354,13 +354,29 @@ def simulate(
     phase runs in ``run(until=t)`` slices and the collector samples its
     time series between them. Every other ``SimResult`` field, including
     ``events_fired``, is identical with any of them on or off.
+
+    Nothing of the chip outlives the call, whether it returns or raises:
+    :meth:`~repro.system.builder.Chip.close` unwires it after aggregation
+    and each observer's ``finish`` drops it, so reference counting frees
+    it without the cyclic collector.
     """
     from repro.engine.kernel import Simulator
-    from repro.obs import ObsCollector
-    from repro.observer import observer_slot
 
     observers = _observers(cfg, validate, obs, tracing)
     sim, chip = build_system(cfg, sim=Simulator(kernel=kernel))
+    try:
+        return _run(cfg, sim, chip, observers, workload, ops_per_core, seed)
+    finally:
+        chip.close()
+
+
+def _run(cfg: SystemConfig, sim, chip: Chip, observers: list, workload,
+         ops_per_core, seed: int) -> SimResult:
+    """``simulate()`` on a built chip: phase 0, the timed warmup, the
+    measured phase with ``observers`` attached, and aggregation."""
+    from repro.obs import ObsCollector
+    from repro.observer import observer_slot
+
     traces, wl_name, spec = _workload_traces(cfg, workload, ops_per_core,
                                              seed)
     warm, meas = zip(*(t.split(int(len(t) * WARMUP_FRAC)) for t in traces))

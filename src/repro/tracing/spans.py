@@ -112,6 +112,9 @@ class SpanTracer(Observer):
             self.profiler = KernelProfiler.hook(sim)
 
     def finish(self, chip, elapsed_ns: float) -> dict:
+        """Unbind from the chip (a kept tracer must not keep it alive) and
+        return the payload."""
+        self.chip = None
         return self.snapshot()
 
     # -- hook sites (read state, never schedule) -------------------------------

@@ -36,9 +36,9 @@ BAD = [
 
 #: Overrides each field accepts on its own that no config may hold: a zero
 #: cache size, associativity, port count or core resource, a zero clock, a
-#: policy name no factory builds, a prefetcher with no degree, or private
-#: caches that are not a power-of-two number of sets (the message names
-#: the field).
+#: policy name no factory builds, a prefetcher with no degree, private
+#: caches that are not a power-of-two number of sets, or a plain value
+#: where a parameter record goes (the message names the field).
 BAD_CONFIG = [
     pytest.param({"overrides": {name: value}}, f"{name} must be >= 1",
                  id=f"{name}={value}")
@@ -67,7 +67,12 @@ BAD_CONFIG = [
         ({"cxl": "asym"}, "cxl_params 'x8-cxl-asym' requires a CXL config"),
         ({"device_profile": "far-socket"},
          "device_profile='far-socket' requires a CXL config"),
-        ({"cxl_backend": "ssd"}, "cxl_backend='ssd' requires a CXL config")]]
+        ({"cxl_backend": "ssd"}, "cxl_backend='ssd' requires a CXL config")]] + [
+    # A plain value where the config holds a parameter record: the check
+    # passed it, and the builder then crashed reading a field off it.
+    pytest.param({"base": "cxl-ssd", "overrides": {"ssd_params": value}},
+                 "ssd_params must be SsdParams", id=f"ssd_params-{kind}")
+    for kind, value in [("dict", {"cache_ways": 4}), ("str", "big")]]
 
 #: The spec fields a ``POST /jobs`` body can carry, by body key.
 SERVE_KEYS = {"workload": "workloads", "ops": "ops", "validate": "validate",

@@ -59,6 +59,19 @@ class TestSystemConfig:
         assert baseline_config(device_profile="fixed", ddr_per_cxl=1)
         assert coaxial_config(ssd_params=SsdParams(cache_ways=4))
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("cxl_params", "x8-cxl", "CxlLinkParams"),
+        ("ssd_params", {"cache_ways": 4}, "SsdParams"),
+        ("tiering", "epoch", "TieringConfig or None")],
+        ids=["cxl_params", "ssd_params", "tiering"])
+    def test_parameter_records_must_have_their_type(self, field, value,
+                                                    expected):
+        # A plain value would pass every other check and crash the builder.
+        with pytest.raises(TypeError, match=f"{field} must be {expected}"):
+            coaxial_config(**{field: value})
+        with pytest.raises(TypeError, match=f"{field} must be {expected}"):
+            SystemConfig(**{field: value})
+
     def test_mesh_must_fit_cores(self):
         with pytest.raises(ValueError):
             SystemConfig(n_cores=20, mesh_rows=2, mesh_cols=2)

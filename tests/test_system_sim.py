@@ -1,10 +1,15 @@
 """Tests for the simulation driver (warmup/measurement protocol)."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.obs import ObsCollector, prometheus_text
 from repro.system import sim
-from repro.system.config import baseline_config, coaxial_config
+from repro.system.config import ALL_CONFIGS, baseline_config, coaxial_config
 from repro.system.sim import simulate
+from repro.tracing import SpanTracer
 from repro.workloads import get_workload
 
 
@@ -107,3 +112,100 @@ class TestPaperHeadlines:
         base = simulate(baseline_config(), wl, ops_per_core=1200)
         coax = simulate(coaxial_config(), wl, ops_per_core=1200)
         assert coax.speedup_over(base) < 1.05
+
+
+#: Observer settings the lifetime guard covers: all off, and all on.
+OBSERVERS = {"off": dict(validate="off", obs="off", tracing="off"),
+             "on": dict(validate="on", obs="on", tracing="on")}
+
+
+@pytest.fixture
+def chip_refs(monkeypatch):
+    """Weak references to the chips ``simulate()`` builds in this case.
+
+    The cyclic collector is flushed first and paused for the case, so
+    only reference counting can free a chip."""
+    refs = []
+    build = sim.build_system
+
+    def build_system(cfg, sim=None):
+        built = build(cfg, sim)
+        refs.append(weakref.ref(built[1]))
+        return built
+
+    monkeypatch.setattr(sim, "build_system", build_system)
+    gc.collect()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        gc.enable()
+
+
+def assert_freed(refs):
+    """Every chip is dead, and a collection finds no ``repro`` object."""
+    assert refs and all(ref() is None for ref in refs)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        left = sorted({f"{type(o).__module__}.{type(o).__qualname__}"
+                       for o in gc.garbage
+                       if type(o).__module__.startswith("repro")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
+
+
+def without_req_ids(trace):
+    """A trace payload minus each span row's ``req_id`` (process-global)."""
+    return {**trace, "spans": [{k: v for k, v in row.items() if k != "req_id"}
+                               for row in trace["spans"]]}
+
+
+class TestChipLifetime:
+    """``simulate()`` leaves nothing of its chip for the cyclic collector."""
+
+    @pytest.mark.parametrize("observers", sorted(OBSERVERS))
+    @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+    def test_chip_freed_on_return(self, chip_refs, name, observers):
+        simulate(ALL_CONFIGS[name](), get_workload("mcf"), ops_per_core=20,
+                 **OBSERVERS[observers])
+        assert_freed(chip_refs)
+
+    @pytest.mark.parametrize("overrides, kwargs", [
+        ({}, dict(obs="profile", tracing="kernel")),
+        ({}, dict(kernel="reference")),
+        (dict(calm_policy="ideal"), {}),
+        (dict(prefetcher="stride", replacement="srrip"), {}),
+    ], ids=["profile-kernel", "reference-loop", "ideal-calm", "stride-srrip"])
+    def test_chip_freed_with_other_parts(self, chip_refs, overrides, kwargs):
+        simulate(ALL_CONFIGS["coaxial-4x"]().replace(**overrides),
+                 get_workload("mcf"), ops_per_core=20, **kwargs)
+        assert_freed(chip_refs)
+
+    @pytest.mark.parametrize("observers", sorted(OBSERVERS))
+    def test_chip_freed_when_the_run_raises(self, chip_refs, monkeypatch,
+                                            observers):
+        # Too short a drain limit: the run raises with events still queued.
+        monkeypatch.setattr(sim, "MAX_NS", 50.0)
+        with pytest.raises(RuntimeError, match="did not drain") as info:
+            simulate(ALL_CONFIGS["coaxial-4x"](), get_workload("mcf"),
+                     ops_per_core=20, **OBSERVERS[observers])
+        del info    # its traceback holds simulate()'s frame
+        assert_freed(chip_refs)
+
+    def test_kept_observers_release_the_chip(self, chip_refs):
+        cfg, wl = ALL_CONFIGS["coaxial-4x"](), get_workload("mcf")
+        collector, tracer = ObsCollector(mode="on"), SpanTracer(mode="on")
+        kept = simulate(cfg, wl, ops_per_core=20, obs=collector,
+                        tracing=tracer)
+        assert_freed(chip_refs)
+        made = simulate(cfg, wl, ops_per_core=20, obs="on", tracing="on")
+        assert kept.extras["obs"] == made.extras["obs"]
+        assert without_req_ids(kept.extras["trace"]) == without_req_ids(
+            made.extras["trace"])
+        # The kept observers still export after the chip is gone.
+        assert collector.snapshot(with_profile=True) == kept.extras["obs"]
+        assert "repro_l2_misses_total" in prometheus_text(collector.snapshot())
+        assert tracer.snapshot() == kept.extras["trace"]
