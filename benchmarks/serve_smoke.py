@@ -105,7 +105,7 @@ def main():
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--host", HOST,
-         "--port", str(port), "--pool-workers", "2", "--max-active", "1",
+         "--port", str(port), "--pool-workers", "2",
          "--job-timeout", str(JOB_TIMEOUT_S), "--retries", "0",
          "--cache-dir", cache_dir],
         env=env)

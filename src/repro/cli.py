@@ -388,9 +388,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host, port=args.port,
         pool_workers=_workers(args.pool_workers),
         job_timeout_s=args.job_timeout, retries=args.retries,
-        max_active=args.max_active, max_queue=args.max_queue,
-        tenant_max_jobs=args.tenant_quota, no_cache=args.no_cache,
-        cache_dir=args.cache_dir, drain_s=args.drain)
+        max_queue=args.max_queue, tenant_max_jobs=args.tenant_quota,
+        no_cache=args.no_cache, cache_dir=args.cache_dir, drain_s=args.drain)
 
 
 def cmd_fleet_broker(args: argparse.Namespace) -> int:
@@ -900,15 +899,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--port", type=int, default=8723,
                     help="listen port (0 = ephemeral; default 8723)")
     pe.add_argument("--pool-workers", type=int, default=None,
-                    help="process-pool size per active job "
+                    help="tasks per batch, run on a process pool this size "
                          "(default: REPRO_JOBS or CPU count)")
-    pe.add_argument("--max-active", type=int, default=1,
-                    help="concurrent running jobs (each owns a pool)")
     pe.add_argument("--job-timeout", type=float, default=300.0,
                     help="per-task deadline in seconds, from submission "
                          "(default 300; a hung pool worker is replaced). "
                          "With --pool-workers 1 the simulation runs in the "
-                         "server's job thread and cannot be interrupted")
+                         "server's batch thread and cannot be interrupted")
     pe.add_argument("--retries", type=int, default=1,
                     help="extra attempts per failed/timed-out task")
     pe.add_argument("--max-queue", type=int, default=256,

@@ -25,11 +25,11 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import __version__
 from repro.exportutil import write_json
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, config_fingerprint
 from repro.system.stats import SimResult
 
 #: Bump when the meaning of cached numbers changes (simulator semantics,
@@ -71,38 +71,6 @@ def cache_from_flags(cache_dir: Optional[str],
     if no_cache or not disk_cache_enabled():
         return None
     return ResultCache(root=Path(cache_dir) if cache_dir else None)
-
-
-def _flatten(prefix: str, value: Any, out: Dict[str, Any]) -> None:
-    if isinstance(value, dict):
-        for k in sorted(value):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], out)
-    else:
-        out[prefix] = value
-
-
-def config_fingerprint(cfg: SystemConfig) -> Dict[str, Any]:
-    """The full config as a flat, JSON-serializable dict.
-
-    Derived from ``dataclasses.asdict`` so *every* field — including nested
-    dataclasses like ``cxl_params`` — participates in the key. This is the
-    fix for the hand-listed-subset keying bug: a new knob added to
-    ``SystemConfig`` is automatically part of the key.
-    """
-    flat: Dict[str, Any] = {}
-    _flatten("", dataclasses.asdict(cfg), flat)
-    return flat
-
-
-def config_digest(cfg: SystemConfig, short: int = 12) -> str:
-    """Short stable hash of one config's complete fingerprint.
-
-    Used by invariant-violation reports and shrunk fuzz reproducers to name
-    the exact configuration they were observed on, independent of
-    ``cfg.name`` (which random/fuzzed configs share).
-    """
-    blob = json.dumps(config_fingerprint(cfg), sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:short]
 
 
 def job_key(cfg: SystemConfig, workload: str, ops: Optional[int],

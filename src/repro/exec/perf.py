@@ -38,6 +38,7 @@ from repro import __version__
 from repro.exec.cache import ResultCache
 from repro.exec.runner import JobResult
 from repro.exportutil import GoldenError, read_json_object, write_json
+from repro.system.config import config_digest
 
 BENCH_SCHEMA_VERSION = 1
 
@@ -93,11 +94,9 @@ def _config_digests(configs: Sequence[Any]) -> Dict[str, str]:
     """name -> short content digest for every distinct config measured.
 
     The digest covers the *complete* config fingerprint (every field, via
-    :func:`repro.exec.cache.config_digest`), so two records sharing a
+    :func:`repro.system.config.config_digest`), so two records sharing a
     config name but differing in any knob are distinguishable.
     """
-    from repro.exec.cache import config_digest
-
     return {cfg.name: config_digest(cfg) for cfg in configs}
 
 

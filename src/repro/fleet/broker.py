@@ -1,328 +1,24 @@
-"""The fleet broker: a work-queue that leases tasks to remote workers.
+"""The fleet broker: the shared task broker served over HTTP.
 
-:class:`FleetBroker` is the pure state machine — no sockets — so every
-failure path is unit-testable with an injected clock. Tasks are queued in
-submission order and *leased* (not handed over): a lease carries a
-deadline, and a task whose lease expires without a settle is requeued and
-offered to the next worker that asks — which is what makes the fleet
-work-stealing: a dead, hung, or slow worker's tasks migrate to its peers
-automatically. Attempt accounting matches :class:`~repro.exec.runner.
-PoolRunner`: each lease is one attempt, and a task is failed once
-``1 + retries`` attempts are exhausted.
-
-Settlement is idempotent and commutative. Results are content-identical
-no matter which worker produced them (simulation is deterministic and
-results round-trip through the content-addressed cache serialization), so
-the first settle wins, any later duplicate — a worker that missed its
-deadline but finished anyway, or two workers racing after a requeue — is
-counted and dropped, and results never depend on lease or settle
-interleaving.
-
-:class:`BrokerApp` is the HTTP facade over one broker, built on the
-:class:`repro.serve.http.App` shell the job server uses; ``run_broker`` is
-the blocking ``repro fleet broker`` entry point.
+:class:`BrokerApp` puts one :class:`~repro.serve.broker.FleetBroker` —
+the state machine ``repro serve`` also runs on, re-exported here —
+behind the :class:`repro.serve.http.App` shell for remote workers;
+``run_broker`` is the blocking ``repro fleet broker`` entry point.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Optional
 
-from repro.exec.cache import ResultCache, cache_from_flags
-from repro.exec.runner import JobResult
-from repro.exec.spec import SpecError, SweepJob, TaskSpec
+from repro.exec.cache import cache_from_flags
+from repro.exec.spec import SpecError, TaskSpec
+from repro.serve.broker import FleetBroker, Task
 from repro.serve.http import App, HttpError, Request, Response, run_app
-from repro.serve.metrics import PlaneMetrics
+from repro.serve.metrics import BrokerMetrics
 
 __all__ = ["BrokerApp", "BrokerMetrics", "FleetBroker", "Task", "run_broker"]
 
-#: Task lifecycle. ``queued -> leased -> done|failed``; an expired or
-#: error-settled lease moves the task back to ``queued`` while attempts
-#: remain.
-TASK_STATES = ("queued", "leased", "done", "failed")
-
-
-class BrokerMetrics(PlaneMetrics):
-    """Broker-process metrics on the shared obs registry machinery."""
-
-    def __init__(self):
-        super().__init__("repro_fleet")
-        self.tasks_submitted = self.counter("tasks_submitted_total")
-        self.tasks_leased = self.counter("tasks_leased_total")
-        self.tasks_settled = self.counter("tasks_settled_total")
-        self.tasks_cached = self.counter("tasks_cached_total")
-        self.tasks_requeued = self.counter("tasks_requeued_total")
-        self.tasks_failed = self.counter("tasks_failed_total")
-        self.duplicate_settles = self.counter("duplicate_settles_total")
-        self.queue_depth = self.gauge("queue_depth")
-        self.leased = self.gauge("leased_tasks")
-        self.workers_seen = self.gauge("workers_seen")
-        self.task_wall = self.histogram("task_wall_seconds")
-
-
-@dataclass
-class Task:
-    """One unit of fleet work and its full lifecycle state."""
-
-    id: int
-    spec: TaskSpec
-    job: SweepJob                       # materialized once, at submission
-    state: str = "queued"
-    attempts: int = 0                   # leases granted (cf. PoolRunner)
-    worker: Optional[str] = None        # current/last lease holder
-    lease_deadline: Optional[float] = None
-    requeues: int = 0
-    settles: int = 0                    # settle messages received (any kind)
-    result: Optional[JobResult] = None
-    error: Optional[str] = None
-
-    def summary(self) -> Dict[str, Any]:
-        return {"id": self.id, "label": self.spec.label(), "state": self.state,
-                "attempts": self.attempts, "worker": self.worker,
-                "requeues": self.requeues, "settles": self.settles,
-                "cached": bool(self.result.cached) if self.result else False,
-                "error": self.error}
-
-
-class FleetBroker:
-    """Lease-based work queue with expiry, requeue, and idempotent settle.
-
-    Parameters
-    ----------
-    cache:
-        Optional shared :class:`ResultCache`. Submitted tasks already in
-        the cache settle immediately without ever being leased, and every
-        successful settle is written back so a later resubmission (or a
-        worker sharing the directory) inherits it — the same dedupe and
-        crash-recovery semantics the single-host sweep runner has.
-    lease_s:
-        Lease duration granted per task. Workers renew mid-task; a lease
-        that expires unrenewed is presumed dead and requeued.
-    retries:
-        Extra attempts after the first lease (expiry and error settles
-        both consume attempts).
-    now_fn:
-        Monotonic clock, injectable for deterministic expiry tests.
-    """
-
-    def __init__(self, cache: Optional[ResultCache] = None,
-                 lease_s: float = 60.0, retries: int = 2,
-                 now_fn: Callable[[], float] = time.monotonic,
-                 metrics: Optional[BrokerMetrics] = None):
-        if lease_s <= 0:
-            raise ValueError(f"lease_s must be positive, got {lease_s}")
-        self.cache = cache
-        self.lease_s = lease_s
-        self.retries = max(0, retries)
-        self.now_fn = now_fn
-        self.metrics = metrics if metrics is not None else BrokerMetrics()
-        self.closing = False
-        self._tasks: Dict[int, Task] = {}
-        self._queue: List[int] = []      # FIFO of queued task ids (lazy skip)
-        self._next_id = 1
-        self._workers: Set[str] = set()
-
-    # -- submission ------------------------------------------------------------
-    def submit(self, specs: Sequence[TaskSpec]) -> List[int]:
-        """Queue tasks; cache hits settle instantly without a lease.
-
-        Every spec is validated first: a :class:`SpecError` queues nothing.
-        """
-        jobs = [spec.build_job() for spec in specs]
-        ids: List[int] = []
-        for spec, job in zip(specs, jobs):
-            task = Task(id=self._next_id, spec=spec, job=job)
-            self._next_id += 1
-            self._tasks[task.id] = task
-            ids.append(task.id)
-            self.metrics.tasks_submitted.inc()
-            task.result = JobResult.from_cache(self.cache, job)
-            if task.result is not None:
-                task.state = "done"
-                self.metrics.tasks_settled.inc()
-                self.metrics.tasks_cached.inc()
-            else:
-                self._queue.append(task.id)
-        self._refresh_gauges()
-        return ids
-
-    # -- leasing ---------------------------------------------------------------
-    def lease(self, worker: str, max_tasks: int = 1) -> List[Task]:
-        """Grant up to ``max_tasks`` leases to ``worker`` (FIFO order)."""
-        self.expire()
-        self._workers.add(worker)
-        self.metrics.workers_seen.set(len(self._workers))
-        granted: List[Task] = []
-        while self._queue and len(granted) < max(1, max_tasks):
-            task = self._tasks[self._queue.pop(0)]
-            if task.state != "queued":
-                continue                 # settled or failed while queued
-            task.state = "leased"
-            task.worker = worker
-            task.attempts += 1
-            task.lease_deadline = self.now_fn() + self.lease_s
-            self.metrics.tasks_leased.inc()
-            granted.append(task)
-        self._refresh_gauges()
-        return granted
-
-    def renew(self, worker: str, task_ids: Sequence[int]) -> int:
-        """Extend the lease deadline of tasks still held by ``worker``."""
-        renewed = 0
-        now = self.now_fn()
-        for tid in task_ids:
-            task = self._tasks.get(tid)
-            if (task is not None and task.state == "leased"
-                    and task.worker == worker):
-                task.lease_deadline = now + self.lease_s
-                renewed += 1
-        return renewed
-
-    def expire(self) -> List[int]:
-        """Requeue (or fail) every task whose lease deadline has passed."""
-        now = self.now_fn()
-        moved: List[int] = []
-        for task in self._tasks.values():
-            if (task.state != "leased" or task.lease_deadline is None
-                    or now < task.lease_deadline):
-                continue
-            moved.append(task.id)
-            if task.attempts >= 1 + self.retries:
-                self._fail(task, f"lease expired after {task.attempts} "
-                                 f"attempt(s) ({self.lease_s}s each)")
-            else:
-                task.state = "queued"
-                task.lease_deadline = None
-                task.requeues += 1
-                self._queue.append(task.id)
-                self.metrics.tasks_requeued.inc()
-        if moved:
-            self._refresh_gauges()
-        return moved
-
-    # -- settlement ------------------------------------------------------------
-    def settle(self, worker: str, task_id: int,
-               payload: Optional[Dict[str, Any]] = None,
-               error: Optional[str] = None) -> str:
-        """Record one task outcome; returns the disposition.
-
-        ``"ok"``    — first successful settle; the task is done.
-        ``"duplicate"`` — the task was already done (late or racing
-        settle); the message is counted and dropped.
-        ``"requeued"`` / ``"failed"`` — an error settle consumed an
-        attempt and the task was requeued or exhausted.
-        """
-        task = self._tasks.get(task_id)
-        if task is None:
-            raise KeyError(f"unknown task {task_id}")
-        task.settles += 1
-        if task.state in ("done", "failed"):
-            self.metrics.duplicate_settles.inc()
-            return "duplicate"
-        if error is not None:
-            # An error settle consumes the attempt its lease granted — but
-            # only from the current lease holder. A stale holder (its lease
-            # expired and the task was requeued or re-leased) must not
-            # charge the task a second attempt for the same lease.
-            if task.state != "leased" or task.worker != worker:
-                self.metrics.duplicate_settles.inc()
-                return "stale"
-            disposition = self._settle_error(task, worker, error)
-        else:
-            if payload is None:
-                raise ValueError("settle needs a result payload or an error")
-            disposition = self._settle_ok(task, worker, payload)
-        self._refresh_gauges()
-        return disposition
-
-    def _settle_ok(self, task: Task, worker: str,
-                   payload: Dict[str, Any]) -> str:
-        jr = JobResult.from_wire(task.job, payload)
-        # A settle that raced a requeue is still a completion: first wins.
-        if task.id in self._queue and task.state == "queued":
-            self._queue.remove(task.id)
-        task.state = "done"
-        task.worker = worker
-        task.lease_deadline = None
-        task.result = jr
-        self.metrics.tasks_settled.inc()
-        if jr.cached:
-            self.metrics.tasks_cached.inc()
-        if jr.wall_s > 0:
-            self.metrics.task_wall.record(jr.wall_s)
-        if self.cache is not None and jr.result is not None:
-            self.cache.put(task.job.config, task.job.workload, task.job.ops,
-                           task.job.seed, jr.result)
-        return "ok"
-
-    def _settle_error(self, task: Task, worker: str, error: str) -> str:
-        task.lease_deadline = None
-        if task.attempts >= 1 + self.retries:
-            self._fail(task, error)
-            return "failed"
-        task.state = "queued"
-        task.requeues += 1
-        self._queue.append(task.id)
-        self.metrics.tasks_requeued.inc()
-        return "requeued"
-
-    def _fail(self, task: Task, error: str) -> None:
-        task.state = "failed"
-        task.lease_deadline = None
-        task.error = error
-        task.result = JobResult(job=task.job, result=None,
-                                attempts=task.attempts, error=error)
-        self.metrics.tasks_failed.inc()
-
-    # -- inspection ------------------------------------------------------------
-    def task(self, task_id: int) -> Task:
-        task = self._tasks.get(task_id)
-        if task is None:
-            raise KeyError(f"unknown task {task_id}")
-        return task
-
-    def counts(self) -> Dict[str, int]:
-        by_state = {s: 0 for s in TASK_STATES}
-        for task in self._tasks.values():
-            by_state[task.state] += 1
-        return {"total": len(self._tasks), "workers": len(self._workers),
-                **by_state}
-
-    def done(self, task_ids: Optional[Sequence[int]] = None) -> bool:
-        """Whether every named task (default: all) reached a terminal state."""
-        tasks = ([self.task(t) for t in task_ids] if task_ids is not None
-                 else self._tasks.values())
-        return all(t.state in ("done", "failed") for t in tasks)
-
-    def results(self, task_ids: Optional[Sequence[int]] = None) -> List[JobResult]:
-        """Results in ``task_ids`` order (default: every task, in id order).
-
-        Only meaningful once :meth:`done`; raises if a named task is still
-        in flight so a caller can never silently read a partial fleet.
-        """
-        ids = list(task_ids) if task_ids is not None else sorted(self._tasks)
-        out: List[JobResult] = []
-        for tid in ids:
-            task = self.task(tid)
-            if task.result is None:
-                raise RuntimeError(f"task {tid} is {task.state}; results are "
-                                   f"available once every task settles")
-            out.append(task.result)
-        return out
-
-    def drain(self) -> None:
-        """Tell workers (via lease responses) to exit once the queue is dry."""
-        self.closing = True
-
-    def _refresh_gauges(self) -> None:
-        counts = self.counts()
-        self.metrics.queue_depth.set(counts["queued"])
-        self.metrics.leased.set(counts["leased"])
-
-
-# -- the HTTP facade -----------------------------------------------------------
 
 class BrokerApp(App):
     """HTTP front of one :class:`FleetBroker` (see ``docs/fleet.md``).

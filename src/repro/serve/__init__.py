@@ -3,7 +3,10 @@
 - :mod:`repro.serve.http`      — minimal asyncio HTTP/1.1 layer (stdlib
   only), the app shell and the run loop the fleet broker shares
 - :mod:`repro.serve.jobs`      — job model, submission validation, store
-- :mod:`repro.serve.scheduler` — priority queue, tenant quotas, sweep runs
+- :mod:`repro.serve.broker`    — the task broker both job planes run on:
+  priority queue, leases, attempts, idempotent settle
+- :mod:`repro.serve.scheduler` — jobs on an embedded broker: tenant
+  quotas, job state from task state, the local batch runner
 - :mod:`repro.serve.metrics`   — plane metrics on the obs MetricRegistry
 - :mod:`repro.serve.server`    — routes and app wiring
 

@@ -14,7 +14,6 @@ streaming endpoint replays and tails.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -45,8 +44,10 @@ def parse_job_request(payload: Dict[str, Any],
                       default_tenant: str = "default") -> Dict[str, Any]:
     """Validate a submission body into normalized job fields.
 
-    Returns ``{"tenant", "priority", "spec", "tasks"}`` where ``tasks`` is
-    the validated, materialized :class:`SweepJob` list. Raises
+    Returns ``{"tenant", "priority", "spec", "trace_id", "specs",
+    "tasks"}``: the job's task specs and their validated, materialized
+    :class:`SweepJob`\\ s, stamped with the distributed trace id minted
+    here (submission is the root of the causal chain). Raises
     :class:`BadRequest` with a client-facing message on any invalid field.
     """
     if not isinstance(payload, dict):
@@ -91,7 +92,9 @@ def parse_job_request(payload: Dict[str, Any],
         raise BadRequest(f"job expands to {n_tasks} tasks; the limit is "
                          f"{MAX_TASKS_PER_JOB}")
     knobs = {key: payload.get(key) for key in ("ops", "validate", "tracing")}
-    specs = expand_specs(configs, workloads, seeds=seeds, **knobs)
+    trace_id = uuid.uuid4().hex
+    specs = expand_specs(configs, workloads, seeds=seeds, trace_id=trace_id,
+                         **knobs)
     try:
         tasks = [s.build_job() for s in specs]
     except SpecError as e:
@@ -99,16 +102,15 @@ def parse_job_request(payload: Dict[str, Any],
     spec = {"configs": configs, "workloads": workloads, "seeds": seeds,
             **knobs}
     return {"tenant": tenant, "priority": priority, "spec": spec,
-            "tasks": tasks}
+            "trace_id": trace_id, "specs": specs, "tasks": tasks}
 
 
 @dataclass
 class Job:
     """One accepted job and its full lifecycle state.
 
-    Mutated only on the event loop thread (worker-thread progress is
-    marshalled over ``call_soon_threadsafe``), so readers on the loop see
-    a consistent snapshot without locks.
+    Mutated only on the event loop thread (batch outcomes settle there),
+    so readers on the loop see a consistent snapshot without locks.
     """
 
     id: str
@@ -119,6 +121,8 @@ class Job:
     #: Distributed trace id minted at submission; every task is stamped
     #: with it so a traced worker-side span export names this job.
     trace_id: str = ""
+    #: The job's tasks in the scheduler's broker, in ``tasks`` order.
+    task_ids: List[int] = field(default_factory=list)
     state: str = "queued"
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
@@ -186,16 +190,9 @@ class JobStore:
 
     def create(self, parsed: Dict[str, Any]) -> Job:
         self._seq += 1
-        # Mint the distributed trace id here — submission is the root of
-        # the causal chain — and stamp it onto every expanded task so it
-        # survives the lease/settle round trip and lands in any traced
-        # result's extras["trace"].
-        trace_id = uuid.uuid4().hex
-        tasks = [dataclasses.replace(t, trace_id=trace_id)
-                 for t in parsed["tasks"]]
         job = Job(id=f"job-{self._seq:06d}", tenant=parsed["tenant"],
                   priority=parsed["priority"], spec=parsed["spec"],
-                  tasks=tasks, trace_id=trace_id)
+                  tasks=parsed["tasks"], trace_id=parsed["trace_id"])
         self._jobs[job.id] = job
         self._evict()
         return job

@@ -20,7 +20,7 @@ from repro.exec.cache import ResultCache
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricRegistry
 
-__all__ = ["PlaneMetrics", "ServerMetrics"]
+__all__ = ["BrokerMetrics", "PlaneMetrics", "ServerMetrics"]
 
 
 class PlaneMetrics:
@@ -78,3 +78,21 @@ class ServerMetrics(PlaneMetrics):
         """Per-status-class HTTP request counter (2xx/4xx/5xx...)."""
         self.counter("http_requests_total",
                      labels={"code": f"{status // 100}xx"}).inc()
+
+
+class BrokerMetrics(PlaneMetrics):
+    """Task-broker metrics (``repro_fleet_*``; see :mod:`repro.serve.broker`)."""
+
+    def __init__(self):
+        super().__init__("repro_fleet")
+        self.tasks_submitted = self.counter("tasks_submitted_total")
+        self.tasks_leased = self.counter("tasks_leased_total")
+        self.tasks_settled = self.counter("tasks_settled_total")
+        self.tasks_cached = self.counter("tasks_cached_total")
+        self.tasks_requeued = self.counter("tasks_requeued_total")
+        self.tasks_failed = self.counter("tasks_failed_total")
+        self.duplicate_settles = self.counter("duplicate_settles_total")
+        self.queue_depth = self.gauge("queue_depth")
+        self.leased = self.gauge("leased_tasks")
+        self.workers_seen = self.gauge("workers_seen")
+        self.task_wall = self.histogram("task_wall_seconds")

@@ -1,37 +1,40 @@
-"""Priority scheduling of accepted jobs onto the sweep runner.
+"""Jobs on the shared task broker, run by one local batch runner.
 
-One asyncio dispatch loop pops the highest-priority queued job whenever an
-active slot frees up and runs its sweep through
-:class:`~repro.exec.runner.SweepRunner` — the shared on-disk result cache
-settles duplicate configs without pool work, and with two or more pool
-workers the PoolRunner deadline semantics time a hung simulation out and
-replace its worker rather than wedging the server. With one pool worker
-the simulation runs inline in the job thread, where no deadline can
-interrupt it: ``job_timeout_s`` then has no effect.
+Every accepted job's tasks go into one embedded
+:class:`~repro.serve.broker.FleetBroker` — the state machine the fleet's
+workers lease from — at the job's priority.
 
-The sweep itself is synchronous, so each active job runs in a dedicated
-*daemon* thread (not the default executor: its atexit hook would join a
-still-running sweep and block interpreter exit — exactly the hang the
-server exists to avoid). Progress callbacks fire on that thread and are
-marshalled onto the event loop with ``call_soon_threadsafe``, keeping all
-job-state mutation single-threaded.
+Whenever it is idle, the local runner leases up to ``pool_workers``
+tasks and runs them as one :class:`~repro.exec.runner.SweepRunner`
+batch on a daemon thread. With two or more pool workers a hung
+simulation times out and its worker is replaced; with one, the
+simulation runs inline and ``job_timeout_s`` has no effect. Outcomes
+settle on the event loop, so job state stays single-threaded.
+
+A job starts when its first task is leased, with one cache pass over all
+its tasks, as ``SweepRunner.run`` makes: every hit settles then, in
+queue order, and each fresh result is stored as it settles. It ends
+when its last task settles; its tasks then leave the broker.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
-import heapq
+import math
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.exec.cache import ResultCache
 from repro.exec.runner import JobResult, SweepRunner
+from repro.serve.broker import FleetBroker, Task
 from repro.serve.jobs import Job, JobStore
 from repro.serve.metrics import ServerMetrics
 
 __all__ = ["QuotaExceeded", "Scheduler"]
+
+#: The local runner's name on the broker.
+LOCAL = "local"
 
 
 class QuotaExceeded(Exception):
@@ -44,25 +47,13 @@ def _is_timeout(jr: JobResult) -> bool:
 
 
 class Scheduler:
-    """Quota-gated priority queue feeding bounded concurrent sweep runs.
+    """Quota-gated jobs on one task broker, run by one local runner.
 
-    Parameters
-    ----------
-    store / metrics / cache:
-        Shared job registry, server metrics, and on-disk result cache.
-    pool_workers:
-        Process-pool size each active job's :class:`SweepRunner` uses
-        (``1`` = inline in the job thread — no subprocesses).
-    job_timeout_s / retries:
-        Per-task deadline and retry budget, passed through to the runner
-        (the deadline applies only when ``pool_workers > 1``).
-    max_active:
-        Concurrent running jobs. Each active job owns a process pool, so
-        total worker processes ≈ ``max_active * pool_workers``.
-    max_queue:
-        Queued-job cap across all tenants.
-    tenant_max_jobs:
-        Per-tenant cap on jobs that are queued or running.
+    ``pool_workers`` is the batch size and each batch's process-pool size
+    (``1``: inline, no subprocesses, and no ``job_timeout_s`` deadline);
+    ``retries`` is the broker's extra attempts per failed or timed-out
+    task; ``max_queue`` caps queued jobs and ``tenant_max_jobs`` one
+    tenant's queued or running ones.
     """
 
     def __init__(self, store: JobStore, metrics: ServerMetrics,
@@ -70,7 +61,6 @@ class Scheduler:
                  pool_workers: int = 2,
                  job_timeout_s: Optional[float] = None,
                  retries: int = 1,
-                 max_active: int = 1,
                  max_queue: int = 256,
                  tenant_max_jobs: int = 8):
         self.store = store
@@ -78,65 +68,46 @@ class Scheduler:
         self.cache = cache
         self.pool_workers = pool_workers
         self.job_timeout_s = job_timeout_s
-        self.retries = retries
-        self.max_active = max_active
         self.max_queue = max_queue
         self.tenant_max_jobs = tenant_max_jobs
-
-        self._heap: List[Tuple[int, int, str]] = []   # (-priority, seq, id)
-        self._seq = 0
-        self._queued = 0
-        self._active: Dict[str, asyncio.Task] = {}
-        self._wake = asyncio.Event()
-        self._loop_task: Optional[asyncio.Task] = None
+        # The local runner dies only with the server: no lease expires.
+        self.broker = FleetBroker(lease_s=math.inf, retries=retries)
+        self._job_of: Dict[int, Job] = {}        # broker task id -> its job
+        self._batch: Optional[asyncio.Future] = None
         self._accepting = True
 
     # -- lifecycle -------------------------------------------------------------
-    def start(self) -> None:
-        self._loop_task = asyncio.get_running_loop().create_task(
-            self._dispatch_loop(), name="repro-serve-dispatch")
-
     async def shutdown(self, drain_s: float = 30.0) -> Dict[str, int]:
-        """Stop accepting, cancel the queue, wait for active jobs.
+        """Stop accepting, cancel queued jobs, run the running ones out.
 
-        Active sweeps cannot be interrupted mid-simulation, but the runner's
-        deadline semantics bound them; past ``drain_s`` their daemon threads
-        are abandoned (they cannot block process exit) and the jobs are
-        marked failed.
+        Past ``drain_s`` the batch's daemon thread is abandoned (it cannot
+        block process exit) and every job still running is failed.
         """
         self._accepting = False
-        cancelled = 0
-        while self._heap:
-            _, _, job_id = heapq.heappop(self._heap)
-            job = self.store.get(job_id)
-            if job is not None and job.state == "queued":
-                self._finish_cancelled(job, "server shutting down")
-                cancelled += 1
-        self._queued = 0
-        self.metrics.queue_depth.set(0)
-        self._wake.set()
-        active = list(self._active.values())
-        abandoned = 0
-        if active:
-            done, pending = await asyncio.wait(
-                active, timeout=drain_s if drain_s > 0 else None)
-            for task in pending:
-                task.cancel()
-            abandoned = len(pending)
-        if self._loop_task is not None:
-            self._loop_task.cancel()
-            try:
-                await self._loop_task
-            except asyncio.CancelledError:
-                pass
-        return {"cancelled": cancelled, "abandoned": abandoned}
+        queued = [j for j in self.store.jobs() if j.state == "queued"]
+        for job in queued:
+            self.cancel(job, "server shutting down")
+        deadline = time.monotonic() + drain_s if drain_s > 0 else None
+        while self._batch is not None:
+            wait = (None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
+            done, _ = await asyncio.wait({self._batch}, timeout=wait)
+            if not done:
+                self._batch.cancel()
+                break
+        running = [j for j in self.store.jobs() if j.state == "running"]
+        for job in running:
+            self._end(job, "failed", self.metrics.jobs_failed,
+                      "abandoned at server shutdown")
+        return {"cancelled": len(queued), "abandoned": len(running)}
 
     # -- submission ------------------------------------------------------------
     def submit(self, parsed: Dict[str, Any]) -> Job:
         """Queue one validated submission (see ``parse_job_request``)."""
         if not self._accepting:
             raise QuotaExceeded("server is shutting down")
-        if self._queued >= self.max_queue:
+        queued = sum(1 for j in self.store.jobs() if j.state == "queued")
+        if queued >= self.max_queue:
             raise QuotaExceeded(
                 f"queue is full ({self.max_queue} jobs); retry later")
         tenant = parsed["tenant"]
@@ -146,121 +117,143 @@ class Scheduler:
                 f"tenant {tenant!r} already has {live} queued/running "
                 f"job(s); the quota is {self.tenant_max_jobs}")
         job = self.store.create(parsed)
-        self._seq += 1
-        heapq.heappush(self._heap, (-job.priority, self._seq, job.id))
-        self._queued += 1
         self.metrics.jobs_accepted.inc()
-        self.metrics.queue_depth.set(self._queued)
         job.add_event("queued", tenant=tenant, priority=job.priority,
                       total_tasks=job.total_tasks)
-        self._wake.set()
+        job.task_ids = self.broker.submit(parsed["specs"], job.priority,
+                                          jobs=job.tasks)
+        self._job_of.update(dict.fromkeys(job.task_ids, job))
+        self._kick()
+        self._refresh()
         return job
 
-    def cancel(self, job: Job) -> bool:
+    def cancel(self, job: Job, reason: str = "cancelled by client") -> bool:
         """Cancel a queued job (running jobs are not interruptible)."""
         if job.state != "queued":
             return False
-        # Lazy heap removal: the dispatch loop skips non-queued entries.
-        self._finish_cancelled(job, "cancelled by client")
-        self._queued = max(0, self._queued - 1)
-        self.metrics.queue_depth.set(self._queued)
+        self._end(job, "cancelled", self.metrics.jobs_cancelled, reason)
         return True
 
-    # -- dispatch --------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            while self._heap and len(self._active) < self.max_active:
-                _, _, job_id = heapq.heappop(self._heap)
-                job = self.store.get(job_id)
-                if job is None or job.state != "queued":
-                    continue                      # cancelled while queued
-                self._queued = max(0, self._queued - 1)
-                self.metrics.queue_depth.set(self._queued)
-                task = asyncio.get_running_loop().create_task(
-                    self._run_job(job), name=f"repro-serve-{job.id}")
-                self._active[job.id] = task
-
-    async def _run_job(self, job: Job) -> None:
+    # -- the local runner ------------------------------------------------------
+    def _kick(self) -> None:
+        """Lease the next batch if the local runner is idle; a leased
+        task's job starts, and the job's cache hits leave the batch."""
+        if self._batch is not None:
+            return
+        tasks: List[Task] = []
+        while not tasks:
+            leased = self.broker.lease(LOCAL, self.pool_workers)
+            if not leased:
+                return
+            for job in [self._job_of[t.id] for t in leased]:
+                self._start(job)
+            self._refresh()
+            tasks = [t for t in leased if t.state == "leased"]
+        # A fresh *daemon* thread: the default executor's atexit hook
+        # would join a hung sweep and block interpreter exit.
         loop = asyncio.get_running_loop()
-        job.state = "running"
-        job.started_at = time.time()
-        self.metrics.active_jobs.set(len(self._active))
-        job.add_event("started", workers=self.pool_workers)
+        self._batch = batch = loop.create_future()
+        batch.add_done_callback(lambda _: self._batch_done(tasks, batch))
 
-        def progress(done: int, total: int, jr: JobResult) -> None:
-            # Runs on the job thread; marshal onto the loop.
-            payload = {"done": done, "total": total,
-                       "label": jr.job.label(), "cached": jr.cached,
-                       "wall_s": jr.wall_s, "attempts": jr.attempts,
-                       "ok": jr.result is not None, "error": jr.error}
+        def run() -> None:
+            runner = SweepRunner(workers=self.pool_workers, cache=None,
+                                 job_timeout_s=self.job_timeout_s, retries=0)
+            try:
+                outcomes = runner.run([t.job for t in tasks])
+            except Exception as e:               # the runner itself failed
+                outcomes = [JobResult(job=t.job, result=None, attempts=1,
+                                      error=f"{type(e).__name__}: {e}")
+                            for t in tasks]
             try:
                 loop.call_soon_threadsafe(
-                    functools.partial(job.add_event, "task", **payload))
+                    lambda: batch.done() or batch.set_result(outcomes))
             except RuntimeError:
-                pass                              # loop closed during drain
+                pass                             # the loop closed
 
-        runner = SweepRunner(workers=self.pool_workers, cache=self.cache,
-                             job_timeout_s=self.job_timeout_s,
-                             retries=self.retries, progress=progress)
-        try:
-            results = await _in_daemon_thread(
-                lambda: runner.run(job.tasks), name=f"sweep-{job.id}")
-        except asyncio.CancelledError:
-            self._finish_failed(job, "abandoned at server shutdown")
-            raise
-        except Exception as e:
-            self._finish_failed(job, f"{type(e).__name__}: {e}")
-        else:
-            self._finish_ok(job, results)
-        finally:
-            self._active.pop(job.id, None)
-            self.metrics.active_jobs.set(len(self._active))
-            self._wake.set()
+        threading.Thread(target=run, name="repro-serve-batch",
+                         daemon=True).start()
 
-    # -- terminal transitions --------------------------------------------------
-    def _finish_ok(self, job: Job, results: List[JobResult]) -> None:
-        job.results = results
-        job.done_tasks = len(results)
-        job.cached_tasks = sum(1 for r in results if r.cached)
-        job.timed_out_tasks = sum(1 for r in results if _is_timeout(r))
-        job.failed_tasks = sum(1 for r in results
-                               if r.result is None and not _is_timeout(r))
+    def _batch_done(self, tasks: List[Task], batch: asyncio.Future) -> None:
+        """Store each fresh result, then settle each outcome as the wire
+        record a fleet worker sends; an error may requeue its task."""
+        if batch.cancelled():
+            return                               # abandoned at shutdown
+        self._batch = None
+        for task, jr in zip(tasks, batch.result()):
+            error = jr.error
+            if jr.result is not None and self.cache is not None:
+                try:
+                    self.cache.put(jr.job.config, jr.job.workload,
+                                   jr.job.ops, jr.job.seed, jr.result)
+                except OSError as e:             # the result cache failed
+                    error = f"{type(e).__name__}: {e}"
+            if error is None:
+                self.broker.settle(LOCAL, task.id, payload=jr.to_wire())
+            else:
+                self.broker.settle(LOCAL, task.id, error=error)
+            if task.state != "queued":
+                self._settled(task)
+        self._kick()
+
+    # -- job state from task state ---------------------------------------------
+    def _start(self, job: Job) -> None:
+        """Start a queued job with its cache pass: each hit settles now."""
+        if job.state != "queued":
+            return
+        job.state = "running"
+        job.started_at = time.time()
+        job.add_event("started", workers=self.pool_workers)
+        for task in [self.broker.task(t) for t in job.task_ids]:
+            hit = JobResult.from_cache(self.cache, task.job)
+            if hit is not None:
+                self.broker.settle(LOCAL, task.id, payload=hit.to_wire())
+                self._settled(task)
+
+    def _settled(self, task: Task) -> None:
+        """Count one finished task into its job; the last one ends it."""
+        job = self._job_of[task.id]
+        jr = task.result
+        job.done_tasks += 1
         m = self.metrics
-        m.tasks_completed.inc(len(results))
-        m.tasks_cached.inc(job.cached_tasks)
-        m.tasks_failed.inc(job.failed_tasks)
-        m.tasks_timed_out.inc(job.timed_out_tasks)
+        m.tasks_completed.inc()
+        if jr.cached:
+            job.cached_tasks += 1
+            m.tasks_cached.inc()
+        elif _is_timeout(jr):
+            job.timed_out_tasks += 1
+            m.tasks_timed_out.inc()
+        elif jr.result is None:
+            job.failed_tasks += 1
+            m.tasks_failed.inc()
+        job.add_event("task", done=job.done_tasks, total=job.total_tasks,
+                      label=jr.job.label(), cached=jr.cached,
+                      wall_s=jr.wall_s, attempts=jr.attempts,
+                      ok=jr.result is not None, error=jr.error)
+        if job.done_tasks < job.total_tasks:
+            return
+        job.results = self.broker.results(job.task_ids)
         if job.timed_out_tasks:
-            job.state = "timed_out"
-            job.error = (f"{job.timed_out_tasks}/{job.total_tasks} task(s) "
-                         f"exceeded the {self.job_timeout_s}s deadline")
-            m.jobs_timed_out.inc()
+            self._end(job, "timed_out", m.jobs_timed_out,
+                      f"{job.timed_out_tasks}/{job.total_tasks} task(s) "
+                      f"exceeded the {self.job_timeout_s}s deadline")
         elif job.failed_tasks:
-            job.state = "failed"
-            first = next(r for r in results
+            first = next(r for r in job.results
                          if r.result is None and not _is_timeout(r))
-            job.error = f"{job.failed_tasks} task(s) failed; first: {first.error}"
-            m.jobs_failed.inc()
+            self._end(job, "failed", m.jobs_failed, f"{job.failed_tasks} "
+                      f"task(s) failed; first: {first.error}")
         else:
-            job.state = "done"
-            m.jobs_completed.inc()
-        self._seal(job)
+            self._end(job, "done", m.jobs_completed)
 
-    def _finish_failed(self, job: Job, error: str) -> None:
-        job.state = "failed"
+    def _end(self, job: Job, state: str, counter,
+             error: Optional[str] = None) -> None:
+        """Make ``job`` terminal. Its tasks leave the broker; the job
+        keeps their results."""
+        job.state = state
         job.error = error
-        self.metrics.jobs_failed.inc()
-        self._seal(job)
-
-    def _finish_cancelled(self, job: Job, reason: str) -> None:
-        job.state = "cancelled"
-        job.error = reason
-        self.metrics.jobs_cancelled.inc()
-        self._seal(job)
-
-    def _seal(self, job: Job) -> None:
+        counter.inc()
+        self.broker.cancel(job.task_ids)
+        for tid in job.task_ids:
+            self._job_of.pop(tid, None)
         job.finished_at = time.time()
         if job.started_at is not None:
             self.metrics.job_wall.record(job.finished_at - job.started_at)
@@ -268,32 +261,10 @@ class Scheduler:
                       done=job.done_tasks, cached=job.cached_tasks,
                       failed=job.failed_tasks, timed_out=job.timed_out_tasks,
                       error=job.error)
+        self._refresh()
 
+    def _refresh(self) -> None:
+        states = [j.state for j in self.store.jobs()]
+        self.metrics.queue_depth.set(states.count("queued"))
+        self.metrics.active_jobs.set(states.count("running"))
 
-async def _in_daemon_thread(fn: Callable[[], Any], name: str) -> Any:
-    """Run ``fn`` on a fresh daemon thread and await its result.
-
-    Unlike ``asyncio.to_thread`` / the default executor, a daemon thread is
-    never joined at interpreter exit — a sweep that outlives the drain
-    window cannot keep the process alive.
-    """
-    loop = asyncio.get_running_loop()
-    fut: asyncio.Future = loop.create_future()
-
-    def deliver(setter: Callable, value: Any) -> None:
-        try:
-            loop.call_soon_threadsafe(
-                lambda: setter(value) if not fut.done() else None)
-        except RuntimeError:
-            pass                                  # loop already closed
-
-    def target() -> None:
-        try:
-            result = fn()
-        except BaseException as e:
-            deliver(fut.set_exception, e)
-        else:
-            deliver(fut.set_result, result)
-
-    threading.Thread(target=target, name=name, daemon=True).start()
-    return await fut

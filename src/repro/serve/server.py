@@ -42,7 +42,6 @@ class ServeApp(App):
     def __init__(self, pool_workers: int = 2,
                  job_timeout_s: Optional[float] = None,
                  retries: int = 1,
-                 max_active: int = 1,
                  max_queue: int = 256,
                  tenant_max_jobs: int = 8,
                  cache: Optional[ResultCache] = None):
@@ -51,7 +50,7 @@ class ServeApp(App):
         self.scheduler = Scheduler(
             self.store, self.metrics, cache=cache,
             pool_workers=pool_workers, job_timeout_s=job_timeout_s,
-            retries=retries, max_active=max_active, max_queue=max_queue,
+            retries=retries, max_queue=max_queue,
             tenant_max_jobs=tenant_max_jobs)
         r = self.router
         r.add("GET", "/healthz", self.handle_health)
@@ -63,11 +62,6 @@ class ServeApp(App):
         r.add("DELETE", "/jobs/{job_id}", self.handle_cancel)
 
     # -- lifecycle -------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0):
-        """Start the scheduler, then bind the listening socket."""
-        self.scheduler.start()
-        return await super().start(host, port)
-
     async def shutdown(self, drain_s: float = 30.0) -> dict:
         """Close the listener, drain the scheduler; returns drain stats."""
         await self.close()
@@ -155,19 +149,18 @@ class ServeApp(App):
 
 def run_server(host: str, port: int, pool_workers: int,
                job_timeout_s: Optional[float], retries: int,
-               max_active: int, max_queue: int, tenant_max_jobs: int,
+               max_queue: int, tenant_max_jobs: int,
                no_cache: bool = False, cache_dir: Optional[str] = None,
                drain_s: float = 30.0) -> int:
     """Blocking entry point for ``repro serve`` (returns an exit code)."""
     cache = cache_from_flags(cache_dir, no_cache)
     app = ServeApp(pool_workers=pool_workers, job_timeout_s=job_timeout_s,
-                   retries=retries, max_active=max_active,
-                   max_queue=max_queue, tenant_max_jobs=tenant_max_jobs,
-                   cache=cache)
+                   retries=retries, max_queue=max_queue,
+                   tenant_max_jobs=tenant_max_jobs, cache=cache)
 
     def banner() -> str:
         return (f"repro serve: listening on http://{host}:{app.port} "
-                f"(pool_workers={pool_workers}, max_active={max_active}, "
+                f"(pool_workers={pool_workers}, "
                 f"job_timeout={job_timeout_s}, cache="
                 f"{cache.root if cache else 'off'})")
 

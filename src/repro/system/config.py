@@ -23,8 +23,10 @@ coaxial-asym      4 CXL-asym (x2)  128 KB       8 DDR channels
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.cache import level_sets, make_policy
 from repro.calm.policy import make_calm_policy
@@ -179,6 +181,30 @@ class SystemConfig:
     def replace(self, **kwargs) -> "SystemConfig":
         """A modified copy (dataclasses.replace with validation)."""
         return dataclasses.replace(self, **kwargs)
+
+
+def _flatten(prefix: str, value: Any, out: Dict[str, Any]) -> None:
+    if isinstance(value, dict):
+        for k in sorted(value):
+            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], out)
+    else:
+        out[prefix] = value
+
+
+def config_fingerprint(cfg: SystemConfig) -> Dict[str, Any]:
+    """The full config as a flat, JSON-serializable dict: every field,
+    nested ones (``cxl_params``) included, so every knob keys the cache."""
+    flat: Dict[str, Any] = {}
+    _flatten("", dataclasses.asdict(cfg), flat)
+    return flat
+
+
+def config_digest(cfg: SystemConfig, short: int = 12) -> str:
+    """Short stable hash of one config's complete fingerprint: names the
+    exact configuration in violation reports, BENCH records and fuzz
+    reproducers, whatever ``cfg.name`` (fuzzed configs share one) says."""
+    blob = json.dumps(config_fingerprint(cfg), sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:short]
 
 
 def baseline_config(**overrides) -> SystemConfig:

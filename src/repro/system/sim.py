@@ -17,7 +17,7 @@ import numpy as np
 from repro.cache.warmup import busiest_share, lru_pass
 from repro.cpu.trace import Trace
 from repro.system.builder import Chip, build_system
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, config_digest
 from repro.system.stats import SimResult
 
 
@@ -275,26 +275,26 @@ def _workload_traces(cfg: SystemConfig, workload, ops_per_core, seed: int):
 
 def _observers(cfg: SystemConfig, validate, obs, tracing) -> list:
     """The run's live observers, in payload order, from ``simulate()``'s
-    ``validate``/``obs``/``tracing`` arguments (or their env defaults)."""
-    from repro.exec.cache import config_digest
+    ``validate``/``obs``/``tracing`` arguments (or their env defaults);
+    the checker's and the tracer's modules load only when they are on."""
     from repro.obs import ObsCollector
-    from repro.observer import resolve_mode
-    from repro.tracing import SpanTracer
-    from repro.validate import InvariantChecker
+    from repro.observer import Observer, resolve_mode
 
     live = []
     mode = resolve_mode("validate", validate)
     if mode != "off":
+        from repro.validate import InvariantChecker
         live.append(InvariantChecker(strict=(mode == "strict"),
                                      config_hash=config_digest(cfg)))
-    for kind, arg, cls in (("obs", obs, ObsCollector),
-                           ("tracing", tracing, SpanTracer)):
-        if isinstance(arg, cls):
-            live.append(arg)
-            continue
-        mode = resolve_mode(kind, arg)
-        if mode != "off":
-            live.append(cls(mode=mode))
+    if isinstance(obs, Observer):
+        live.append(obs)                        # pre-built: the caller's
+    elif resolve_mode("obs", obs) != "off":
+        live.append(ObsCollector(mode=resolve_mode("obs", obs)))
+    if isinstance(tracing, Observer):
+        live.append(tracing)
+    elif resolve_mode("tracing", tracing) != "off":
+        from repro.tracing import SpanTracer
+        live.append(SpanTracer(mode=resolve_mode("tracing", tracing)))
     return live
 
 

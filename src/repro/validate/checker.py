@@ -57,7 +57,7 @@ class Violation:
     """One detected invariant violation.
 
     ``config_hash`` ties the record to the exact configuration (see
-    :func:`repro.exec.cache.config_digest`), so a violation copied out of a
+    :func:`repro.system.config.config_digest`), so a violation copied out of a
     report — e.g. into a shrunk fuzz reproducer — stays self-describing.
     """
 
@@ -86,7 +86,7 @@ class InvariantChecker(Observer):
         float rounding across long simulations.
     config_hash:
         Short digest of the audited configuration (see
-        :func:`repro.exec.cache.config_digest`); stamped onto every
+        :func:`repro.system.config.config_digest`); stamped onto every
         violation and the aggregate report so reproducers are
         self-describing.
     """

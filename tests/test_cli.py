@@ -114,7 +114,7 @@ class TestCommands:
         assert main(argv) == 0
         capsys.readouterr()
         bench = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-        from repro.exec.cache import config_digest
+        from repro.system.config import config_digest
         from repro.exec.spec import build_config
         want = build_config("coaxial-4x", {"tiering": "epoch",
                                            "device_profile": "demystify-b"})

@@ -20,9 +20,12 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.exec import runner
 from repro.exec.cache import ResultCache
+from repro.exec.spec import expand_specs
 from repro.obs.export import parse_prometheus
 from repro.serve import ServeApp
+from repro.serve.broker import FleetBroker
 from repro.serve.jobs import BadRequest, parse_job_request
 
 OPS = 200
@@ -213,7 +216,7 @@ class TestQuotasAndPriorities:
             server.stop()
 
     def test_priority_orders_queue_and_cancel(self, tmp_path):
-        server = ServerHarness(pool_workers=1, max_active=1,
+        server = ServerHarness(pool_workers=1,
                                cache=ResultCache(root=tmp_path / "c"))
         try:
             blocker = server.submit({**SPEC, "ops": 5000})
@@ -291,7 +294,7 @@ class TestTimeoutAndShutdown:
             server.stop()
 
     def test_shutdown_cancels_queue_and_joins(self, tmp_path):
-        server = ServerHarness(pool_workers=1, max_active=1,
+        server = ServerHarness(pool_workers=1,
                                cache=ResultCache(root=tmp_path / "c"))
         blocker = server.submit({**SPEC, "ops": 5000})
         queued = server.submit({**SPEC, "workloads": ["BFS"]})
@@ -300,6 +303,139 @@ class TestTimeoutAndShutdown:
         assert stats["abandoned"] == 0
         assert server.app.store.get(queued["id"]).state == "cancelled"
         assert server.app.store.get(blocker["id"]).state == "done"
+
+
+class TestTaskQueue:
+    """The broker state machine serve and the fleet share: priorities,
+    requeue order and cancel, with no sockets and no simulation."""
+
+    @staticmethod
+    def specs(n):
+        return expand_specs(["ddr-baseline"],
+                            ["mcf", "gcc", "BFS", "lbm"][:n], ops=OPS)
+
+    def test_priority_order_with_fifo_ties(self):
+        broker = FleetBroker()
+        low = broker.submit(self.specs(2), priority=0)
+        high = broker.submit(self.specs(2), priority=5)
+        mid = broker.submit(self.specs(1), priority=1)
+        leased = broker.lease("w", max_tasks=5)
+        assert [t.id for t in leased] == high + mid + low
+        assert [t.priority for t in leased] == [5, 5, 1, 0, 0]
+
+    def test_requeue_goes_behind_its_priority(self):
+        now = [0.0]
+        broker = FleetBroker(lease_s=5.0, retries=3, now_fn=lambda: now[0])
+        first, second = broker.submit(self.specs(2), priority=1)
+        assert [t.id for t in broker.lease("w", 1)] == [first]
+        (other,) = broker.submit(self.specs(1), priority=1)
+        (low,) = broker.submit(self.specs(1), priority=0)
+        # An error settle and an expired lease each requeue their task
+        # behind the tasks of its priority already queued.
+        assert broker.settle("w", first, error="boom") == "requeued"
+        assert [t.id for t in broker.lease("w", 1)] == [second]
+        now[0] += 6.0
+        assert broker.expire() == [second]
+        order = [t.id for t in broker.lease("w", 4)]
+        assert order == [other, first, second, low]
+
+    def test_cancel_drops_queued_and_refuses_leased(self):
+        broker = FleetBroker(retries=0)
+        a, b, c = broker.submit(self.specs(3))
+        broker.lease("w", 1)                    # a
+        assert broker.cancel([a, b]) == [b]
+        assert broker.task(a).state == "leased"
+        with pytest.raises(KeyError):
+            broker.task(b)
+        assert [t.id for t in broker.lease("w", 5)] == [c]
+        assert broker.counts()["queued"] == 0
+        # A finished task is forgotten; the holder's settle still landed.
+        assert broker.settle("w", a, error="boom") == "failed"
+        assert broker.cancel([a]) == [a]
+        assert broker.counts()["total"] == 1
+
+
+@pytest.fixture
+def simulated(monkeypatch):
+    """Every job simulated in this process, in order, recorded through
+    ``runner._simulate_job``, the name perfbench/serve_traced.py wraps."""
+    ran = []
+    simulate = runner._simulate_job
+
+    def traced(job):
+        ran.append(job)
+        return simulate(job)
+
+    monkeypatch.setattr(runner, "_simulate_job", traced)
+    return ran
+
+
+class TestServeOnTheBroker:
+    """Serve's jobs run as broker tasks; what perfbench's job-service
+    workload relies on is pinned here."""
+
+    def test_task_runs_in_process_through_simulate_job(self, server,
+                                                       simulated):
+        # A task at pool_workers=1 runs in this process, through the
+        # module-level name looked up per call.
+        final = server.wait_job(server.submit(SPEC)["id"])
+        assert final["state"] == "done"
+        assert [j.label() for j in simulated] == [
+            f"ddr-baseline/mcf/ops={OPS}/seed=1"]
+
+    def test_cache_hit_summary_has_all_times(self, server):
+        server.wait_job(server.submit(SPEC)["id"])
+        hit = server.submit(SPEC)      # the runner is idle: done at once
+        assert hit["state"] == "done" and hit["cached_tasks"] == 1
+        # The traced job-service leg subtracts these for every job.
+        t = [hit[k] for k in ("submitted_at", "started_at", "finished_at")]
+        assert all(isinstance(x, float) for x in t)
+        assert t == sorted(t)
+
+    def test_retried_task_reports_every_attempt(self, tmp_path, monkeypatch):
+        simulate = runner._simulate_job
+        calls = []
+
+        def flaky(job):
+            calls.append(job.label())
+            if len(calls) == 1:
+                raise RuntimeError("transient")
+            return simulate(job)
+
+        monkeypatch.setattr(runner, "_simulate_job", flaky)
+        server = ServerHarness(pool_workers=1, retries=1)
+        try:
+            final = server.wait_job(server.submit(SPEC)["id"])
+            _, payload = server.json("GET", f"/jobs/{final['id']}/result")
+        finally:
+            server.stop()
+        assert final["state"] == "done" and len(calls) == 2
+        (task,) = payload["job"]["tasks"]
+        assert task["attempts"] == 2 and task["error"] is None
+
+    def test_higher_priority_job_runs_first(self, server, simulated):
+        blocker = server.submit({**SPEC, "ops": 2000})
+        low = server.submit({**SPEC, "workloads": ["BFS", "lbm"]})
+        high = server.submit({**SPEC, "workloads": ["gcc"], "priority": 5})
+        for job in (blocker, low, high):
+            assert server.wait_job(job["id"])["state"] == "done"
+        assert [j.workload for j in simulated] == ["mcf", "gcc", "BFS", "lbm"]
+
+    def test_finished_and_evicted_jobs_leave_the_broker(self, server):
+        server.app.store.keep_finished = 1
+        first = server.wait_job(server.submit(SPEC)["id"])
+        second = server.wait_job(server.submit(
+            {**SPEC, "workloads": ["gcc", "BFS"]})["id"])
+        broker = server.app.scheduler.broker
+        # A finished job keeps its results; its tasks left the broker.
+        assert broker.counts()["total"] == 0
+        status, payload = server.json("GET", f"/jobs/{second['id']}/result")
+        assert status == 200 and len(payload["job"]["tasks"]) == 2
+        # The next submission (a cache hit) evicts the oldest finished job.
+        assert server.submit(SPEC)["state"] == "done"
+        assert server.app.store.get(first["id"]) is None
+        assert broker.counts()["total"] == 0
+        assert server.app.scheduler._job_of == {}
 
 
 def test_serve_boot_loads_no_fleet_module():

@@ -1,7 +1,11 @@
 """Tests for the simulation driver (warmup/measurement protocol)."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,24 @@ class TestChipLifetime:
         assert collector.snapshot(with_profile=True) == kept.extras["obs"]
         assert "repro_l2_misses_total" in prometheus_text(collector.snapshot())
         assert tracer.snapshot() == kept.extras["trace"]
+
+
+def test_first_simulate_loads_no_job_plane_module():
+    # With every observer off, a process's first simulate() imports no
+    # observer it does not run and nothing of the job plane: no result
+    # cache or runner, no checker or tracer, no process pool or logging.
+    src = str(Path(sim.__file__).resolve().parents[2])
+    code = (
+        "import sys\n"
+        "from repro.system.config import ALL_CONFIGS\n"
+        "from repro.system.sim import simulate\n"
+        "from repro.workloads import get_workload\n"
+        "simulate(ALL_CONFIGS['ddr-baseline'](), get_workload('stream-copy'),"
+        " ops_per_core=20, validate=False, obs=False, tracing=False)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('multiprocessing', 'concurrent', 'logging') or m.startswith("
+        "('repro.exec', 'repro.tracing', 'repro.validate'))))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
